@@ -12,24 +12,22 @@ listing the coefficients of s^(d-k) t^k for k = 0..d.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .field import (
     Field,
     Matrix,
     Vector,
     kernel_basis,
-    mat_pow,
-    prime_field,
-    rank,
+    mat_vec,
+    reduce_vector,
     row_reduce,
     span_basis,
+    transpose,
 )
 from .operators import ThetaMatrix, mj_fiber_dim, iter_scan_points, constant_jrank_report, ConstancyReport
-from .polyring import Poly, PolyMatrix, Substitution, WeightedRing, monomial_basis
+from .polyring import Poly, PolyMatrix, Substitution, WeightedRing
 from .schemes import p1_chart
 
 
@@ -123,24 +121,38 @@ def _shift_map(fld: Field, n: int, d: int, a: int, b: int) -> Callable[[Vector],
     return apply
 
 
-def _matrix_component_map(b: P1Matrix, power_mat: PolyMatrix, deg_in: int, D: int) -> List[Vector]:
+def _matrix_component_map(b: P1Matrix, power_mat: PolyMatrix, deg_in: int, D: int) -> Iterator[Vector]:
     """Columns: the images of the standard basis of the degree-deg_in
     component of the free module under the matrix (entries homogeneous of
-    degree D), as component vectors of degree deg_in + D."""
+    degree D), as component vectors of degree deg_in + D.  Generated one at
+    a time, so that an elimination over them holds one copy.  A homogeneous
+    entry has one term per exponent of t, so no two terms share a
+    coordinate."""
     n = b.size
     dd = deg_in + D
-    cols: List[Vector] = []
     for i in range(n):
         for k in range(deg_in + 1):
             out = [0] * _component_layout(n, dd)
             for r in range(n):
-                f = power_mat.rows[r][i]
-                for e, c in f.terms.items():
-                    out[r * (dd + 1) + e[1] + k] = b.ring.fld.add(
-                        out[r * (dd + 1) + e[1] + k], c
-                    )
-            cols.append(out)
-    return cols
+                for e, c in power_mat.rows[r][i].terms.items():
+                    out[r * (dd + 1) + e[1] + k] = c
+            yield out
+
+
+def _matrix_component_rows(b: P1Matrix, power_mat: PolyMatrix, deg_in: int, D: int) -> Iterator[Vector]:
+    """The rows of the same map, one per coordinate of the degree
+    deg_in + D component, generated one at a time."""
+    n = b.size
+    for r in range(n):
+        # entry (r, i) by the t-exponent of its terms
+        by_t = [{e[1]: c for e, c in f.terms.items()} for f in power_mat.rows[r]]
+        for m in range(deg_in + D + 1):
+            row = [0] * _component_layout(n, deg_in)
+            for i, terms in enumerate(by_t):
+                for t, c in terms.items():
+                    if 0 <= m - t <= deg_in:
+                        row[i * (deg_in + 1) + m - t] = c
+            yield row
 
 
 class ComponentModule:
@@ -172,18 +184,19 @@ class ComponentModule:
 
     def component(self, d: int) -> Tuple[Matrix, Matrix]:
         """(basis rows, sub rows) for degree d; the module component is the
-        quotient of the two spans."""
-        if d in self._cache:
-            return self._cache[d]
+        quotient of the two spans.  Both are in RREF."""
+        if d not in self._cache:
+            self._cache[d] = self._build(d)
+        return self._cache[d]
+
+    def _build(self, d: int) -> Tuple[Matrix, Matrix]:
         if d < 0:
-            self._cache[d] = ([], [])
-            return self._cache[d]
+            return [], []
         n = self.n
         if self.ker_power:
             D = self.ker_power * self.b.entry_degree
-            cols = _matrix_component_map(self.b, self._kmat, d, D)
             # kernel of the map sending a degree-d vector to its image
-            rows = [[col[r] for col in cols] for r in range(_component_layout(n, d + D))]
+            rows = _matrix_component_rows(self.b, self._kmat, d, D)
             basis = span_basis(self.fld, kernel_basis(self.fld, rows, _component_layout(n, d)))
         else:
             basis = None
@@ -196,23 +209,22 @@ class ComponentModule:
         if basis is None:
             basis = sub
             sub = []
-        self._cache[d] = (basis, sub)
-        return self._cache[d]
+        return basis, sub
 
     def dim(self, d: int) -> int:
-        basis, sub = self.component(d)
-        if not sub:
-            return len(basis)
+        """Dimension of the degree-d component; a component not already
+        held is built for its size and not kept."""
+        basis, sub = self._cache[d] if d in self._cache else self._build(d)
         return len(basis) - len(sub)
 
     def is_zero_element(self, d: int, v: Vector) -> bool:
         _, sub = self.component(d)
-        if not any(v):
-            return True
-        if not sub:
-            return False
-        reduced = row_reduce(self.fld, sub + [list(v)])[1]
-        return len(reduced) == len(row_reduce(self.fld, sub)[1])
+        return not any(reduce_vector(self.fld, sub, _pivot_columns(sub), v))
+
+
+def _pivot_columns(rref: Matrix) -> List[int]:
+    """Pivot columns of a matrix in RREF: the first nonzero of each row."""
+    return [next(j for j, x in enumerate(row) if x) for row in rref]
 
 
 # ---------------------------------------------------------------------------
@@ -406,66 +418,31 @@ def _twisted_sections_dim(comp: ComponentModule, d: int, bound: int) -> int:
     if k == 0:
         return 0
     E = bound
-    W = dd + bound + 2 * E
-
-    big_basis, big_sub = comp.component(W)
-
-    def reduce_rows(rows: Matrix) -> Tuple[Matrix, List[int]]:
-        return row_reduce(fld, rows)
-
-    sub_rref, sub_pivots = reduce_rows(big_sub) if big_sub else ([], [])
-
-    def residual(v: Vector) -> Vector:
-        out = list(v)
-        for rrow, pc in zip(sub_rref, sub_pivots):
-            c = out[pc]
-            if c:
-                out = [fld.sub(x, fld.mul(c, y)) for x, y in zip(out, rrow)]
-        return out
-
+    _, big_sub = comp.component(dd + bound + 2 * E)
+    big_piv = _pivot_columns(big_sub)
     # map (a, b) -> (st)^E ( t^bound a - s^bound b ) reduced mod the sub
     shift_a = _shift_map(fld, n, dd, E, bound + E)
     shift_b = _shift_map(fld, n, dd, bound + E, E)
-    cols: List[Vector] = []
-    for v in basis:
-        cols.append(residual(shift_a(v)))
-    for v in basis:
-        w = shift_b(v)
-        cols.append(residual([fld.neg(x) for x in w]))
-    rows = [[col[r] for col in cols] for r in range(len(cols[0]))] if cols else []
+    cols = [reduce_vector(fld, big_sub, big_piv, shift_a(v)) for v in basis]
+    cols += [reduce_vector(fld, big_sub, big_piv, [fld.neg(x) for x in shift_b(v)])
+             for v in basis]
+    rows = [list(r) for r in zip(*cols)]
     sols = kernel_basis(fld, rows, 2 * k) if rows else []
     if not sols:
         return 0
     # quotient by pairs representing the zero section: s-power kills a and
     # t-power kills b
-    Wa = dd + 2 * E
-    basis_a, sub_a = comp.component(Wa)
-    a_rref, a_piv = (row_reduce(fld, sub_a) if sub_a else ([], []))
-
-    def residual_at(v: Vector, rref, piv) -> Vector:
-        out = list(v)
-        for rrow, pc in zip(rref, piv):
-            c = out[pc]
-            if c:
-                out = [fld.sub(x, fld.mul(c, y)) for x, y in zip(out, rrow)]
-        return out
-
+    _, sub_a = comp.component(dd + 2 * E)
+    a_piv = _pivot_columns(sub_a)
     shift_sa = _shift_map(fld, n, dd, 2 * E, 0)
     shift_tb = _shift_map(fld, n, dd, 0, 2 * E)
+    basis_cols = transpose(basis)
     zero_rows: List[Vector] = []
     for sol in sols:
-        a_part = sol[:k]
-        b_part = sol[k:]
-        va = [0] * len(basis[0])
-        vb = [0] * len(basis[0])
-        for c, bv in zip(a_part, basis):
-            if c:
-                va = [fld.add(x, fld.mul(c, y)) for x, y in zip(va, bv)]
-        for c, bv in zip(b_part, basis):
-            if c:
-                vb = [fld.add(x, fld.mul(c, y)) for x, y in zip(vb, bv)]
-        ra = residual_at(shift_sa(va), a_rref, a_piv)
-        rb = residual_at(shift_tb(vb), a_rref, a_piv)
+        va = mat_vec(fld, basis_cols, sol[:k])
+        vb = mat_vec(fld, basis_cols, sol[k:])
+        ra = reduce_vector(fld, sub_a, a_piv, shift_sa(va))
+        rb = reduce_vector(fld, sub_a, a_piv, shift_tb(vb))
         zero_rows.append(ra + rb)
     # sections = compatible pairs modulo pairs vanishing on both charts;
     # the dimension is the rank of the chartwise evaluation of the solutions

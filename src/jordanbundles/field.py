@@ -5,17 +5,27 @@ are its coordinates in the power basis 1, g, g^2, ... of the extension,
 where g is a root of the chosen monic irreducible modulus.  For e == 1 an
 element is simply a residue mod p.  This keeps matrices as lists of ints and
 makes hashing/comparison trivial.
+
+Fields of order at most 512, prime fields included, are table-driven: the
+fields built by ``ext_field_build`` carry addition, negation,
+multiplication and inversion tables, and every elimination and product
+runs on table lookups.  Larger fields, and a ``Field`` constructed without
+tables, use residue arithmetic (e == 1) or digit arithmetic (e > 1)
+through the ``Field`` methods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from itertools import compress
+from operator import itemgetter
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Matrix = List[List[int]]
 Vector = List[int]
+Table = Tuple[Tuple[int, ...], ...]
 
-_TABLE_LIMIT = 512  # build full multiplication tables for fields up to this order
+_TABLE_LIMIT = 512  # build arithmetic tables for fields up to this order
 
 
 def _poly_mul_mod(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> List[int]:
@@ -48,16 +58,17 @@ class Field:
 
     ``modulus`` holds the coefficients of the modulus from the constant term
     up, including the leading 1; for e == 1 it is (0, 1), i.e. the polynomial
-    g, which is never used.
+    g, which is never used.  The tables (see ``ext_field_build``) do not
+    take part in equality or hashing.
     """
 
     p: int
     e: int
     modulus: Tuple[int, ...]
-    _mul_table: Optional[Tuple[Tuple[int, ...], ...]] = dc_field(
-        default=None, repr=False, compare=False
-    )
+    _mul_table: Optional[Table] = dc_field(default=None, repr=False, compare=False)
     _inv_table: Optional[Tuple[int, ...]] = dc_field(default=None, repr=False, compare=False)
+    _add_table: Optional[Table] = dc_field(default=None, repr=False, compare=False)
+    _neg_table: Optional[Tuple[int, ...]] = dc_field(default=None, repr=False, compare=False)
 
     @property
     def q(self) -> int:
@@ -75,6 +86,8 @@ class Field:
         return _digits(a, self.p, self.e)
 
     def add(self, a: int, b: int) -> int:
+        if self._add_table is not None:
+            return self._add_table[a][b]
         if self.e == 1:
             return (a + b) % self.p
         p = self.p
@@ -83,19 +96,23 @@ class Field:
         )
 
     def neg(self, a: int) -> int:
+        if self._neg_table is not None:
+            return self._neg_table[a]
         if self.e == 1:
             return (-a) % self.p
         p = self.p
         return _undigits([-x for x in _digits(a, p, self.e)], p)
 
     def sub(self, a: int, b: int) -> int:
+        if self._add_table is not None:
+            return self._add_table[a][self._neg_table[b]]
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
         if self._mul_table is not None:
             return self._mul_table[a][b]
+        if self.e == 1:
+            return (a * b) % self.p
         return self._mul_slow(a, b)
 
     def _mul_slow(self, a: int, b: int) -> int:
@@ -113,10 +130,10 @@ class Field:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in GF(%d^%d)" % (self.p, self.e))
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
         if self._inv_table is not None:
             return self._inv_table[a]
+        if self.e == 1:
+            return pow(a, self.p - 2, self.p)
         return self.pow(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:
@@ -197,27 +214,55 @@ def ext_field_build(p: int, e: int) -> Field:
     if p < 2:
         raise ValueError("p must be a prime >= 2")
     if e == 1:
-        return Field(p, 1, (0, 1))
-    modulus = None
-    for k in range(p ** e):
-        coeffs = _digits(k, p, e) + (1,)
-        if _is_irreducible(coeffs, p):
-            modulus = coeffs
-            break
+        modulus: Optional[Tuple[int, ...]] = (0, 1)
+    else:
+        modulus = None
+        for k in range(p ** e):
+            coeffs = _digits(k, p, e) + (1,)
+            if _is_irreducible(coeffs, p):
+                modulus = coeffs
+                break
     assert modulus is not None
     fld = Field(p, e, modulus)
     if fld.q <= _TABLE_LIMIT:
-        mul = tuple(
-            tuple(fld._mul_slow(a, b) for b in range(fld.q)) for a in range(fld.q)
-        )
-        inv = [0] * fld.q
-        for a in range(1, fld.q):
-            for b in range(1, fld.q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        fld = Field(p, e, modulus, mul, tuple(inv))
+        fld = Field(p, e, modulus, *_tables(fld))
     return fld
+
+
+def _tables(fld: Field) -> Tuple[Table, Tuple[int, ...], Table, Tuple[int, ...]]:
+    """(mul, inv, add, neg) tables of a field, from the exp/log tables of a
+    primitive element g and from digitwise addition.  inv[0] is 0."""
+    p, e, q = fld.p, fld.e, fld.q
+    n = q - 1  # order of the multiplicative group
+    for g in range(1, q):
+        exp = [1]
+        x = g
+        while x != 1:
+            exp.append(x)
+            x = fld.mul(x, g)
+        if len(exp) == n:
+            break
+    log = [0] * q
+    for k, x in enumerate(exp):
+        log[x] = k
+    # mul[a][b] = g^(log a + log b): a rotation of exp read in the order of
+    # log, with a 0 appended at index n for b = 0
+    exp2 = exp + exp
+    by_log = itemgetter(n, *log[1:])
+    mul = [(0,) * q] + [by_log(exp2[log[a]:log[a] + n] + [0]) for a in range(1, q)]
+    inv = (0,) + tuple(exp[-log[a] % n] for a in range(1, q))
+    # a + b digit by digit; index b = sum b_i p^i, lowest digit fastest
+    add = []
+    for a in range(q):
+        row = [0]
+        step, rest = 1, a
+        for _ in range(e):
+            shifts = [(rest % p + t) % p * step for t in range(p)]
+            row = [s + x for s in shifts for x in row]
+            step, rest = step * p, rest // p
+        add.append(tuple(row))
+    neg = tuple(row.index(0) for row in add)
+    return tuple(mul), inv, tuple(add), neg
 
 
 def prime_field(p: int) -> Field:
@@ -257,29 +302,38 @@ def mat_scale(fld: Field, c: int, a: Matrix) -> Matrix:
 
 
 def mat_mul(fld: Field, a: Matrix, b: Matrix) -> Matrix:
-    n, m = len(a), len(b[0])
-    k = len(b)
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] = fld.add(oi[j], fld.mul(c, bt[j]))
+    m = len(b[0])
+    add, mul = fld._add_table, fld._mul_table
+    # the nonzero entries of each row of b, found once
+    b_nz = [[(j, y) for j, y in enumerate(bt) if y] for bt in b]
+    out: Matrix = []
+    for ai in a:
+        oi = [0] * m
+        for c, bt in zip(ai, b_nz):
+            if not c:
+                continue
+            if add is None:
+                for j, y in bt:
+                    oi[j] = fld.add(oi[j], fld.mul(c, y))
+            else:
+                mc = mul[c]
+                for j, y in bt:
+                    oi[j] = add[oi[j]][mc[y]]
+        out.append(oi)
     return out
 
 
 def mat_vec(fld: Field, a: Matrix, v: Vector) -> Vector:
+    add, mul = fld._add_table, fld._mul_table
     out = [0] * len(a)
     for i, row in enumerate(a):
         acc = 0
         for c, x in zip(row, v):
             if c and x:
-                acc = fld.add(acc, fld.mul(c, x))
+                if add is None:
+                    acc = fld.add(acc, fld.mul(c, x))
+                else:
+                    acc = add[acc][mul[c][x]]
         out[i] = acc
     return out
 
@@ -303,46 +357,82 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
-def row_reduce(fld: Field, a: Matrix) -> Tuple[Matrix, List[int]]:
+def row_reduce(fld: Field, a: Iterable[Sequence[int]]) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form.  Returns (rref, pivot column indices); zero
     rows are dropped, which makes the output a canonical form of the row
-    space."""
-    work = [row[:] for row in a]
+    space.  The rows are copied, so ``a`` may be a generator.
+
+    Each pivot row is cleared from the other rows through its nonzero
+    entries only (it is zero left of its pivot), by table lookups when the
+    field has tables and by ``Field`` methods otherwise."""
+    work = [list(row) for row in a]
     if not work:
         return [], []
-    ncols = len(work[0])
+    nrows, ncols = len(work), len(work[0])
+    add, neg, mul = fld._add_table, fld._neg_table, fld._mul_table
     pivots: List[int] = []
     r = 0
     for col in range(ncols):
         piv = None
-        for i in range(r, len(work)):
+        for i in range(r, nrows):
             if work[i][col]:
                 piv = i
                 break
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = fld.inv(work[r][col])
-        if inv != 1:
-            work[r] = [fld.mul(inv, x) for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                c = work[i][col]
-                work[i] = [fld.sub(x, fld.mul(c, y)) for x, y in zip(work[i], work[r])]
+        prow = work[r]
+        targets = [wi for wi in work if wi[col] and wi is not prow]
+        if targets or prow[col] != 1:
+            support = list(compress(range(col, ncols), prow[col:]))
+            if prow[col] != 1:
+                inv = fld.inv(prow[col])
+                for j in support:
+                    prow[j] = fld.mul(inv, prow[j])
+            nz = [(j, prow[j]) for j in support]
+        for wi in targets:
+            c = wi[col]
+            if add is None:
+                for j, y in nz:
+                    wi[j] = fld.sub(wi[j], fld.mul(c, y))
+            else:
+                m = mul[neg[c]]
+                for j, y in nz:
+                    wi[j] = add[wi[j]][m[y]]
         pivots.append(col)
         r += 1
-        if r == len(work):
+        if r == nrows:
             break
     return work[:r], pivots
+
+
+def reduce_vector(fld: Field, rref: Matrix, pivots: Sequence[int], v: Vector) -> Vector:
+    """v minus its combination of the rows of an RREF matrix (with the given
+    pivot columns) that clears every pivot coordinate: the canonical
+    representative of v modulo the row space, zero exactly when v lies in
+    it."""
+    out = list(v)
+    add, neg, mul = fld._add_table, fld._neg_table, fld._mul_table
+    for row, pc in zip(rref, pivots):
+        c = out[pc]
+        if not c:
+            continue
+        if add is None:
+            out[pc:] = [fld.sub(x, fld.mul(c, y)) for x, y in zip(out[pc:], row[pc:])]
+        else:
+            m = mul[neg[c]]
+            out[pc:] = [add[x][m[y]] for x, y in zip(out[pc:], row[pc:])]
+    return out
 
 
 def rank(fld: Field, a: Matrix) -> int:
     return len(row_reduce(fld, a)[1])
 
 
-def kernel_basis(fld: Field, a: Matrix, ncols: Optional[int] = None) -> List[Vector]:
+def kernel_basis(fld: Field, a: Iterable[Sequence[int]], ncols: Optional[int] = None) -> List[Vector]:
     """Canonical basis of the right kernel {v : a v = 0}, normalized from the
-    reduced echelon form (free variable set to 1, read off in column order)."""
+    reduced echelon form (free variable set to 1, read off in column order).
+    With ``ncols`` given, ``a`` may be a generator of rows."""
     if ncols is None:
         ncols = len(a[0]) if a else 0
     rref, pivots = row_reduce(fld, a)
@@ -353,15 +443,16 @@ def kernel_basis(fld: Field, a: Matrix, ncols: Optional[int] = None) -> List[Vec
             continue
         v = [0] * ncols
         v[j] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = fld.neg(rref[i][j])
+        for row, pc in zip(rref, pivots):
+            if row[j]:
+                v[pc] = fld.neg(row[j])
         basis.append(v)
     return basis
 
 
-def span_basis(fld: Field, vectors: Sequence[Vector]) -> Matrix:
+def span_basis(fld: Field, vectors: Iterable[Sequence[int]]) -> Matrix:
     """Canonical (RREF) basis of the span of the given vectors."""
-    return row_reduce(fld, [list(v) for v in vectors])[0]
+    return row_reduce(fld, vectors)[0]
 
 
 def in_span(fld: Field, vectors: Sequence[Vector], v: Vector) -> bool:
@@ -416,6 +507,7 @@ __all__ = [
     "transpose",
     "is_zero_matrix",
     "row_reduce",
+    "reduce_vector",
     "rank",
     "kernel_basis",
     "span_basis",

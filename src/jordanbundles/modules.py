@@ -12,7 +12,7 @@ carry no generator matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .field import (
@@ -20,7 +20,6 @@ from .field import (
     Matrix,
     Vector,
     identity,
-    in_span,
     is_zero_matrix,
     kernel_basis,
     mat_add,
@@ -30,14 +29,13 @@ from .field import (
     mat_sub,
     mat_vec,
     prime_field,
-    rank,
+    reduce_vector,
     row_reduce,
     span_basis,
     zeros,
 )
 from .schemes import (
     GroupSchemeDesc,
-    LieData,
     additive_kernel,
     generator_names,
     gln_height2,
@@ -335,14 +333,9 @@ def frobenius_twist_gar(rep: ModuleRep, s: int) -> ModuleRep:
 
 def coords_in_basis(fld: Field, basis: Matrix, pivots: Sequence[int], v: Vector) -> Vector:
     """Coordinates of v in an RREF basis (raises if v is outside the span)."""
-    coords = [v[pc] for pc in pivots]
-    check = list(v)
-    for c, row in zip(coords, basis):
-        if c:
-            check = [fld.sub(x, fld.mul(c, y)) for x, y in zip(check, row)]
-    if any(check):
+    if any(reduce_vector(fld, basis, pivots, v)):
         raise ValueError("vector not in span of basis")
-    return coords
+    return [v[pc] for pc in pivots]
 
 
 def submodule_generated(rep: ModuleRep, vectors: Sequence[Vector]) -> Tuple[ModuleRep, Matrix]:

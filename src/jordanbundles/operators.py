@@ -4,10 +4,9 @@ reports."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .field import (
@@ -21,14 +20,11 @@ from .field import (
     mat_mul,
     mat_pow,
     mat_vec,
-    prime_field,
     rank,
-    row_reduce,
     span_basis,
-    zeros,
 )
-from .modules import ModuleRep, _divided_power_op, kron
-from .polyring import Poly, PolyMatrix, Substitution, WeightedRing, generic_rank, substitute
+from .modules import ModuleRep, _divided_power_op
+from .polyring import Poly, PolyMatrix, WeightedRing, generic_rank
 from .schemes import (
     GroupSchemeDesc,
     Point,
@@ -228,13 +224,13 @@ class JordanType:
 def jordan_type(fld: Field, n: Matrix, p: int) -> JordanType:
     """Jordan type of a p-nilpotent matrix from the rank sequence of its
     powers: a_i = r_{i-1} - 2 r_i + r_{i+1}."""
-    dim = len(n)
-    powers = [identity(fld, dim)]
-    for _ in range(p + 1):
+    powers = [n]  # n^1 .. n^p
+    for _ in range(p - 1):
         powers.append(mat_mul(fld, powers[-1], n))
-    if not is_zero_matrix(powers[p]):
+    if not is_zero_matrix(powers[-1]):
         raise ValueError("matrix is not p-nilpotent (p = %d)" % p)
-    ranks = [rank(fld, m) for m in powers]
+    # r_0 = dim, r_1 .. r_{p-1} by elimination, r_p = r_{p+1} = 0
+    ranks = [len(n)] + [rank(fld, m) for m in powers[:-1]] + [0, 0]
     counts = tuple(ranks[i - 1] - 2 * ranks[i] + ranks[i + 1] for i in range(1, p + 1))
     return JordanType(p, counts)
 
@@ -311,8 +307,10 @@ def mj_fiber_dim(fld: Field, n: Matrix, p: int, j: int) -> int:
     """dim ker(n^j) / im(n^(p-j)) for a p-nilpotent matrix (the image is
     contained in the kernel, so this is a plain dimension difference)."""
     dim = len(n)
-    nj = mat_pow(fld, n, j)
-    npj = mat_pow(fld, n, p - j)
+    powers = [identity(fld, dim), n]
+    while len(powers) <= max(j, p - j):
+        powers.append(mat_mul(fld, powers[-1], n))
+    nj, npj = powers[j], powers[p - j]
     ker_dim = dim - rank(fld, nj)
     # containment check: n^j * n^(p-j) = n^p = 0 automatically; verify anyway
     if not is_zero_matrix(mat_mul(fld, nj, npj)):

@@ -9,9 +9,9 @@ in particular in the fraction-free rank computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .field import Field, Matrix, rank as mat_rank
+from .field import Field, Matrix
 
 Expo = Tuple[int, ...]
 

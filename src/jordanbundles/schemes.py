@@ -27,7 +27,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .field import (
     Field,
     Matrix,
-    enumerate_elements,
     is_zero_matrix,
     mat_mul,
     mat_pow,

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from jordanbundles.bundles import (
+    ComponentModule,
     K0Class,
     endotrivial_test,
     global_sections,
@@ -18,6 +19,7 @@ from jordanbundles.bundles import (
     splitting_type,
     subquotient_mj,
 )
+from jordanbundles.field import in_span, mat_vec, transpose
 from jordanbundles.modules import (
     construct_duals_example,
     construct_steinberg,
@@ -158,6 +160,27 @@ def test_syzygy_subquotients(n, p, twist):
     b = restrict_p1(theta_global(construct_syzygy_E2(n, p)))
     sub = subquotient_mj(b, 1)
     assert sub.splitting is not None and sub.splitting.twists == (twist,)
+
+
+def test_component_module_dim_and_zero_elements():
+    # ker(B)/im(B) of the syzygy module Omega^2 at p = 3 (image of B^2)
+    b = restrict_p1(theta_global(construct_syzygy_E2(2, 3)))
+    comp = ComponentModule(b, ker_power=1, im_power=2)
+    dims = [comp.dim(d) for d in range(8)]
+    assert comp._cache == {}  # dim builds components without keeping them
+    fld = comp.fld
+    rng = random.Random(5)
+    for d in range(8):
+        basis, sub = comp.component(d)
+        assert comp.dim(d) == dims[d] == len(basis) - len(sub)
+        for _ in range(6):
+            # random combinations of the kernel rows, some inside the image
+            rows = sub if sub and rng.random() < 0.5 else basis
+            if not rows:
+                continue
+            v = mat_vec(fld, transpose(rows), [rng.randrange(fld.q) for _ in rows])
+            assert comp.is_zero_element(d, v) == (not any(v) or in_span(fld, sub, v))
+    assert sorted(comp._cache) == list(range(8))
 
 
 def test_image_sheaf_report_line_bundle():

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from jordanbundles.field import (
     Field,
+    _digits,
+    _undigits,
     enumerate_elements,
     ext_field_build,
     identity,
@@ -19,6 +21,7 @@ from jordanbundles.field import (
     mat_vec,
     prime_field,
     rank,
+    reduce_vector,
     row_reduce,
     solve,
     span_basis,
@@ -193,3 +196,94 @@ def test_transpose_involution_and_zero():
     assert transpose(transpose(a)) == a
     assert is_zero_matrix(zeros(2, 3))
     assert not is_zero_matrix(a)
+
+
+# ---------------------------------------------------------------------------
+# the table kernel: every field of order <= 512 built by ext_field_build
+# carries add/neg/mul/inv tables; larger fields use digit arithmetic
+
+
+def _primes(limit):
+    return [p for p in range(2, limit + 1) if all(p % d for d in range(2, p))]
+
+
+def _table_fields(qmax):
+    return [(p, e) for p in _primes(qmax) for e in range(1, 5) if p ** e <= qmax]
+
+
+def _check_tables(fld, pairs):
+    p, e = fld.p, fld.e
+    for a, b in pairs:
+        da, db = _digits(a, p, e), _digits(b, p, e)
+        assert fld._add_table[a][b] == _undigits([x + y for x, y in zip(da, db)], p)
+        assert fld._mul_table[a][b] == fld._mul_slow(a, b)
+    for a in range(fld.q):
+        assert fld._neg_table[a] == _undigits([-x for x in _digits(a, p, e)], p)
+        if a:
+            assert fld._mul_slow(a, fld._inv_table[a]) == 1
+
+
+@pytest.mark.parametrize("key", _table_fields(125), ids=lambda k: "F%d^%d" % k)
+def test_tables_exhaustive_small(key):
+    fld = ext_field_build(*key)
+    elems = range(fld.q)
+    _check_tables(fld, [(a, b) for a in elems for b in elems])
+
+
+@pytest.mark.parametrize("key", [(127, 1), (13, 2), (17, 2), (7, 3), (19, 2), (509, 1)],
+                         ids=lambda k: "F%d^%d" % k)
+def test_tables_sampled_large(key):
+    fld = ext_field_build(*key)
+    rng = random.Random(fld.q)
+    _check_tables(fld, [(rng.randrange(fld.q), rng.randrange(fld.q)) for _ in range(3000)])
+
+
+def test_tables_only_up_to_512():
+    for key in [(2, 4), (3, 4), (7, 3), (19, 2), (509, 1)]:
+        assert ext_field_build(*key)._add_table is not None
+    for key in [(5, 4), (7, 4), (23, 2), (521, 1)]:
+        fld = ext_field_build(*key)
+        assert fld._add_table is None and fld._mul_table is None
+
+
+def test_tables_do_not_change_equality():
+    fld = ext_field_build(3, 2)
+    bare = Field(fld.p, fld.e, fld.modulus)
+    assert bare._mul_table is None
+    assert fld == bare and hash(fld) == hash(bare)
+
+
+DIFF_FIELDS = [prime_field(3), prime_field(5), ext_field_build(3, 2),
+               ext_field_build(5, 2), ext_field_build(3, 4), ext_field_build(5, 4)]
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_table_kernel_matches_field_methods(data):
+    """The table path against a tableless Field of the same field (GF(5^4)
+    is past the table limit, so there both sides take the generic path)."""
+    fld = data.draw(st.sampled_from(DIFF_FIELDS), label="field")
+    bare = Field(fld.p, fld.e, fld.modulus)
+    rows = data.draw(st.integers(1, 9), label="rows")
+    cols = data.draw(st.integers(1, 9), label="cols")
+    density = data.draw(st.sampled_from([0.15, 0.5, 1.0]), label="density")
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+
+    def sparse(r, c):
+        return [[rng.randrange(1, fld.q) if rng.random() < density else 0
+                 for _ in range(c)] for _ in range(r)]
+
+    a, b = sparse(rows, cols), sparse(cols, rng.randint(1, 6))
+    v = sparse(1, cols)[0]
+    rhs = sparse(1, rows)[0]
+    red = row_reduce(fld, a)
+    assert red == row_reduce(bare, a)
+    assert rank(fld, a) == rank(bare, a) == len(red[1])
+    assert kernel_basis(fld, a) == kernel_basis(bare, a)
+    assert mat_mul(fld, a, b) == mat_mul(bare, a, b)
+    assert mat_vec(fld, a, v) == mat_vec(bare, a, v)
+    assert solve(fld, a, rhs) == solve(bare, a, rhs)
+    residual = reduce_vector(fld, red[0], red[1], v)
+    assert residual == reduce_vector(bare, red[0], red[1], v)
+    assert all(residual[pc] == 0 for pc in red[1])
+    assert (not any(residual)) == in_span(bare, a, v)

@@ -225,6 +225,17 @@ def test_jordan_type_rank_reconstruction():
             assert rank(fld, mat_pow(fld, n, j)) == expected
 
 
+def test_jordan_type_rejects_non_p_nilpotent():
+    # one Jordan block of size 4: 3-nilpotent fails, 5-nilpotent is fine
+    fld = prime_field(3)
+    n = [[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)]
+    with pytest.raises(ValueError, match="not p-nilpotent"):
+        jordan_type(fld, n, 3)
+    with pytest.raises(ValueError, match="not p-nilpotent"):
+        mj_fiber_dim(fld, n, 3, 1)
+    assert jordan_type(fld, n, 5) == JordanType(5, (0, 0, 0, 1, 0))
+
+
 def test_mj_fiber_dim_formula():
     # per-block contribution to dim ker(n^j)/im(n^(p-j)) is
     # min(i, j) - max(i + j - p, 0); blocks of size p contribute nothing
