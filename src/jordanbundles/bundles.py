@@ -8,6 +8,24 @@ a generator of a graded submodule in degree d contributes a line-bundle
 summand O(-d).  Components of a graded module in degree d are stored as
 coefficient vectors of length n*(d+1), the block for ambient coordinate i
 listing the coefficients of s^(d-k) t^k for k = 0..d.
+
+Every bundle here comes from kernels alone, by three facts:
+
+- The graded kernel K_j of B^j (N x N, entries homogeneous of degree
+  D = j * entry_degree) is free: it is a second syzygy over the
+  2-dimensional regular graded ring k[s,t].
+- Rank count: K_j has rank N - generic_rank(B^j), so a degree-by-degree
+  search for minimal generators is complete once it holds that many.
+- Forney's bound ("Minimal bases of rational vector spaces", SIAM J.
+  Control 1975): the generator degrees of K_j sum to the degree of the
+  image sheaf, a subsheaf of O(D)^N of rank r = generic_rank(B^j), so the
+  sum is at most r * D.
+
+Subquotients ker(B^j)/im(B^q) and images then follow from additivity in
+K_0(P^1): im(B^q) is O(-D)^N modulo K_q(-D), D = q * entry_degree, so
+    rk = rk K_j - (N - rk K_q),  deg = deg K_j + (N - rk K_q) D + deg K_q.
+A failure of these facts in a computation is an engine fault and raises
+``EngineInvariantError``.
 """
 
 from __future__ import annotations
@@ -16,6 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .field import (
+    Echelon,
     Field,
     Matrix,
     Vector,
@@ -27,8 +46,13 @@ from .field import (
     transpose,
 )
 from .operators import ThetaMatrix, mj_fiber_dim, iter_scan_points, constant_jrank_report, ConstancyReport
-from .polyring import Poly, PolyMatrix, Substitution, WeightedRing
+from .polyring import Poly, PolyMatrix, Substitution, WeightedRing, generic_rank
 from .schemes import p1_chart
+
+
+class EngineInvariantError(RuntimeError):
+    """A theorem the engine relies on failed to hold in a computation: a
+    bug in the engine, never a fault of the input."""
 
 
 @dataclass
@@ -247,67 +271,64 @@ class GradedSubmodule:
     def rank(self) -> int:
         return len(self.generators)
 
-
-def _free_hilbert(degrees: Sequence[int], d: int) -> int:
-    return sum(max(0, d - g + 1) for g in degrees)
+    def free_dim(self, d: int) -> int:
+        """Dimension in degree d of the free module on the generators."""
+        return sum(max(0, d - g + 1) for g in self.degrees)
 
 
 def kernel_graded(b: P1Matrix, j: int = 1) -> GradedSubmodule:
-    """Minimal generators of the graded kernel of the j-th power of the
-    restricted operator, found degree by degree.  Freeness is certified by
-    matching the Hilbert function of the free module on the found
-    generators over a stabilization window; the degree ceiling is
-    entry_degree * ambient_rank + 2 j, doubled once if needed."""
+    """Minimal generators of the graded kernel K of the j-th power B^j of
+    the restricted operator, found degree by degree.
+
+    K is free: it is a second syzygy (the kernel of a map of free modules)
+    over the 2-dimensional regular graded ring k[s,t].  Its rank is
+    N - r, where r = generic_rank(B^j), and a free module of rank N - r
+    has exactly N - r minimal generators.  The search visits degrees
+    d = 0, 1, 2, ... and in each keeps the kernel vectors that are not
+    combinations of monomial multiples of the generators already found;
+    it stops as soon as it holds N - r generators, which certifies the
+    result (``certified_free`` is always True).
+
+    Forney's bound ("Minimal bases of rational vector spaces", 1975) caps
+    the degrees: the generator degrees of K sum to the degree of the image
+    sheaf, a rank-r subsheaf of O(D)^N with D = j * entry_degree, so their
+    sum is at most r * D.  A search whose found degrees plus the degree
+    reached by each missing generator exceed that bound raises
+    ``EngineInvariantError``."""
     fld = b.ring.fld
     n = b.size
     comp = ComponentModule(b, ker_power=j)
+    grk = generic_rank(comp._kmat)
+    target = n - grk
+    bound = grk * j * b.entry_degree
     gens: List[Tuple[int, Vector]] = []  # (degree, component vector)
     hilbert: Dict[int, int] = {}
-    ceiling = b.entry_degree * n + 2 * j
-    stable: Optional[int] = None
-    doubled = False
-    while stable is None:
-        for d in range(0, ceiling + 1):
-            if d in hilbert:
-                continue
-            basis, _ = comp.component(d)
-            hilbert[d] = len(basis)
-            # span of (monomial multiples of) existing generators in degree d
-            span_rows: List[Vector] = []
-            for gd, gv in gens:
-                if gd <= d:
-                    for bexp in range(d - gd + 1):
-                        span_rows.append(_shift_map(fld, n, gd, d - gd - bexp, bexp)(gv))
-            current = span_basis(fld, span_rows) if span_rows else []
-            for cand in basis:
-                trial = span_basis(fld, list(current) + [cand])
-                if len(trial) > len(current):
-                    current = trial
-                    gens.append((d, cand))
-        # certificate: the Hilbert function agrees with the free module on
-        # the found generators over the whole tail past their top degree
-        top = max((g for g, _ in gens), default=0)
-        degrees_found = [g for g, _ in gens]
-        if ceiling >= top + 2 and all(
-            hilbert[d] == _free_hilbert(degrees_found, d) for d in range(top + 1, ceiling + 1)
-        ):
-            stable = top + 1
-            break
-        if doubled:
-            break
-        ceiling *= 2
-        doubled = True
-    generators = [
-        _component_to_poly_vector(b.ring, gv, n, gd) for gd, gv in gens
-    ]
+    d = 0
+    while len(gens) < target:
+        if sum(g for g, _ in gens) + (target - len(gens)) * d > bound:
+            raise EngineInvariantError(
+                "kernel search of B^%d reached degree %d with %d of %d generators, "
+                "past Forney's bound %d" % (j, d, len(gens), target, bound))
+        basis, _ = comp._build(d)
+        hilbert[d] = len(basis)
+        # span of the monomial multiples of the generators found so far
+        span = Echelon(fld, (_shift_map(fld, n, gd, d - gd - k, k)(gv)
+                             for gd, gv in gens for k in range(d - gd + 1)))
+        for cand in basis:
+            if span.insert(cand) is not None:
+                gens.append((d, cand))
+                if len(gens) == target:
+                    break
+        d += 1
+    degrees = [gd for gd, _ in gens]
     return GradedSubmodule(
         ring=b.ring,
         ambient_rank=n,
-        generators=generators,
-        degrees=[gd for gd, _ in gens],
+        generators=[_component_to_poly_vector(b.ring, gv, n, gd) for gd, gv in gens],
+        degrees=degrees,
         hilbert=hilbert,
-        certified_free=stable is not None,
-        stable_from=stable,
+        certified_free=True,
+        stable_from=max(degrees, default=0) + 1,
         label="ker(theta^%d)" % j,
     )
 
@@ -320,15 +341,11 @@ def image_graded(b: P1Matrix, j: int = 1) -> GradedSubmodule:
     power = b.mat.power(j)
     D = j * b.entry_degree
     gens: List[Tuple[int, Vector]] = []
-    current: Matrix = []
+    span = Echelon(fld)
     for col in range(n):
         vec = [power.rows[r][col] for r in range(n)]
         cv = _poly_vector_to_component(vec, n, D)
-        if not any(cv):
-            continue
-        trial = span_basis(fld, list(current) + [cv])
-        if len(trial) > len(current):
-            current = trial
+        if span.insert(cv) is not None:
             gens.append((D, cv))
     comp = ComponentModule(b, ker_power=0, im_power=j)
     hilbert = {d: comp.dim(d) for d in range(0, D + n + 2)}
@@ -390,21 +407,6 @@ class SheafReport:
     note: str = ""
 
 
-def _stable_rank_degree(comp: ComponentModule, max_degree: int) -> Tuple[Optional[int], Optional[int], Optional[int], Dict[int, int]]:
-    """Find the smallest d0 >= 1 with dim(d) exactly linear, dim(d) = r*d + c,
-    from d0 through max_degree (a window of at least 4 degrees); return
-    (r, c - r, d0, hilbert).  The degree of the sheaf is c - r since in the
-    stable range dim(d) = r*(d+1) + deg."""
-    hilbert: Dict[int, int] = {d: comp.dim(d) for d in range(0, max_degree + 1)}
-    for d0 in range(1, max_degree - 3):
-        diffs = {hilbert[d + 1] - hilbert[d] for d in range(d0, max_degree)}
-        if len(diffs) == 1:
-            r = diffs.pop()
-            c = hilbert[d0] - r * d0
-            return r, c - r, d0, hilbert
-    return None, None, None, hilbert
-
-
 def _twisted_sections_dim(comp: ComponentModule, d: int, bound: int) -> int:
     """dim H^0 of the sheaf of the module twisted by O(d), by two-chart
     gluing with denominator exponent ``bound``."""
@@ -449,35 +451,67 @@ def _twisted_sections_dim(comp: ComponentModule, d: int, bound: int) -> int:
     return len(row_reduce(fld, zero_rows)[1]) if zero_rows else 0
 
 
-def subquotient_mj(b: P1Matrix, j: int, im_power: Optional[int] = None,
-                   max_degree: Optional[int] = None) -> SheafReport:
-    """The sheaf ker(B^j)/im(B^(p-j)) (im_power overrides p-j, e.g. for
-    operators of nilpotency degree < p).  Identifies the splitting type for
-    fiber rank <= 2 via stable Hilbert data plus two-chart section counts;
-    larger ranks are reported by rank and degree only."""
-    p = b.p
-    if im_power is None:
-        im_power = p - j
-    comp = ComponentModule(b, ker_power=j, im_power=im_power)
-    if max_degree is None:
-        max_degree = b.entry_degree * (b.size + j + im_power) + 6
-    r, deg, d0, hilbert = _stable_rank_degree(comp, max_degree)
-    if r is None:
-        return SheafReport(None, None, None, None, hilbert, note="hilbert did not stabilize")
+def _image_class(n: int, kernel: GradedSubmodule, shift: int) -> K0Class:
+    """[im B^q] for the kernel K_q of B^q and D = q * entry_degree as
+    ``shift``: B^q maps O(-D)^N onto its image with kernel K_q(-D), so
+    [im B^q] = (N [O] - [K_q]) twisted by -D."""
+    return (K0Class(n, 0) - k0_class(kernel)).twist(-shift)
+
+
+def _image_dim(n: int, kernel: GradedSubmodule, shift: int, d: int) -> int:
+    """Dimension of im(B^q) in degree d: the source component has degree
+    d - D, and K_q is free on its generators."""
+    return n * max(0, d - shift + 1) - kernel.free_dim(d - shift)
+
+
+def _sheaf_report(comp: ComponentModule, cls: K0Class, stable_from: int,
+                  hilbert: Dict[int, int]) -> SheafReport:
+    """Report a sheaf from its K_0 class: rank 0 and 1 are read off, a
+    rank-2 splitting is found by two-chart section counts on ``comp``, a
+    larger rank is reported by rank and degree only."""
+    r, deg = cls.rank, cls.degree
+    if r < 0:
+        raise EngineInvariantError("negative rank %d in K_0 for %s" % (r, cls))
     if r == 0:
-        return SheafReport(0, 0, SplittingType(()), d0, hilbert)
+        return SheafReport(0, 0, SplittingType(()), stable_from, hilbert)
     if r > 2:
-        return SheafReport(r, deg, None, d0, hilbert, note="rank > 2: splitting not identified")
+        return SheafReport(r, deg, None, stable_from, hilbert,
+                           note="rank > 2: splitting not identified")
     if r == 1:
         # a line bundle is determined by its degree
-        return SheafReport(1, deg, SplittingType((deg,)), d0, hilbert)
-    top = _rank2_top_twist(comp, b, deg)
+        return SheafReport(1, deg, SplittingType((deg,)), stable_from, hilbert)
+    top = _rank2_top_twist(comp, comp.b, deg)
     if top is None:
-        return SheafReport(r, deg, None, d0, hilbert, note="section scan inconclusive")
+        return SheafReport(r, deg, None, stable_from, hilbert, note="section scan inconclusive")
     other = deg - top
     if other > top:
-        return SheafReport(r, deg, None, d0, hilbert, note="twist ordering inconsistent")
-    return SheafReport(2, deg, SplittingType((top, other)), d0, hilbert)
+        return SheafReport(r, deg, None, stable_from, hilbert, note="twist ordering inconsistent")
+    return SheafReport(2, deg, SplittingType((top, other)), stable_from, hilbert)
+
+
+def subquotient_mj(b: P1Matrix, j: int, im_power: Optional[int] = None) -> SheafReport:
+    """The sheaf ker(B^j)/im(B^q), q = p - j (im_power overrides q, e.g.
+    for operators of nilpotency degree < p), from the kernels alone.
+
+    Write K_i for the graded kernel of B^i (free; see ``kernel_graded``)
+    and D = q * entry_degree.  B^q maps O(-D)^N onto im(B^q) with kernel
+    K_q(-D), so additivity in K_0(P^1) gives
+        rk = rk K_j - (N - rk K_q)
+        deg = deg K_j + (N - rk K_q) D + deg K_q.
+    The same kernels give the Hilbert function of the graded module in
+    every degree; ``hilbert`` holds it up to ``stable_from``, from where on
+    it is r (d + 1) + deg.  The splitting type is identified for fiber
+    rank <= 2 (rank 2 by two-chart section counts); larger ranks are
+    reported by rank and degree only."""
+    q = b.p - j if im_power is None else im_power
+    comp = ComponentModule(b, ker_power=j, im_power=q)
+    kj = kernel_graded(b, j)
+    kq = kj if q == j else kernel_graded(b, q)
+    D = q * b.entry_degree
+    n = b.size
+    stable = max(kj.stable_from, kq.stable_from + D)
+    hilbert = {d: kj.free_dim(d) - _image_dim(n, kq, D, d) for d in range(stable + 1)}
+    return _sheaf_report(comp, k0_class(kj) - _image_class(n, kq, D), stable, hilbert)
 
 
 def _rank2_top_twist(comp: ComponentModule, b: P1Matrix, deg: int) -> Optional[int]:
@@ -504,24 +538,17 @@ def _rank2_top_twist(comp: ComponentModule, b: P1Matrix, deg: int) -> Optional[i
     return None
 
 
-def image_sheaf_report(b: P1Matrix, j: int = 1, max_degree: Optional[int] = None) -> SheafReport:
+def image_sheaf_report(b: P1Matrix, j: int = 1) -> SheafReport:
     """Rank/degree/splitting (rank <= 2) of the sheaf of the graded image
-    of the j-th power."""
+    of the j-th power, from the kernel K_j: rk = N - rk K_j and
+    deg = -D (N - rk K_j) - deg K_j with D = j * entry_degree."""
     comp = ComponentModule(b, ker_power=0, im_power=j)
-    if max_degree is None:
-        max_degree = b.entry_degree * (b.size + j) + 6
-    r, deg, d0, hilbert = _stable_rank_degree(comp, max_degree)
-    if r is None or r > 2:
-        return SheafReport(r, deg, None, d0, hilbert,
-                           note="" if r is not None else "hilbert did not stabilize")
-    if r == 0:
-        return SheafReport(0, 0, SplittingType(()), d0, hilbert)
-    if r == 1:
-        return SheafReport(1, deg, SplittingType((deg,)), d0, hilbert)
-    top = _rank2_top_twist(comp, b, deg)
-    if top is None:
-        return SheafReport(r, deg, None, d0, hilbert, note="section scan inconclusive")
-    return SheafReport(2, deg, SplittingType((top, deg - top)), d0, hilbert)
+    kj = kernel_graded(b, j)
+    D = j * b.entry_degree
+    n = b.size
+    stable = kj.stable_from + D
+    hilbert = {d: _image_dim(n, kj, D, d) for d in range(stable + 1)}
+    return _sheaf_report(comp, _image_class(n, kj, D), stable, hilbert)
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +702,7 @@ def rho_kappa_matrix(p: int) -> List[List[int]]:
 
 
 __all__ = [
+    "EngineInvariantError",
     "P1Matrix",
     "GradedSubmodule",
     "SplittingType",

@@ -67,6 +67,7 @@ from .operators import (
     theta_global,
 )
 from .bundles import (
+    EngineInvariantError,
     endotrivial_test,
     global_sections,
     k0_class,
@@ -598,6 +599,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as exc:
         print("error [%s]: %s" % (exc.code, exc), file=sys.stderr)
         return 1
+    except EngineInvariantError as exc:
+        print("error [E_INTERNAL]: %s" % exc, file=sys.stderr)
+        return 3
     except (ValueError, NotImplementedError) as exc:
         print("error [E_UNSUPPORTED]: %s" % exc, file=sys.stderr)
         return 1

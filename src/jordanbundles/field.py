@@ -16,6 +16,7 @@ through the ``Field`` methods.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from itertools import compress
 from operator import itemgetter
@@ -291,14 +292,24 @@ def identity(fld: Field, n: int) -> Matrix:
 
 
 def mat_add(fld: Field, a: Matrix, b: Matrix) -> Matrix:
-    return [[fld.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    add = fld._add_table
+    if add is None:
+        return [[fld.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[add[x][y] for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
 
 def mat_sub(fld: Field, a: Matrix, b: Matrix) -> Matrix:
-    return [[fld.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    add, neg = fld._add_table, fld._neg_table
+    if add is None:
+        return [[fld.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[add[x][neg[y]] for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(fld: Field, c: int, a: Matrix) -> Matrix:
-    return [[fld.mul(c, x) for x in row] for row in a]
+    if fld._mul_table is None:
+        return [[fld.mul(c, x) for x in row] for row in a]
+    mc = fld._mul_table[c]
+    return [[mc[x] for x in row] for row in a]
 
 
 def mat_mul(fld: Field, a: Matrix, b: Matrix) -> Matrix:
@@ -407,10 +418,10 @@ def row_reduce(fld: Field, a: Iterable[Sequence[int]]) -> Tuple[Matrix, List[int
 
 
 def reduce_vector(fld: Field, rref: Matrix, pivots: Sequence[int], v: Vector) -> Vector:
-    """v minus its combination of the rows of an RREF matrix (with the given
-    pivot columns) that clears every pivot coordinate: the canonical
-    representative of v modulo the row space, zero exactly when v lies in
-    it."""
+    """v minus its combination of the rows of an echelon matrix (with the
+    given pivot columns, rows in pivot order, leading entries 1) that clears
+    every pivot coordinate: zero exactly when v lies in the row space, and
+    the canonical representative of v modulo it when the matrix is in RREF."""
     out = list(v)
     add, neg, mul = fld._add_table, fld._neg_table, fld._mul_table
     for row, pc in zip(rref, pivots):
@@ -423,6 +434,40 @@ def reduce_vector(fld: Field, rref: Matrix, pivots: Sequence[int], v: Vector) ->
             m = mul[neg[c]]
             out[pc:] = [add[x][m[y]] for x, y in zip(out[pc:], row[pc:])]
     return out
+
+
+class Echelon:
+    """A basis in row echelon form grown one vector at a time: rows with
+    leading entry 1, kept in pivot order.  Deciding whether a vector is new
+    costs one ``reduce_vector`` against the rows held so far, instead of a
+    re-reduction of the whole span."""
+
+    def __init__(self, fld: Field, vectors: Iterable[Sequence[int]] = ()):
+        self.fld = fld
+        self.rows: Matrix = []
+        self.pivots: List[int] = []
+        for v in vectors:
+            self.insert(v)
+
+    def insert(self, v: Sequence[int]) -> Optional[int]:
+        """Add v to the span.  Returns the pivot column of its reduced form,
+        or None when v already lies in the span (which is left unchanged)."""
+        fld = self.fld
+        w = reduce_vector(fld, self.rows, self.pivots, v)
+        pc = next((j for j, x in enumerate(w) if x), None)
+        if pc is None:
+            return None
+        if w[pc] != 1:
+            c = fld.inv(w[pc])
+            if fld._mul_table is None:
+                w = [fld.mul(c, x) for x in w]
+            else:
+                mc = fld._mul_table[c]
+                w = [mc[x] for x in w]
+        k = bisect_left(self.pivots, pc)
+        self.rows.insert(k, w)
+        self.pivots.insert(k, pc)
+        return pc
 
 
 def rank(fld: Field, a: Matrix) -> int:
@@ -508,6 +553,7 @@ __all__ = [
     "is_zero_matrix",
     "row_reduce",
     "reduce_vector",
+    "Echelon",
     "rank",
     "kernel_basis",
     "span_basis",

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .field import (
+    Echelon,
     Field,
     Matrix,
     Vector,
@@ -158,7 +159,6 @@ def theta_global(rep: ModuleRep) -> ThetaMatrix:
     # beta_f = a0^f / f! for f < p, beta_p = a1
     betas: List[PolyMatrix] = [PolyMatrix.identity(ring, nsize)]
     for f in range(1, p):
-        inv_fact = pow(math.factorial(f) % p, p - 2, p)
         betas.append(betas[-1] * a0 if f > 1 else a0)
     for f in range(2, p):
         inv_fact = pow(math.factorial(f) % p, p - 2, p)
@@ -265,14 +265,8 @@ def jordan_type_chain_oracle(fld: Field, n: Matrix, p: int) -> JordanType:
                     for _ in range(length - h):
                         w = mat_vec(fld, n, w)
                     shadow.append(w)
-        shadow_basis = span_basis(fld, shadow) if shadow else []
-        current = list(shadow_basis)
-        new_tops: List[Vector] = []
-        for cand in kernels[h]:
-            trial = span_basis(fld, current + [cand])
-            if len(trial) > len(current):
-                current = trial
-                new_tops.append(cand)
+        current = Echelon(fld, shadow)
+        new_tops = [cand for cand in kernels[h] if current.insert(cand) is not None]
         if new_tops:
             tops_by_len.setdefault(h, []).extend(new_tops)
         # demote the shadow vectors: n * tops of length h+1 become tops of
@@ -341,7 +335,7 @@ class ConstancyReport:
         return sorted(self.ranks_seen.items())
 
 
-def _scan_fields(desc: GroupSchemeDesc, base: Field, max_ext: int) -> List[Field]:
+def _scan_fields(base: Field, max_ext: int) -> List[Field]:
     flds = []
     for e in range(1, max_ext + 1):
         if base.e == 1:
@@ -358,7 +352,7 @@ def iter_scan_points(desc: GroupSchemeDesc, base: Field, max_ext: int,
     falling back to a seeded sample when full enumeration is too large."""
     if rng is None:
         rng = random.Random(0)
-    for fld in _scan_fields(desc, base, max_ext):
+    for fld in _scan_fields(base, max_ext):
         dim = point_dim(desc)
         if fld.q ** dim <= _SCAN_LIMIT:
             for point in enumerate_points(desc, fld):

@@ -317,14 +317,17 @@ class PolyMatrix:
     def power(self, n: int) -> "PolyMatrix":
         if self.nrows != self.ncols:
             raise ValueError("square matrix required")
-        result = PolyMatrix.identity(self.ring, self.nrows)
+        # square only while bits remain, and start from the first factor
+        # rather than from a product with the identity
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return PolyMatrix.identity(self.ring, self.nrows) if result is None else result
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(self.ring, [list(c) for c in zip(*self.rows)])

@@ -342,8 +342,10 @@ def validate_point(desc: GroupSchemeDesc, point: Sequence[int], fld: Optional[Fi
     if desc.family in ("multi_additive", "additive_kernel"):
         return True
     if desc.family == "restricted_lie" and desc.lie is None:
-        m = _trace_free_matrix(fld, point[0], point[1], point[2])
-        return is_zero_matrix(mat_pow(fld, m, p))
+        # M = [[z, x], [y, -z]] has M^2 = (z^2 + xy) I, so M is nilpotent
+        # (and then M^p = 0) exactly when z^2 + xy = 0
+        x, y, z = point
+        return fld.add(fld.mul(z, z), fld.mul(x, y)) == 0
     if desc.family == "restricted_lie":
         ring, rels = coord_ring(desc)
         return all(poly_eval(f, point, fld) == 0 for f in rels)

@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import jordanbundles.bundles as bundles
 from jordanbundles.bundles import (
     ComponentModule,
+    EngineInvariantError,
     K0Class,
     endotrivial_test,
     global_sections,
@@ -19,7 +22,7 @@ from jordanbundles.bundles import (
     splitting_type,
     subquotient_mj,
 )
-from jordanbundles.field import in_span, mat_vec, transpose
+from jordanbundles.field import in_span, mat_vec, span_basis, transpose
 from jordanbundles.modules import (
     construct_duals_example,
     construct_steinberg,
@@ -284,3 +287,144 @@ def test_kernel_of_random_module_is_free_and_certified():
         assert sub.certified_free
         st = splitting_type(sub)
         assert st.rank == len(sub.degrees)
+
+
+# ---------------------------------------------------------------------------
+# the rank-count kernel search and the K_0 route to subquotients, against
+# the routes they replaced
+
+
+def _stable_rank_degree(comp, max_degree):
+    """Hilbert route (the former production code): the smallest d0 >= 1 with
+    dim(d) = r*d + c exactly from d0 through max_degree (a window of at
+    least 4 degrees) gives (r, c - r, d0, hilbert), since in the stable
+    range dim(d) = r*(d+1) + deg."""
+    hilbert = {d: comp.dim(d) for d in range(0, max_degree + 1)}
+    for d0 in range(1, max_degree - 3):
+        diffs = {hilbert[d + 1] - hilbert[d] for d in range(d0, max_degree)}
+        if len(diffs) == 1:
+            r = diffs.pop()
+            c = hilbert[d0] - r * d0
+            return r, c - r, d0, hilbert
+    return None, None, None, hilbert
+
+
+def _frozen_kernel_search(b, j):
+    """The former kernel search: greedy degree by degree up to the ceiling
+    entry_degree * N + 2j (doubled once), certified by a Hilbert window.
+    Returns (degrees, generator component vectors)."""
+    fld = b.ring.fld
+    n = b.size
+    comp = ComponentModule(b, ker_power=j)
+    gens = []
+    hilbert = {}
+    ceiling = b.entry_degree * n + 2 * j
+    for _ in range(2):
+        for d in range(0, ceiling + 1):
+            if d in hilbert:
+                continue
+            basis, _ = comp.component(d)
+            hilbert[d] = len(basis)
+            span_rows = [bundles._shift_map(fld, n, gd, d - gd - k, k)(gv)
+                         for gd, gv in gens for k in range(d - gd + 1)]
+            current = span_basis(fld, span_rows) if span_rows else []
+            for cand in basis:
+                trial = span_basis(fld, list(current) + [cand])
+                if len(trial) > len(current):
+                    current = trial
+                    gens.append((d, cand))
+        top = max((g for g, _ in gens), default=0)
+        degrees = [g for g, _ in gens]
+        if ceiling >= top + 2 and all(
+                hilbert[d] == sum(max(0, d - g + 1) for g in degrees)
+                for d in range(top + 1, ceiling + 1)):
+            return gens
+        ceiling *= 2
+    raise AssertionError("frozen search did not certify")
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_kernel_search_matches_frozen_search_on_weyl_and_pim(p):
+    modules = [construct_weyl_sl2(m, p) for m in range(2 * p - 1)]
+    modules += [principal_indecomposable_sl2(lam, p) for lam in range(p)]
+    for rep in modules:
+        b = restrict_p1(theta_global(rep))
+        sub = kernel_graded(b, 1)
+        old = _frozen_kernel_search(b, 1)
+        assert sub.degrees == [g for g, _ in old]
+        for gen, (gd, gv) in zip(sub.generators, old):
+            want = bundles._component_to_poly_vector(b.ring, gv, b.size, gd)
+            assert [f.terms for f in gen] == [f.terms for f in want]
+        # the search visits degrees 0 .. top generator degree and no more
+        top = max(sub.degrees)
+        assert sorted(sub.hilbert) == list(range(top + 1))
+        assert sub.certified_free and sub.stable_from == top + 1
+
+
+def _assert_k0_matches_hilbert_route(b, j, q):
+    comp = ComponentModule(b, ker_power=j, im_power=q)
+    r, deg, _, _ = _stable_rank_degree(comp, b.entry_degree * (b.size + j + q) + 6)
+    assert r is not None
+    rpt = subquotient_mj(b, j, im_power=q)
+    assert rpt.fiber_rank == r
+    # the Hilbert function read off the kernels is the module's, degree by
+    # degree, and it is r (d + 1) + deg from stable_from on
+    assert sorted(rpt.hilbert) == list(range(rpt.stable_from + 1))
+    for d, h in rpt.hilbert.items():
+        assert comp.dim(d) == h
+    if r > 0:
+        assert rpt.degree == deg
+        for d in range(rpt.stable_from, rpt.stable_from + 3):
+            assert comp.dim(d) == r * (d + 1) + deg
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_subquotient_k0_route_matches_hilbert_route(p, n):
+    for rep in (construct_zigzag(n, p), dual_module(construct_zigzag(n, p))):
+        _assert_k0_matches_hilbert_route(restrict_p1(theta_global(rep)), 1, 1)
+    _assert_k0_matches_hilbert_route(
+        restrict_p1(theta_global(construct_syzygy_E2(n, p))), 1, p - 1)
+
+
+@given(dim=st.integers(2, 5), seed=st.integers(0, 10**6), j=st.sampled_from([1, 2]))
+@settings(max_examples=25, deadline=None)
+def test_subquotient_k0_route_matches_hilbert_route_random(dim, seed, j):
+    rep = random_module(multi_additive(3, 2), dim, random.Random(seed))
+    _assert_k0_matches_hilbert_route(restrict_p1(theta_global(rep)), j, 3 - j)
+
+
+def test_image_sheaf_report_matches_hilbert_route():
+    for rep in (construct_zigzag(2, 3), construct_syzygy_E2(2, 3), construct_weyl_sl2(4, 3)):
+        b = restrict_p1(theta_global(rep))
+        for j in (1, 2):
+            comp = ComponentModule(b, ker_power=0, im_power=j)
+            r, deg, _, _ = _stable_rank_degree(comp, b.entry_degree * (b.size + j) + 6)
+            rpt = image_sheaf_report(b, j)
+            assert (rpt.fiber_rank, rpt.degree) == (r, deg if r else 0)
+            for d, h in rpt.hilbert.items():
+                assert comp.dim(d) == h
+
+
+@pytest.mark.parametrize("n,twist", [(1, -4), (2, -5), (3, -9), (4, -10)])
+def test_syzygy_subquotients_p5(n, twist):
+    b = restrict_p1(theta_global(construct_syzygy_E2(n, 5)))
+    sub = subquotient_mj(b, 1)
+    assert sub.splitting is not None and sub.splitting.twists == (twist,)
+
+
+def test_kernel_search_raises_past_forney_bound(monkeypatch):
+    # a generic rank that is too small asks for more generators than the
+    # kernel has; the search must stop at the degree bound and raise
+    b = restrict_p1(theta_global(construct_weyl_sl2(4, 3)))
+    monkeypatch.setattr(bundles, "generic_rank", lambda mat: 1)
+    with pytest.raises(EngineInvariantError, match="Forney"):
+        kernel_graded(b, 1)
+    assert not issubclass(EngineInvariantError, ValueError)
+
+
+def test_negative_k0_rank_raises():
+    b = restrict_p1(theta_global(construct_zigzag(1, 3)))
+    comp = ComponentModule(b, ker_power=1, im_power=1)
+    with pytest.raises(EngineInvariantError, match="negative rank"):
+        bundles._sheaf_report(comp, K0Class(-2, 1), 0, {})

@@ -189,3 +189,17 @@ def test_console_script_help():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "analyze" in proc.stdout and "reproduce" in proc.stdout
+
+
+def test_engine_invariant_failure_exits_3(capsys, monkeypatch):
+    # a generic rank that is too small makes the kernel search pass Forney's
+    # bound: an engine fault, reported apart from input errors
+    import jordanbundles.bundles as bundles
+
+    monkeypatch.setattr(bundles, "generic_rank", lambda mat: 0)
+    code, out, err = run_cli(
+        ["analyze", "--group", "u_sl2", "--p", "3", "--builtin", "weyl:4",
+         "--op", "bundle", "--format", "json"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error [E_INTERNAL]:")

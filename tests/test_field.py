@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jordanbundles.field import (
+    Echelon,
     Field,
     _digits,
     _undigits,
@@ -16,8 +17,11 @@ from jordanbundles.field import (
     inverse,
     is_zero_matrix,
     kernel_basis,
+    mat_add,
     mat_mul,
     mat_pow,
+    mat_scale,
+    mat_sub,
     mat_vec,
     prime_field,
     rank,
@@ -282,8 +286,49 @@ def test_table_kernel_matches_field_methods(data):
     assert kernel_basis(fld, a) == kernel_basis(bare, a)
     assert mat_mul(fld, a, b) == mat_mul(bare, a, b)
     assert mat_vec(fld, a, v) == mat_vec(bare, a, v)
+    a2 = sparse(rows, cols)
+    c = rng.randrange(fld.q)
+    assert mat_add(fld, a, a2) == mat_add(bare, a, a2)
+    assert mat_sub(fld, a, a2) == mat_sub(bare, a, a2)
+    assert mat_scale(fld, c, a) == mat_scale(bare, c, a)
     assert solve(fld, a, rhs) == solve(bare, a, rhs)
     residual = reduce_vector(fld, red[0], red[1], v)
     assert residual == reduce_vector(bare, red[0], red[1], v)
     assert all(residual[pc] == 0 for pc in red[1])
     assert (not any(residual)) == in_span(bare, a, v)
+
+
+ECHELON_FIELDS = [prime_field(5), ext_field_build(3, 2),
+                  Field(5, 4, ext_field_build(5, 4).modulus)]
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_echelon_insert_matches_in_span(data):
+    """Inserting vectors one by one: a vector is new exactly when it is not
+    in the span of those before it, and the rows stay an echelon basis of
+    that span (leading 1, pivots increasing)."""
+    fld = data.draw(st.sampled_from(ECHELON_FIELDS), label="field")
+    cols = data.draw(st.integers(1, 8), label="cols")
+    count = data.draw(st.integers(1, 12), label="count")
+    density = data.draw(st.sampled_from([0.2, 0.6, 1.0]), label="density")
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    vectors = []
+    for _ in range(count):
+        if vectors and rng.random() < 0.3:
+            # a combination of earlier vectors
+            coeffs = [rng.randrange(fld.q) for _ in vectors]
+            vectors.append(mat_vec(fld, transpose(vectors), coeffs))
+        else:
+            vectors.append([rng.randrange(1, fld.q) if rng.random() < density else 0
+                            for _ in range(cols)])
+    ech = Echelon(fld)
+    for k, v in enumerate(vectors):
+        before = vectors[:k]
+        expected_new = not in_span(fld, before, v) if before else any(v)
+        pc = ech.insert(v)
+        assert (pc is not None) == expected_new
+        assert ech.pivots == sorted(ech.pivots)
+        assert all(row[pc] == 1 and not any(row[:pc]) for row, pc in zip(ech.rows, ech.pivots))
+        assert len(ech.rows) == rank(fld, vectors[:k + 1])
+    assert span_basis(fld, ech.rows) == span_basis(fld, vectors)

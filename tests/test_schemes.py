@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from jordanbundles.field import ext_field_build, prime_field
+import itertools
+
+from jordanbundles.field import ext_field_build, is_zero_matrix, mat_pow, prime_field
 from jordanbundles.polyring import poly_eval, substitute
 from jordanbundles.schemes import (
     GroupSchemeDesc,
@@ -26,6 +28,7 @@ from jordanbundles.schemes import (
     sl2_height2_check_disagreements,
     sl2_lie_data,
     validate_point,
+    _trace_free_matrix,
 )
 
 
@@ -205,3 +208,14 @@ def test_generator_names_by_family():
         (i, j, l) for i in range(3) for j in range(3) for l in range(3)
         if i + j + l == 3])
     assert "d(1,2,0)" in names and "d(2,1,0)" in names
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (5, 2)])
+def test_sl2_nilpotent_cone_closed_form_matches_matrix_power(p, e):
+    # a point (x, y, z) lies on the cone when [[z, x], [y, -z]]^p = 0;
+    # validate_point tests z^2 + xy = 0 instead, at every point of F_q^3
+    fld = ext_field_build(p, e)
+    desc = restricted_lie_sl2(p)
+    for point in itertools.product(range(fld.q), repeat=3):
+        m = _trace_free_matrix(fld, *point)
+        assert validate_point(desc, point, fld) == is_zero_matrix(mat_pow(fld, m, p))
