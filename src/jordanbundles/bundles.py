@@ -70,14 +70,6 @@ class P1Matrix:
     def size(self) -> int:
         return self.mat.nrows
 
-    def nilpotency_degree(self) -> int:
-        power = PolyMatrix.identity(self.ring, self.size)
-        for k in range(1, self.p + 1):
-            power = power * self.mat
-            if power.is_zero():
-                return k
-        raise ValueError("restricted operator is not p-nilpotent")
-
 
 def restrict_p1(theta: ThetaMatrix, chart: Optional[Substitution] = None) -> P1Matrix:
     """Restrict the global operator to a standard-graded P^1 chart.  The
@@ -347,8 +339,8 @@ def image_graded(b: P1Matrix, j: int = 1) -> GradedSubmodule:
         cv = _poly_vector_to_component(vec, n, D)
         if span.insert(cv) is not None:
             gens.append((D, cv))
-    comp = ComponentModule(b, ker_power=0, im_power=j)
-    hilbert = {d: comp.dim(d) for d in range(0, D + n + 2)}
+    kj = kernel_graded(b, j)
+    hilbert = {d: _image_dim(n, kj, D, d) for d in range(0, D + n + 2)}
     generators = [_component_to_poly_vector(b.ring, gv, n, gd) for gd, gv in gens]
     # the image module need not be free, so no freeness certificate here
     return GradedSubmodule(
@@ -604,22 +596,25 @@ class BundleTestReport:
     note: str = ""
 
 
+def _fiber_scan(theta: ThetaMatrix, max_ext: int) -> Dict[int, Tuple[Tuple[int, ...], int]]:
+    """Fiber dimensions of ker/im at j = 1 over the scanned points, each
+    with the first point where it occurs."""
+    p = theta.desc.p
+    fiber: Dict[int, Tuple[Tuple[int, ...], int]] = {}
+    for fld, point, _ in iter_scan_points(theta.desc, theta.rep.fld, max_ext):
+        dim1 = mj_fiber_dim(fld, theta.mat.evaluate(point, fld), p, 1)
+        fiber.setdefault(dim1, (point, dim1))
+    return fiber
+
+
 def projectivity_test(theta: ThetaMatrix, max_ext: int = 1) -> BundleTestReport:
     """A module is projective iff the rank of every power of the local
     operator is constant and the fiber of ker/im at j = 1 vanishes
     everywhere."""
     p = theta.desc.p
     reports = [constant_jrank_report(theta, j, max_ext=max_ext) for j in (1, p - 1)]
-    fiber: Dict[int, Tuple[Tuple[int, ...], int]] = {}
-    ok = all(r.constant for r in reports)
-    worst = 0
-    for fld, point, _ in iter_scan_points(theta.desc, theta.rep.fld, max_ext):
-        m = theta.mat.evaluate(point, fld)
-        dim1 = mj_fiber_dim(fld, m, p, 1)
-        if dim1 != 0:
-            fiber[dim1] = (point, dim1)
-            worst = max(worst, dim1)
-    verdict = ok and worst == 0
+    fiber = _fiber_scan(theta, max_ext)
+    verdict = all(r.constant for r in reports) and max(fiber, default=0) == 0
     return BundleTestReport(verdict, fiber, reports)
 
 
@@ -628,14 +623,8 @@ def endotrivial_test(theta: ThetaMatrix, max_ext: int = 1) -> BundleTestReport:
     j = 1 subquotient is one-dimensional at every point."""
     p = theta.desc.p
     reports = [constant_jrank_report(theta, j, max_ext=max_ext) for j in range(1, p)]
-    fiber: Dict[int, Tuple[Tuple[int, ...], int]] = {}
-    dims = set()
-    for fld, point, _ in iter_scan_points(theta.desc, theta.rep.fld, max_ext):
-        m = theta.mat.evaluate(point, fld)
-        dim1 = mj_fiber_dim(fld, m, p, 1)
-        dims.add(dim1)
-        fiber.setdefault(dim1, (point, dim1))
-    verdict = all(r.constant for r in reports) and dims == {1}
+    fiber = _fiber_scan(theta, max_ext)
+    verdict = all(r.constant for r in reports) and set(fiber) == {1}
     return BundleTestReport(verdict, fiber, reports)
 
 

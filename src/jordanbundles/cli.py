@@ -5,13 +5,11 @@ Two subcommands:
 * ``analyze`` — run a single analysis (Jordan type, constant rank, kernel
   bundle, sections, subquotient sheaf, projectivity, endotriviality,
   K-theory class) on a built-in or JSON-supplied module.
-* ``reproduce`` — scripted pass/fail checks of the engine's headline
-  computations (kernel splittings, principal indecomposables, zig-zag and
-  syzygy subquotients, section dimensions, the section-dimension matrix,
-  Frobenius-twist invariance, external products).
+* ``reproduce`` — one of the paper checks in ``checks.CHECKS`` as a
+  pass/fail table.
 
 Exit codes: 0 success, 1 input error, 2 mathematical counterexample or
-reproduction mismatch.
+reproduction mismatch, 3 engine invariant failure.
 """
 
 from __future__ import annotations
@@ -24,14 +22,11 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
-from .field import Field, ext_field_build, prime_field
-from .polyring import Substitution
+from .checks import CHECKS
+from .field import Field, prime_field
 from .schemes import (
     GroupSchemeDesc,
     additive_kernel,
-    enumerate_points,
-    frobenius_point_map,
-    generator_names,
     gln_height2,
     multi_additive,
     p1_chart,
@@ -46,8 +41,6 @@ from .modules import (
     construct_weyl_sl2,
     construct_zigzag,
     direct_sum,
-    dual_module,
-    external_product,
     free_module_E,
     gln_natural,
     gln_tensor_power,
@@ -59,13 +52,7 @@ from .modules import (
     trivial_module,
     validate_module,
 )
-from .operators import (
-    ThetaMatrix,
-    constant_jrank_report,
-    jordan_type,
-    local_jtype,
-    theta_global,
-)
+from .operators import constant_jrank_report, local_jtype, theta_global
 from .bundles import (
     EngineInvariantError,
     endotrivial_test,
@@ -74,7 +61,6 @@ from .bundles import (
     kernel_graded,
     projectivity_test,
     restrict_p1,
-    rho_kappa_matrix,
     splitting_type,
     subquotient_mj,
 )
@@ -264,6 +250,10 @@ def render(report: dict, fmt: str) -> str:
 
 def run_analyze(args) -> Tuple[dict, int]:
     desc = parse_group(args.group, args.p)
+    j = args.j
+    if args.op != "jtype" and not 1 <= j <= args.p - 1:
+        raise InputError("E_ARGS", "--j must lie in 1..%d for p=%d, got %d"
+                         % (args.p - 1, args.p, j))
     seed = args.seed
     if args.input:
         rep = load_module_file(desc, args.input)
@@ -275,12 +265,6 @@ def run_analyze(args) -> Tuple[dict, int]:
         raise InputError("E_ARGS", "one of --builtin or --input is required")
 
     theta = theta_global(rep)
-    j = args.j
-    if not 1 <= j <= args.p - 1 and args.op not in ("jtype",):
-        if args.p == 2 and j == 1:
-            pass
-        else:
-            j = max(1, min(j, args.p - 1))
     request = {
         "command": "analyze", "group": args.group, "p": args.p,
         "op": args.op, "j": args.j, "max_ext": args.max_ext, **source,
@@ -361,174 +345,18 @@ def run_analyze(args) -> Tuple[dict, int]:
 
 
 # ---------------------------------------------------------------------------
-# reproduce presets
-
-
-def _row(check: str, expected, computed) -> dict:
-    return {"check": check, "expected": str(expected),
-            "computed": str(computed), "pass": str(expected) == str(computed)}
-
-
-def preset_sl2_kernels(p: int, n_max: int, seed: int) -> List[dict]:
-    rows = []
-    for m in range(0, 2 * p - 1):
-        rep = construct_weyl_sl2(m, p)
-        st = splitting_type(kernel_graded(restrict_p1(theta_global(rep)), 1))
-        if m <= p - 1:
-            expected = "O(%d)" % (-m)
-        else:
-            expected = str(sorted((-m, m - 2 * (p - 1)), reverse=True))
-            expected = " + ".join(
-                "O(%d)" % t for t in sorted((-m, m - 2 * (p - 1)), reverse=True))
-        rows.append(_row("Ker on V_%d" % m, expected, str(st)))
-    return rows
-
-
-def preset_pim(p: int, n_max: int, seed: int) -> List[dict]:
-    rows = []
-    for lam in range(p):
-        rep = principal_indecomposable_sl2(lam, p)
-        st = splitting_type(kernel_graded(restrict_p1(theta_global(rep)), 1))
-        if lam == p - 1:
-            expected = "O(%d)" % (1 - p)
-        else:
-            expected = " + ".join(
-                "O(%d)" % t
-                for t in sorted((lam - 2 * (p - 1), -lam), reverse=True))
-        rows.append(_row("Ker on P_%d" % lam, expected, str(st)))
-    return rows
-
-
-def preset_zigzag(p: int, n_max: int, seed: int) -> List[dict]:
-    rows = []
-    for n in range(1, n_max + 1):
-        rep = construct_zigzag(n, p)
-        b = restrict_p1(theta_global(rep))
-        sub = subquotient_mj(b, 1, im_power=1)
-        rows.append(_row("X_%d subquotient" % n, "O(%d)" % (-n),
-                         str(sub.splitting) if sub.splitting else sub.note))
-        bd = restrict_p1(theta_global(dual_module(rep)))
-        subd = subquotient_mj(bd, 1, im_power=1)
-        rows.append(_row("X_%d dual subquotient" % n, "O(%d)" % n,
-                         str(subd.splitting) if subd.splitting else subd.note))
-    return rows
-
-
-def preset_syzygy(p: int, n_max: int, seed: int) -> List[dict]:
-    rows = []
-    for n in range(1, n_max + 1):
-        rep = construct_syzygy_E2(n, p)
-        b = restrict_p1(theta_global(rep))
-        sub = subquotient_mj(b, 1)
-        if n % 2 == 0:
-            expected = "O(%d)" % (-(n * p) // 2)
-        else:
-            expected = "O(%d)" % (-((n + 1) * p // 2 - 1))
-        rows.append(_row("Omega^%d subquotient" % n, expected,
-                         str(sub.splitting) if sub.splitting else sub.note))
-    return rows
-
-
-def preset_duals_sections(p: int, n_max: int, seed: int) -> List[dict]:
-    rep = construct_duals_example(p)
-    basis, _ = global_sections(theta_global(rep), 1)
-    basis_d, _ = global_sections(theta_global(dual_module(rep)), 1)
-    return [
-        _row("sections of M", 2, len(basis)),
-        _row("sections of M dual", 1, len(basis_d)),
-    ]
-
-
-def preset_rho_kappa(p: int, n_max: int, seed: int) -> List[dict]:
-    mat = rho_kappa_matrix(p)
-    rows = [_row("diagonal", list(range(1, p + 1)),
-                 [mat[j][j] for j in range(p)])]
-    tri = all(mat[j][lam] == 0 for j in range(p) for lam in range(p) if j < lam)
-    rows.append(_row("triangular", True, tri))
-    nonsing = all(mat[j][j] != 0 for j in range(p))
-    rows.append(_row("non-singular diagonal", True, nonsing))
-    return rows
-
-
-def preset_twist(p: int, n_max: int, seed: int) -> List[dict]:
-    fld2 = ext_field_build(p, 2)
-    rng = random.Random(seed)
-    rows = []
-    checked = 0
-    failures = 0
-    for idx in range(50):
-        r = 2 if idx % 2 == 0 else 3
-        desc = additive_kernel(p, r)
-        rep = random_module(desc, rng.randint(2, 4), rng)
-        theta = theta_global(rep)
-        for s in range(1, r):
-            from .modules import frobenius_twist_gar
-
-            theta_s = theta_global(frobenius_twist_gar(rep, s))
-            for point in enumerate_points(desc, fld2):
-                jt1 = jordan_type(fld2, theta_s.mat.evaluate(point, fld2), p)
-                moved = frobenius_point_map(desc, point, s, fld2)
-                jt2 = jordan_type(fld2, theta.mat.evaluate(moved, fld2), p)
-                checked += 1
-                if jt1 != jt2:
-                    failures += 1
-    rows.append(_row("twist identity failures (of %d checks)" % checked,
-                     0, failures))
-    return rows
-
-
-def preset_ext_prod(p: int, n_max: int, seed: int) -> List[dict]:
-    rng = random.Random(seed)
-    rows = []
-    pairs = [
-        (construct_zigzag(1, p), random_module(multi_additive(p, 2), 2, rng)),
-        (random_module(multi_additive(p, 2), 3, rng),
-         random_module(multi_additive(p, 2), 2, rng)),
-        (random_module(multi_additive(p, 2), 2, rng), construct_zigzag(1, p)),
-    ]
-    for idx, (m1, m2) in enumerate(pairs):
-        prod = external_product(m1, m2)
-        theta4 = theta_global(prod)
-        ring2 = theta_global(m1).ring
-        images = (ring2.var(0), ring2.var(1), ring2.const(0), ring2.const(0))
-        sub = Substitution(theta4.ring, ring2, images, 1)
-        names4 = generator_names(prod.desc)
-        names2 = generator_names(m1.desc)
-        pulled = ModuleRep(
-            m1.desc, prod.fld, prod.dim,
-            {names2[i]: prod.action[names4[i]] for i in range(2)})
-        pulled_theta = ThetaMatrix(pulled, ring2, theta4.mat.substitute(sub), 1)
-        for j in range(1, p):
-            st = splitting_type(kernel_graded(restrict_p1(pulled_theta), j))
-            st1 = splitting_type(kernel_graded(restrict_p1(theta_global(m1)), j))
-            expected = tuple(sorted(
-                [t for t in st1.twists for _ in range(m2.dim)], reverse=True))
-            rows.append(_row("pair %d, j=%d pullback kernel" % (idx, j),
-                             list(expected), list(st.twists)))
-    return rows
-
-
-PRESETS = {
-    "sl2-kernels": (preset_sl2_kernels, lambda p: p % 2 == 1),
-    "pim": (preset_pim, lambda p: p % 2 == 1),
-    "zigzag": (preset_zigzag, lambda p: p % 2 == 1),
-    "syzygy": (preset_syzygy, lambda p: True),
-    "duals-sections": (preset_duals_sections, lambda p: True),
-    "rho-kappa": (preset_rho_kappa, lambda p: p % 2 == 1),
-    "twist": (preset_twist, lambda p: True),
-    "ext-prod": (preset_ext_prod, lambda p: True),
-}
+# reproduce
 
 
 def run_reproduce(args) -> Tuple[dict, int]:
-    if args.preset not in PRESETS:
+    if args.preset not in CHECKS:
         raise InputError("E_PRESET", "unknown preset %r (choose from %s)"
-                         % (args.preset, ", ".join(sorted(PRESETS))))
-    fn, p_ok = PRESETS[args.preset]
-    if not p_ok(args.p):
+                         % (args.preset, ", ".join(sorted(CHECKS))))
+    supports, run = CHECKS[args.preset]
+    if not supports(args.p):
         raise InputError("E_ARGS", "preset %r does not support p=%d"
                          % (args.preset, args.p))
-    rows = fn(args.p, args.n_max, args.seed)
+    rows = run(args.p, args.n_max, args.seed)
     all_pass = all(row["pass"] for row in rows)
     report = {
         "request": {"command": "reproduce", "preset": args.preset,
@@ -547,12 +375,12 @@ def run_reproduce(args) -> Tuple[dict, int]:
 
 def _default_seed() -> int:
     env = os.environ.get("JB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 0
+    if env is None:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise InputError("E_ARGS", "JB_SEED must be an integer, got %r" % env)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -576,14 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--j", type=int, default=1)
     pa.add_argument("--point", help="comma-separated coordinates")
     pa.add_argument("--max-ext", type=int, default=1, dest="max_ext")
-    pa.add_argument("--seed", type=int, default=_default_seed())
+    pa.add_argument("--seed", type=int, help="default: $JB_SEED, else 0")
     pa.add_argument("--format", choices=["json", "md"], default="md")
 
     pr = subs.add_parser("reproduce", help="run a scripted check")
-    pr.add_argument("preset", help=", ".join(sorted(PRESETS)))
+    pr.add_argument("preset", help=", ".join(sorted(CHECKS)))
     pr.add_argument("--p", type=int, default=3)
     pr.add_argument("--n-max", type=int, default=4, dest="n_max")
-    pr.add_argument("--seed", type=int, default=_default_seed())
+    pr.add_argument("--seed", type=int, help="default: $JB_SEED, else 0")
     pr.add_argument("--format", choices=["json", "md"], default="md")
     return parser
 
@@ -592,6 +420,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         if args.command == "analyze":
             report, code = run_analyze(args)
         else:

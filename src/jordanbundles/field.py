@@ -83,9 +83,6 @@ class Field:
     def one(self) -> int:
         return 1
 
-    def element_coeffs(self, a: int) -> Tuple[int, ...]:
-        return _digits(a, self.p, self.e)
-
     def add(self, a: int, b: int) -> int:
         if self._add_table is not None:
             return self._add_table[a][b]
@@ -158,13 +155,6 @@ class Field:
     def frobenius(self, a: int, s: int = 1) -> int:
         """a^(p^s)."""
         return self.pow(a, self.p ** s) if a else 0
-
-    def from_int(self, n: int) -> int:
-        """Embed an integer (prime-subfield element) into the field."""
-        return n % self.p
-
-    def contains_subfield_element(self, a: int) -> bool:
-        return 0 <= a < self.p
 
     def __str__(self) -> str:
         if self.e == 1:

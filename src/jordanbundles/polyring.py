@@ -72,9 +72,6 @@ class WeightedRing:
     def weighted_degree(self, expo: Expo) -> int:
         return sum(w * e for w, e in zip(self.weights, expo))
 
-    def is_standard_graded(self) -> bool:
-        return all(w == 1 for w in self.weights)
-
 
 class Poly:
     __slots__ = ("ring", "terms")
@@ -310,9 +307,6 @@ class PolyMatrix:
                 row.append(acc)
             out.append(row)
         return PolyMatrix(self.ring, out)
-
-    def scale_entrywise(self, f: Poly) -> "PolyMatrix":
-        return PolyMatrix(self.ring, [[f * a for a in r] for r in self.rows])
 
     def power(self, n: int) -> "PolyMatrix":
         if self.nrows != self.ncols:

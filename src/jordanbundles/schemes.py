@@ -244,14 +244,6 @@ def generic_p_power(lie: LieData, p: int, ring: WeightedRing) -> List[Poly]:
             out.append(Poly(tring, {e + (0,): c for e, c in f.terms.items()}))
         return out
 
-    def drop_t(f: Poly) -> Poly:
-        out: Dict[tuple, int] = {}
-        for e, c in f.terms.items():
-            if e[t_index] != 0:
-                raise ArithmeticError("unexpected residual parameter")
-            out[e[:t_index]] = c
-        return Poly(ring, out)
-
     def bracket_vec(a: List[Poly], b: List[Poly]) -> List[Poly]:
         rng = a[0].ring
         out = [rng.zero() for _ in range(n)]

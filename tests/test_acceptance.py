@@ -2,14 +2,15 @@
 
 Each test prints exactly one PASS/FAIL line so the suite doubles as a
 reproduction report when run with ``pytest -v -s tests/test_acceptance.py``.
+Criteria 01-07 run the paper checks of ``jordanbundles.checks.CHECKS``, the
+same table the ``reproduce`` command runs.
 """
 
 import random
 import time
 
-import pytest
-
-from jordanbundles.field import ext_field_build, mat_pow, prime_field, rank
+from jordanbundles.checks import CHECKS
+from jordanbundles.field import mat_pow, prime_field, rank
 from jordanbundles.modules import (
     ModuleRep,
     construct_duals_example,
@@ -20,7 +21,6 @@ from jordanbundles.modules import (
     dual_module,
     external_product,
     free_module_E,
-    frobenius_twist_gar,
     principal_indecomposable_sl2,
     random_module,
     random_nilpotent,
@@ -31,30 +31,23 @@ from jordanbundles.modules import (
 from jordanbundles.operators import (
     ThetaMatrix,
     constant_jrank_report,
-    generic_jrank,
     jordan_type,
     jordan_type_chain_oracle,
     jtype_scan,
-    local_jtype,
     mj_fiber_dim,
     theta_global,
     theta_local,
 )
 from jordanbundles.bundles import (
     endotrivial_test,
-    global_sections,
     k0_class,
     kernel_graded,
     projectivity_test,
     restrict_p1,
-    rho_kappa_matrix,
     splitting_type,
-    subquotient_mj,
 )
 from jordanbundles.schemes import (
     additive_kernel,
-    enumerate_points,
-    frobenius_point_map,
     generator_names,
     multi_additive,
     restricted_lie_sl2,
@@ -68,111 +61,52 @@ def _report(num, label, ok):
     assert ok, "criterion %d (%s) failed" % (num, label)
 
 
+def _all_pass(name, p, n_max=4, seed=0):
+    """Run one paper check of ``CHECKS`` and say whether every row passes."""
+    supports, rows = CHECKS[name]
+    return supports(p) and all(row["pass"] for row in rows(p, n_max, seed))
+
+
 def test_criterion_01_weyl_kernel_splittings():
     t0 = time.time()
-    ok = True
-    for p in (3, 5):
-        for m in range(0, 2 * p - 1):
-            st = splitting_type(kernel_graded(
-                restrict_p1(theta_global(construct_weyl_sl2(m, p))), 1))
-            if m <= p - 1:
-                expected = (-m,)
-            else:
-                expected = tuple(sorted((-m, m - 2 * (p - 1)), reverse=True))
-            ok = ok and st.twists == expected
+    ok = all([_all_pass("sl2-kernels", p) for p in (3, 5)])
     ok = ok and (time.time() - t0) < 10
     _report(1, "kernel splittings of V_m, p in {3,5}", ok)
 
 
 def test_criterion_02_principal_indecomposable_splittings():
     t0 = time.time()
-    p = 3
-    ok = True
-    for lam in range(p):
-        rep = principal_indecomposable_sl2(lam, p)  # built by the splitter
-        st = splitting_type(kernel_graded(
-            restrict_p1(theta_global(rep)), 1))
-        if lam == p - 1:
-            expected = (1 - p,)
-        else:
-            expected = tuple(sorted((lam - 2 * (p - 1), -lam), reverse=True))
-        ok = ok and st.twists == expected
+    ok = _all_pass("pim", 3)  # P_lambda built by the splitter
     ok = ok and (time.time() - t0) < 30
     _report(2, "P_lambda kernel splittings, p=3", ok)
 
 
 def test_criterion_03_zigzag_subquotients():
     t0 = time.time()
-    ok = True
-    for p in (3, 5):
-        for n in range(1, 7):
-            rep = construct_zigzag(n, p)
-            sub = subquotient_mj(
-                restrict_p1(theta_global(rep)), 1, im_power=1)
-            ok = ok and sub.splitting is not None \
-                and sub.splitting.twists == (-n,)
-            subd = subquotient_mj(
-                restrict_p1(theta_global(dual_module(rep))), 1, im_power=1)
-            ok = ok and subd.splitting is not None \
-                and subd.splitting.twists == (n,)
+    ok = all([_all_pass("zigzag", p, n_max=6) for p in (3, 5)])
     ok = ok and (time.time() - t0) < 10
     _report(3, "zig-zag subquotients O(-n) and O(n), n<=6", ok)
 
 
 def test_criterion_04_syzygy_subquotients():
     t0 = time.time()
-    ok = True
-    for p, n_max in ((3, 4), (2, 4)):
-        for n in range(1, n_max + 1):
-            sub = subquotient_mj(
-                restrict_p1(theta_global(construct_syzygy_E2(n, p))), 1)
-            if n % 2 == 0:
-                expected = (-(n * p) // 2,)
-            else:
-                expected = (-((n + 1) * p // 2 - 1),)
-            ok = ok and sub.splitting is not None \
-                and sub.splitting.twists == expected
+    ok = all([_all_pass("syzygy", p, n_max) for p, n_max in ((3, 4), (2, 4))])
     ok = ok and (time.time() - t0) < 60
     _report(4, "syzygy module subquotient line bundles, n<=4", ok)
 
 
 def test_criterion_05_duals_example_sections():
-    ok = True
-    for p in (3, 5):
-        rep = construct_duals_example(p)
-        basis, _ = global_sections(theta_global(rep), 1)
-        basis_d, _ = global_sections(theta_global(dual_module(rep)), 1)
-        ok = ok and len(basis) == 2 and len(basis_d) == 1
+    ok = all([_all_pass("duals-sections", p) for p in (3, 5)])
     _report(5, "section dimensions 2 and 1 for the duals example", ok)
 
 
 def test_criterion_06_section_dimension_matrix():
-    p = 3
-    mat = rho_kappa_matrix(p)
-    ok = [mat[j][j] for j in range(p)] == [1, 2, 3]
-    ok = ok and all(mat[j][lam] == 0
-                    for j in range(p) for lam in range(p) if j < lam)
+    ok = _all_pass("rho-kappa", 3)
     _report(6, "triangular section-dimension matrix, diagonal (1,2,3)", ok)
 
 
 def test_criterion_07_frobenius_twist_identity():
-    p = 3
-    fld2 = ext_field_build(p, 2)
-    rng = random.Random(2026)
-    ok = True
-    for idx in range(50):
-        r = 2 if idx % 2 == 0 else 3
-        desc = additive_kernel(p, r)
-        rep = random_module(desc, rng.randint(2, 4), rng)
-        th = theta_global(rep)
-        for s in range(1, r):
-            ths = theta_global(frobenius_twist_gar(rep, s))
-            for pt in enumerate_points(desc, fld2):
-                jt1 = jordan_type(fld2, ths.mat.evaluate(pt, fld2), p)
-                moved = frobenius_point_map(desc, pt, s, fld2)
-                jt2 = jordan_type(fld2, th.mat.evaluate(moved, fld2), p)
-                if jt1 != jt2:
-                    ok = False
+    ok = _all_pass("twist", 3, seed=2026)
     _report(7, "twist identity for 50 random modules at all F_9 points", ok)
 
 

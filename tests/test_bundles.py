@@ -37,7 +37,7 @@ from jordanbundles.modules import (
 )
 from jordanbundles.operators import theta_global
 from jordanbundles.polyring import poly_eval
-from jordanbundles.schemes import conic_chart_sl2, multi_additive
+from jordanbundles.schemes import multi_additive
 
 
 def test_restrict_p1_entry_degrees():
@@ -48,9 +48,6 @@ def test_restrict_p1_entry_degrees():
 
 
 def test_restrict_p1_unsupported_family():
-    from jordanbundles.schemes import additive_kernel
-    from jordanbundles.modules import random_module as rm
-
     rep = construct_duals_example(3)
     with pytest.raises((ValueError, NotImplementedError)):
         restrict_p1(theta_global(rep))
@@ -134,17 +131,23 @@ def test_kernel_rank_complements_generic_rank():
 
 
 def test_k0_additivity_of_kernel_and_image():
-    # [K(M)] = [Ker] + [Im] in K-theory when both are certified free
-    rep = construct_weyl_sl2(3, 3)
-    b = restrict_p1(theta_global(rep))
-    ker = kernel_graded(b, 1)
-    im = image_graded(b, 1)
-    if ker.certified_free and im.certified_free:
-        total = k0_class(ker) + k0_class(im)
-        # M itself is free of rank dim M on degree-0 generators, but the
-        # conic chart prices the ambient in doubled degrees; compare ranks
-        # and degrees instead of raw classes
-        assert total.rank == rep.dim
+    # [O^N(-D)] = [Ker(-D)] + [Im] degree by degree: B^j maps the degree
+    # d - D component of the free module onto im(B^j)_d with kernel
+    # Ker(B^j)_{d-D}.  The image's Hilbert function comes from the kernel;
+    # a direct elimination per degree is the independent check.
+    for rep in (construct_weyl_sl2(3, 3), construct_weyl_sl2(4, 3),
+                construct_zigzag(2, 3), construct_syzygy_E2(2, 3)):
+        b = restrict_p1(theta_global(rep))
+        for j in (1, 2):
+            n, D = b.size, j * b.entry_degree
+            ker = kernel_graded(b, j)
+            im = image_graded(b, j)
+            comp = ComponentModule(b, 0, j)
+            assert sorted(im.hilbert) == list(range(D + n + 2))
+            for d, h in im.hilbert.items():
+                assert h == comp.dim(d)
+                if d >= D:
+                    assert ker.free_dim(d - D) + h == n * (d - D + 1)
 
 
 @pytest.mark.parametrize("n,p", [(1, 3), (2, 3), (1, 5)])

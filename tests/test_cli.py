@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+import jordanbundles
+from jordanbundles.checks import CHECKS
 from jordanbundles.cli import main, parse_group
 from jordanbundles.schemes import (
     additive_kernel,
@@ -21,6 +23,20 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(args, **env):
+    """The CLI in a fresh interpreter that imports the package under test."""
+    src = os.path.dirname(os.path.dirname(jordanbundles.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "jordanbundles.cli", *args],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path, **env))
+
+
+RANDOM_BUNDLE = ["analyze", "--group", "ga1xga1", "--p", "3", "--builtin",
+                 "random:2", "--op", "bundle", "--format", "json"]
 
 
 def test_parse_group_names():
@@ -116,6 +132,22 @@ def test_input_errors_exit_1(capsys):
     assert code == 1 and "E_PRESET" in err
 
 
+@pytest.mark.parametrize("j", [0, 3, 7])
+def test_out_of_range_j_exits_1(capsys, j):
+    # j must lie in 1..p-1 for every op that reads it
+    for op in ("bundle", "subquotient", "sections", "constant-rank"):
+        code, out, err = run_cli(
+            ["analyze", "--group", "u_sl2", "--p", "3", "--builtin", "weyl:4",
+             "--op", op, "--j", str(j)], capsys)
+        assert code == 1 and out == "" and "E_ARGS" in err
+    # jtype does not read j
+    code, out, _ = run_cli(
+        ["analyze", "--group", "ga1xga1", "--p", "3", "--builtin", "zigzag:2",
+         "--op", "jtype", "--point", "1,1", "--j", str(j), "--format", "json"],
+        capsys)
+    assert code == 0 and json.loads(out)["request"]["j"] == j
+
+
 def test_module_file_roundtrip(tmp_path, capsys):
     from jordanbundles.modules import construct_zigzag, module_to_dict
 
@@ -173,20 +205,56 @@ def test_reports_deterministic(capsys):
 
 
 def test_jb_seed_env_fallback():
-    env = dict(os.environ, JB_SEED="9")
-    proc = subprocess.run(
-        [sys.executable, "-m", "jordanbundles.cli", "analyze", "--group",
-         "ga1xga1", "--p", "3", "--builtin", "random:2", "--op", "bundle",
-         "--format", "json"],
-        capture_output=True, text=True, env=env)
+    proc = run_cli_process(RANDOM_BUNDLE, JB_SEED="9")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["provenance"]["seed"] == 9
 
 
+def test_jb_seed_not_an_integer_exits_1():
+    proc = run_cli_process(RANDOM_BUNDLE, JB_SEED="nine")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error [E_ARGS]:")
+
+
+# The paper's values as literals, apart from the formulas in
+# ``jordanbundles.checks``: the CLI and the acceptance criteria share those
+# formulas, so a wrong edit to one would pass both of them but not this.
+FROZEN_EXPECTED = {
+    ("sl2-kernels", 3): ["O(0)", "O(-1)", "O(-2)", "O(-1) + O(-3)",
+                         "O(0) + O(-4)"],
+    ("sl2-kernels", 5): ["O(0)", "O(-1)", "O(-2)", "O(-3)", "O(-4)",
+                         "O(-3) + O(-5)", "O(-2) + O(-6)", "O(-1) + O(-7)",
+                         "O(0) + O(-8)"],
+    ("pim", 3): ["O(0) + O(-4)", "O(-1) + O(-3)", "O(-2)"],
+    ("pim", 5): ["O(0) + O(-8)", "O(-1) + O(-7)", "O(-2) + O(-6)",
+                 "O(-3) + O(-5)", "O(-4)"],
+    ("syzygy", 3): ["O(-2)", "O(-3)", "O(-5)", "O(-6)"],
+    ("syzygy", 5): ["O(-4)", "O(-5)", "O(-9)", "O(-10)"],
+}
+
+
+@pytest.mark.parametrize("name,p", sorted(FROZEN_EXPECTED))
+def test_reproduce_expected_column_is_frozen(capsys, name, p):
+    code, out, _ = run_cli(
+        ["reproduce", name, "--p", str(p), "--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert [row["expected"] for row in rows] == FROZEN_EXPECTED[name, p]
+
+
+# twist is left out: acceptance criterion 07 runs it through the same table
+@pytest.mark.parametrize("name", sorted(set(CHECKS) - {"twist"}))
+def test_reproduce_every_check(capsys, name):
+    code, out, _ = run_cli(
+        ["reproduce", name, "--p", "3", "--n-max", "2", "--format", "json"],
+        capsys)
+    assert code == 0
+    assert json.loads(out)["provenance"]["all_pass"] is True
+
+
 def test_console_script_help():
-    proc = subprocess.run(
-        [sys.executable, "-m", "jordanbundles.cli", "--help"],
-        capture_output=True, text=True)
+    proc = run_cli_process(["--help"])
     assert proc.returncode == 0
     assert "analyze" in proc.stdout and "reproduce" in proc.stdout
 
