@@ -39,11 +39,10 @@ from .field import (
     Matrix,
     Vector,
     kernel_basis,
-    mat_vec,
+    mat_mul,
     reduce_vector,
     row_reduce,
     span_basis,
-    transpose,
 )
 from .operators import ThetaMatrix, mj_fiber_dim, iter_scan_points, constant_jrank_report, ConstancyReport
 from .polyring import Poly, PolyMatrix, Substitution, WeightedRing, generic_rank
@@ -97,15 +96,6 @@ def restrict_p1(theta: ThetaMatrix, chart: Optional[Substitution] = None) -> P1M
 
 def _component_layout(n: int, d: int) -> int:
     return n * (d + 1)
-
-
-def _poly_vector_to_component(vec: Sequence[Poly], n: int, d: int) -> Vector:
-    out = [0] * _component_layout(n, d)
-    for i, f in enumerate(vec):
-        for e, c in f.terms.items():
-            k = e[1]
-            out[i * (d + 1) + k] = c
-    return out
 
 
 def _component_to_poly_vector(ring: WeightedRing, v: Sequence[int], n: int, d: int) -> List[Poly]:
@@ -334,9 +324,7 @@ def image_graded(b: P1Matrix, j: int = 1) -> GradedSubmodule:
     D = j * b.entry_degree
     gens: List[Tuple[int, Vector]] = []
     span = Echelon(fld)
-    for col in range(n):
-        vec = [power.rows[r][col] for r in range(n)]
-        cv = _poly_vector_to_component(vec, n, D)
+    for cv in _matrix_component_map(b, power, 0, D):
         if span.insert(cv) is not None:
             gens.append((D, cv))
     kj = kernel_graded(b, j)
@@ -430,17 +418,15 @@ def _twisted_sections_dim(comp: ComponentModule, d: int, bound: int) -> int:
     a_piv = _pivot_columns(sub_a)
     shift_sa = _shift_map(fld, n, dd, 2 * E, 0)
     shift_tb = _shift_map(fld, n, dd, 0, 2 * E)
-    basis_cols = transpose(basis)
-    zero_rows: List[Vector] = []
-    for sol in sols:
-        va = mat_vec(fld, basis_cols, sol[:k])
-        vb = mat_vec(fld, basis_cols, sol[k:])
-        ra = reduce_vector(fld, sub_a, a_piv, shift_sa(va))
-        rb = reduce_vector(fld, sub_a, a_piv, shift_tb(vb))
-        zero_rows.append(ra + rb)
+    # each solution's two chart vectors, as combinations of the basis rows
+    vas = mat_mul(fld, [sol[:k] for sol in sols], basis)
+    vbs = mat_mul(fld, [sol[k:] for sol in sols], basis)
+    zero_rows = [reduce_vector(fld, sub_a, a_piv, shift_sa(va))
+                 + reduce_vector(fld, sub_a, a_piv, shift_tb(vb))
+                 for va, vb in zip(vas, vbs)]
     # sections = compatible pairs modulo pairs vanishing on both charts;
     # the dimension is the rank of the chartwise evaluation of the solutions
-    return len(row_reduce(fld, zero_rows)[1]) if zero_rows else 0
+    return len(row_reduce(fld, zero_rows)[1])
 
 
 def _image_class(n: int, kernel: GradedSubmodule, shift: int) -> K0Class:
@@ -577,10 +563,7 @@ def global_sections(theta: ThetaMatrix, j: int = 1) -> Tuple[List[Vector], str]:
             row = [power.rows[r][c].terms.get(e, 0) for c in range(n)]
             if any(row):
                 rows.append(row)
-    basis = kernel_basis(fld, rows, n) if rows else [
-        [1 if i == t else 0 for t in range(n)] for i in range(n)
-    ]
-    return span_basis(fld, basis) if basis else [], note
+    return span_basis(fld, kernel_basis(fld, rows, n)), note
 
 
 # ---------------------------------------------------------------------------

@@ -340,14 +340,17 @@ def mat_vec(fld: Field, a: Matrix, v: Vector) -> Vector:
 
 
 def mat_pow(fld: Field, a: Matrix, n: int) -> Matrix:
-    result = identity(fld, len(a))
+    """a^n as a new matrix: starts from the first factor, not from a product
+    with the identity, and squares only while bits of n remain."""
+    result = None
     base = [row[:] for row in a]
     while n:
         if n & 1:
-            result = mat_mul(fld, result, base)
-        base = mat_mul(fld, base, base)
+            result = base if result is None else mat_mul(fld, result, base)
         n >>= 1
-    return result
+        if n:
+            base = mat_mul(fld, base, base)
+    return identity(fld, len(a)) if result is None else result
 
 
 def transpose(a: Matrix) -> Matrix:

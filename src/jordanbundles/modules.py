@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .field import (
     Field,
     Matrix,
     Vector,
+    ext_field_build,
     identity,
     is_zero_matrix,
     kernel_basis,
@@ -80,6 +82,16 @@ def commutator(fld: Field, a: Matrix, b: Matrix) -> Matrix:
     return mat_sub(fld, mat_mul(fld, a, b), mat_mul(fld, b, a))
 
 
+def _combination(fld: Field, n: int, coeffs: Sequence[int], mats: Sequence[Matrix]) -> Matrix:
+    """The n x n matrix sum of c * m over the pairs of coefficients and
+    matrices."""
+    out = zeros(n, n)
+    for c, m in zip(coeffs, mats):
+        if c:
+            out = mat_add(fld, out, mat_scale(fld, c, m))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -114,21 +126,14 @@ def validate_module(rep: ModuleRep) -> List[str]:
     elif desc.family == "restricted_lie":
         lie = desc.lie if desc.lie is not None else sl2_lie_data()
         bm = lie.bracket_map()
+        gens = [rep.action[nm] for nm in names]
         for (i, j), coeffs in bm.items():
             lhs = commutator(fld, rep.action[names[i]], rep.action[names[j]])
-            rhs = zeros(rep.dim, rep.dim)
-            for k, c in enumerate(coeffs):
-                c %= p
-                if c:
-                    rhs = mat_add(fld, rhs, mat_scale(fld, c, rep.action[names[k]]))
+            rhs = _combination(fld, rep.dim, [c % p for c in coeffs], gens)
             if not is_zero_matrix(mat_sub(fld, lhs, rhs)):
                 failures.append("bracket relation [%s, %s] fails" % (names[i], names[j]))
         for i, nm in enumerate(names):
-            rhs = zeros(rep.dim, rep.dim)
-            for k, c in enumerate(lie.ppower[i]):
-                c %= p
-                if c:
-                    rhs = mat_add(fld, rhs, mat_scale(fld, c, rep.action[names[k]]))
+            rhs = _combination(fld, rep.dim, [c % p for c in lie.ppower[i]], gens)
             if not is_zero_matrix(mat_sub(fld, mat_pow(fld, rep.action[nm], p), rhs)):
                 failures.append("restricted power relation for %s fails" % nm)
     elif desc.family == "sl2_height2":
@@ -222,8 +227,6 @@ def tensor_module(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
                     kron(fld, _divided_power_op(m1, a), _divided_power_op(m2, b)),
                 )
             action[nm] = total
-        return ModuleRep(desc, fld, dim, action,
-                         label="(%s)x(%s)" % (m1.label or "M", m2.label or "N"))
     else:
         raise NotImplementedError("tensor products for %s are not supported" % desc.family)
     return ModuleRep(desc, fld, dim, action,
@@ -355,17 +358,9 @@ def submodule_generated(rep: ModuleRep, vectors: Sequence[Vector]) -> Tuple[Modu
             current = nxt
             break
         current = nxt
-    basis, pivots = row_reduce(fld, current)
-    dim = len(basis)
-    action: Dict[str, Matrix] = {}
-    for nm, m in rep.action.items():
-        sub = zeros(dim, dim)
-        for col, b in enumerate(basis):
-            img = mat_vec(fld, m, b)
-            for rowi, c in enumerate(coords_in_basis(fld, basis, pivots, img)):
-                sub[rowi][col] = c
-        action[nm] = sub
-    return ModuleRep(rep.desc, fld, dim, action, label="sub(%s)" % (rep.label or "M")), basis
+    sub = restrict_subspace(rep, current)
+    sub.label = "sub(%s)" % (rep.label or "M")
+    return sub, current
 
 
 def restrict_subspace(rep: ModuleRep, basis_rows: Matrix) -> ModuleRep:
@@ -572,6 +567,12 @@ class DecompositionReport:
     certified: bool
 
 
+# Random commutant combinations tried when no basis element splits a module.
+_SPLIT_TRIES = 25
+# Random commutant combinations drawn per matrix in random_commuting_nilpotents.
+_COMMUTING_TRIES = 400
+
+
 def _commutant(rep: ModuleRep) -> List[Matrix]:
     """Basis of {X : X A_g = A_g X for all generators}."""
     fld, n = rep.fld, rep.dim
@@ -589,31 +590,32 @@ def _commutant(rep: ModuleRep) -> List[Matrix]:
                         row[i * n + k] = fld.sub(row[i * n + k], a[k][j])
                 if any(row):
                     rows.append(row)
-    basis = kernel_basis(fld, rows, n * n) if rows else [
-        [1 if t == s else 0 for t in range(n * n)] for s in range(n * n)
-    ]
-    return [[v[i * n:(i + 1) * n] for i in range(n)] for v in basis]
+    return [[v[i * n:(i + 1) * n] for i in range(n)] for v in kernel_basis(fld, rows, n * n)]
 
 
-def _try_fitting_split(rep: ModuleRep, cand: Matrix) -> Optional[Tuple[Matrix, Matrix]]:
-    """If cand (an endomorphism) has a nontrivial Fitting decomposition with
-    respect to some eigenvalue, return the two invariant subspaces (RREF
-    row bases)."""
-    fld, n = rep.fld, rep.dim
+def _fitting(fld: Field, c: Matrix) -> Union[bool, Tuple[Matrix, Matrix]]:
+    """Fitting scan of an n x n endomorphism c over lam in F_q, in order.
+
+    At the first lam with 0 < dim ker (c - lam)^n < n, returns that kernel
+    and the image of (c - lam)^n: two complementary c-invariant subspaces
+    (RREF row bases).  Returns True at a lam with (c - lam)^n = 0: c - lam
+    is nilpotent, so c - lam' is invertible for every other lam' and no
+    split exists.  Returns False when no lam gives either."""
+    n = len(c)
     for lam in range(fld.q):
-        shifted = [row[:] for row in cand]
+        shifted = [row[:] for row in c]
         for i in range(n):
             shifted[i][i] = fld.sub(shifted[i][i], lam)
         power = mat_pow(fld, shifted, n)
         ker = kernel_basis(fld, power, n)
-        if 0 < len(ker) < n:
-            image = span_basis(fld, [list(col) for col in zip(*power)])
-            return span_basis(fld, ker), image
-    return None
+        if len(ker) == n:
+            return True
+        if ker:
+            return span_basis(fld, ker), span_basis(fld, [list(col) for col in zip(*power)])
+    return False
 
 
-def decompose_summands(rep: ModuleRep, rng=None, max_tries: int = 25,
-                       allow_extension: bool = True) -> Tuple[List[ModuleRep], DecompositionReport]:
+def decompose_summands(rep: ModuleRep, rng=None) -> Tuple[List[ModuleRep], DecompositionReport]:
     """Split a module into indecomposable direct summands by Fitting
     decompositions of commuting endomorphisms.  If the commutant has an
     endomorphism with no eigenvalue in the base field the computation is
@@ -622,55 +624,33 @@ def decompose_summands(rep: ModuleRep, rng=None, max_tries: int = 25,
 
     if rng is None:
         rng = random.Random(0)
-    fld = rep.fld
-    extended = False
 
     def split_all(m: ModuleRep) -> Tuple[List[ModuleRep], bool]:
+        """The summands of m, and whether every commutant basis element of
+        each is a scalar plus a nilpotent (its endomorphism ring certified
+        local).  Candidates: the commutant basis, then random combinations
+        of it, drawn one at a time once no basis element has split m."""
+        fld = m.fld
         comm = _commutant(m)
-        candidates = list(comm)
-        for _ in range(max_tries):
-            mix = zeros(m.dim, m.dim)
-            for c in comm:
-                coef = rng.randrange(m.fld.q)
-                if coef:
-                    mix = mat_add(m.fld, mix, mat_scale(m.fld, coef, c))
-            candidates.append(mix)
-        for cand in candidates:
-            got = _try_fitting_split(m, cand)
-            if got:
-                left = restrict_subspace(m, got[0])
-                right = restrict_subspace(m, got[1])
-                ls, lc = split_all(left)
-                rs, rc = split_all(right)
-                return ls + rs, lc and rc
-        # no split found: certify local endomorphism ring (every commutant
-        # element is scalar plus nilpotent over this field)
+        draws = (_combination(fld, m.dim, [rng.randrange(fld.q) for _ in comm], comm)
+                 for _ in range(_SPLIT_TRIES))
         certified = True
-        for c in comm:
-            ok = False
-            for lam in range(m.fld.q):
-                shifted = [row[:] for row in c]
-                for i in range(m.dim):
-                    shifted[i][i] = m.fld.sub(shifted[i][i], lam)
-                if is_zero_matrix(mat_pow(m.fld, shifted, m.dim)):
-                    ok = True
-                    break
-            if not ok:
+        for k, cand in enumerate(chain(comm, draws)):
+            got = _fitting(fld, cand)
+            if got is False and k < len(comm):
                 certified = False
-                break
+            elif isinstance(got, tuple):
+                ls, lc = split_all(restrict_subspace(m, got[0]))
+                rs, rc = split_all(restrict_subspace(m, got[1]))
+                return ls + rs, lc and rc
         return [m], certified
 
+    fld = rep.fld
     parts, certified = split_all(rep)
-    if not certified and allow_extension and fld.e < 4:
-        if fld.e == 1:
-            from .field import ext_field_build
-
-            big = ext_field_build(fld.p, fld.e + 1)
-            lifted = ModuleRep(rep.desc, big, rep.dim,
-                               {nm: [row[:] for row in m] for nm, m in rep.action.items()},
-                               label=rep.label, construction=rep.construction)
-            parts, report = decompose_summands(lifted, rng, max_tries, allow_extension=False)
-            return parts, replace(report, extended=True)
+    extended = not certified and fld.e == 1
+    if extended:
+        fld = ext_field_build(fld.p, 2)
+        parts, certified = split_all(replace(rep, fld=fld))
     return parts, DecompositionReport(fld, extended, certified)
 
 
@@ -731,20 +711,15 @@ def random_nilpotent(fld: Field, dim: int, p: int, rng) -> Matrix:
     return mat_mul(fld, mat_mul(fld, s, n), inverse(fld, s))
 
 
-def random_commuting_nilpotents(fld: Field, dim: int, count: int, p: int, rng,
-                                max_tries: int = 400) -> List[Matrix]:
+def random_commuting_nilpotents(fld: Field, dim: int, count: int, p: int, rng) -> List[Matrix]:
     """A list of pairwise-commuting matrices, each with N^p = 0."""
     first = random_nilpotent(fld, dim, p, rng)
     out = [first]
     probe = ModuleRep(multi_additive(p, 1), fld, dim, {"X_0": first})
     comm = _commutant(probe)
     while len(out) < count:
-        for _ in range(max_tries):
-            cand = zeros(dim, dim)
-            for c in comm:
-                coef = rng.randrange(fld.q)
-                if coef:
-                    cand = mat_add(fld, cand, mat_scale(fld, coef, c))
+        for _ in range(_COMMUTING_TRIES):
+            cand = _combination(fld, dim, [rng.randrange(fld.q) for _ in comm], comm)
             if is_zero_matrix(mat_pow(fld, cand, p)):
                 ok = all(is_zero_matrix(commutator(fld, cand, m)) for m in out)
                 if ok:
@@ -807,8 +782,6 @@ def module_to_dict(rep: ModuleRep) -> dict:
 
 
 def module_from_dict(data: dict) -> ModuleRep:
-    from .field import ext_field_build
-
     family = data["family"]
     p = int(data["p"])
     if family == "multi_additive":

@@ -186,13 +186,17 @@ def test_span_membership():
 
 
 def test_mat_pow_matches_repeated_product():
-    fld = prime_field(7)
     rng = random.Random(3)
-    a = _random_matrix(fld, 4, 4, rng)
-    acc = identity(fld, 4)
-    for k in range(6):
-        assert mat_pow(fld, a, k) == acc
-        acc = mat_mul(fld, acc, a)
+    for fld in (prime_field(7), prime_field(5), ext_field_build(3, 2)):
+        a = _random_matrix(fld, 4, 4, rng)
+        frozen = [row[:] for row in a]
+        acc = identity(fld, 4)
+        for k in range(10):
+            got = mat_pow(fld, a, k)
+            assert got == acc
+            assert got is not a and all(g is not r for g, r in zip(got, a))
+            acc = mat_mul(fld, acc, a)
+        assert a == frozen
 
 
 def test_transpose_involution_and_zero():

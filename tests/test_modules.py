@@ -13,6 +13,8 @@ from jordanbundles.field import (
     rank,
 )
 from jordanbundles.modules import (
+    ModuleRep,
+    _fitting,
     construct_duals_example,
     construct_steinberg,
     construct_syzygy_E2,
@@ -26,6 +28,7 @@ from jordanbundles.modules import (
     frobenius_twist_gar,
     gln_natural,
     gln_tensor_power,
+    kron,
     module_from_dict,
     module_to_dict,
     principal_indecomposable_sl2,
@@ -228,6 +231,33 @@ def test_steinberg_tensor_v2_splits():
     summands, rpt = decompose_summands(t, rng=random.Random(2))
     assert rpt.certified
     assert sorted(m.dim for m in summands) == [3, 6]
+
+
+def test_decompose_extends_restriction_of_scalars():
+    # F_9^2 with X_0 = e21 and X_1 = i e21, viewed over F_3 (A is i, as
+    # x^2 + 1 is irreducible over F_3): indecomposable over F_3, and its
+    # commutant holds I (x) A, which has no eigenvalue there; over F_9 it
+    # splits into two Galois-conjugate 2-dimensional summands.
+    fld = prime_field(3)
+    e21 = [[0, 0], [1, 0]]
+    a = [[0, 2], [1, 0]]
+    rep = ModuleRep(multi_additive(3, 2), fld, 4,
+                    {"X_0": kron(fld, e21, identity(fld, 2)), "X_1": kron(fld, e21, a)})
+    assert validate_module(rep) == []
+    summands, rpt = decompose_summands(rep, rng=random.Random(1))
+    assert rpt.extended and rpt.certified and rpt.fld.q == 9
+    assert sorted(m.dim for m in summands) == [2, 2]
+    assert all(m.fld.q == 9 and validate_module(m) == [] for m in summands)
+
+
+def test_fitting_scan_cases():
+    fld = prime_field(3)
+    # scalar plus nilpotent: certified, no split
+    assert _fitting(fld, [[2, 1], [0, 2]]) is True
+    # diag(0, 1) splits at lam = 0 into its kernel and image
+    assert _fitting(fld, [[0, 0], [0, 1]]) == ([[1, 0]], [[0, 1]])
+    # no eigenvalue in F_3: neither split nor certificate
+    assert _fitting(fld, [[0, 2], [1, 0]]) is False
 
 
 @pytest.mark.parametrize("lam,dim", [(0, 6), (1, 6), (2, 3)])
