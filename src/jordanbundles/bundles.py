@@ -14,12 +14,13 @@ Every bundle here comes from kernels alone, by three facts:
 - The graded kernel K_j of B^j (N x N, entries homogeneous of degree
   D = j * entry_degree) is free: it is a second syzygy over the
   2-dimensional regular graded ring k[s,t].
-- Rank count: K_j has rank N - generic_rank(B^j), so a degree-by-degree
-  search for minimal generators is complete once it holds that many.
+- Rank count: K_j is fixed by its Hilbert function, N (d + 1) minus the
+  rank of the degree-d map.  It has N - r generators, r the generic rank
+  of B^j, and r is at least the rank r0 of B^j at any point of P^1.
 - Forney's bound ("Minimal bases of rational vector spaces", SIAM J.
   Control 1975): the generator degrees of K_j sum to the degree of the
-  image sheaf, a subsheaf of O(D)^N of rank r = generic_rank(B^j), so the
-  sum is at most r * D.
+  image sheaf, a subsheaf of O(D)^N of rank r, so the sum is at most
+  r * D.  A count of N - r0 generators under r0 * D proves r0 = r.
 
 Subquotients ker(B^j)/im(B^q) and images then follow from additivity in
 K_0(P^1): im(B^q) is O(-D)^N modulo K_q(-D), D = q * entry_degree, so
@@ -31,27 +32,25 @@ A failure of these facts in a computation is an engine fault and raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .field import (
-    Echelon,
     Field,
     Matrix,
     Vector,
+    enumerate_elements,
     kernel_basis,
     mat_mul,
+    mat_pow,
+    rank,
     reduce_vector,
     row_reduce,
     span_basis,
 )
-from .operators import ThetaMatrix, mj_fiber_dim, iter_scan_points, constant_jrank_report, ConstancyReport
-from .polyring import Poly, PolyMatrix, Substitution, WeightedRing, generic_rank
+from .operators import (ThetaMatrix, EngineInvariantError, mj_fiber_dim, iter_scan_points,
+                        constant_jrank_report, ConstancyReport)
+from .polyring import PolyMatrix, Substitution, WeightedRing, generic_rank
 from .schemes import p1_chart
-
-
-class EngineInvariantError(RuntimeError):
-    """A theorem the engine relies on failed to hold in a computation: a
-    bug in the engine, never a fault of the input."""
 
 
 @dataclass
@@ -96,18 +95,6 @@ def restrict_p1(theta: ThetaMatrix, chart: Optional[Substitution] = None) -> P1M
 
 def _component_layout(n: int, d: int) -> int:
     return n * (d + 1)
-
-
-def _component_to_poly_vector(ring: WeightedRing, v: Sequence[int], n: int, d: int) -> List[Poly]:
-    out = []
-    for i in range(n):
-        terms = {}
-        for k in range(d + 1):
-            c = v[i * (d + 1) + k]
-            if c:
-                terms[(d - k, k)] = c
-        out.append(Poly(ring, terms))
-    return out
 
 
 def _shift_map(fld: Field, n: int, d: int, a: int, b: int) -> Callable[[Vector], Vector]:
@@ -167,15 +154,13 @@ class ComponentModule:
     in a common free ambient.  Supports the kernel, image, and subquotient
     modules of powers of a restricted operator."""
 
-    def __init__(self, b: P1Matrix, ker_power: int = 0, im_power: Optional[int] = None,
-                 label: str = ""):
+    def __init__(self, b: P1Matrix, ker_power: int = 0, im_power: Optional[int] = None):
         """ker_power = j > 0: components are ker(B^j)_d; im_power = q:
         subtract the degree-shifted image of B^q.  ker_power == 0 with
         im_power = q gives the image module of B^q itself."""
         self.b = b
         self.ker_power = ker_power
         self.im_power = im_power
-        self.label = label
         self.fld = b.ring.fld
         self.n = b.size
         self._kmat = b.mat.power(ker_power) if ker_power else None
@@ -234,7 +219,7 @@ def _pivot_columns(rref: Matrix) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# graded kernels and images with minimal generators
+# graded kernels and images: generator degrees from ranks
 # ---------------------------------------------------------------------------
 
 
@@ -242,7 +227,6 @@ def _pivot_columns(rref: Matrix) -> List[int]:
 class GradedSubmodule:
     ring: WeightedRing
     ambient_rank: int
-    generators: List[List[Poly]]
     degrees: List[int]
     hilbert: Dict[int, int]
     certified_free: bool
@@ -251,91 +235,78 @@ class GradedSubmodule:
 
     @property
     def rank(self) -> int:
-        return len(self.generators)
+        return len(self.degrees)
 
     def free_dim(self, d: int) -> int:
         """Dimension in degree d of the free module on the generators."""
         return sum(max(0, d - g + 1) for g in self.degrees)
 
 
+def _point_rank(b: P1Matrix, j: int) -> int:
+    """The largest rank of B^j at the points of P^1(F_q): at most its
+    generic rank."""
+    fld = b.ring.fld
+    points = [(0, 1)] + [(1, t) for t in enumerate_elements(fld)]
+    return max(rank(fld, mat_pow(fld, b.mat.evaluate(pt), j)) for pt in points)
+
+
 def kernel_graded(b: P1Matrix, j: int = 1) -> GradedSubmodule:
-    """Minimal generators of the graded kernel K of the j-th power B^j of
-    the restricted operator, found degree by degree.
-
-    K is free: it is a second syzygy (the kernel of a map of free modules)
-    over the 2-dimensional regular graded ring k[s,t].  Its rank is
-    N - r, where r = generic_rank(B^j), and a free module of rank N - r
-    has exactly N - r minimal generators.  The search visits degrees
-    d = 0, 1, 2, ... and in each keeps the kernel vectors that are not
-    combinations of monomial multiples of the generators already found;
-    it stops as soon as it holds N - r generators, which certifies the
-    result (``certified_free`` is always True).
-
-    Forney's bound ("Minimal bases of rational vector spaces", 1975) caps
-    the degrees: the generator degrees of K sum to the degree of the image
-    sheaf, a rank-r subsheaf of O(D)^N with D = j * entry_degree, so their
-    sum is at most r * D.  A search whose found degrees plus the degree
-    reached by each missing generator exceed that bound raises
-    ``EngineInvariantError``."""
+    """The graded kernel K of the j-th power B^j of the restricted operator,
+    by its generator degrees, read off ranks (the module docstring gives
+    the theorems).  K is free with Hilbert function h(d) = N (d + 1) - rank
+    of the degree-d map, so it has h(d) - sum_{a_i < d} (d - a_i + 1)
+    generators in degree d.  The count runs to N - r0 generators, r0 the
+    largest rank of B^j at the points of P^1(F_q).  If it passes Forney's
+    bound r0 * D, D = j * entry_degree, then r0 is below the generic rank
+    and the count runs once more with r = ``generic_rank(B^j)`` (Bareiss);
+    a second stop raises ``EngineInvariantError``.  ``hilbert`` holds h on
+    the degrees 0 .. max a_i; ``certified_free`` is always True."""
     fld = b.ring.fld
     n = b.size
-    comp = ComponentModule(b, ker_power=j)
-    grk = generic_rank(comp._kmat)
-    target = n - grk
-    bound = grk * j * b.entry_degree
-    gens: List[Tuple[int, Vector]] = []  # (degree, component vector)
+    D = j * b.entry_degree
+    power = b.mat.power(j)
     hilbert: Dict[int, int] = {}
-    d = 0
-    while len(gens) < target:
-        if sum(g for g, _ in gens) + (target - len(gens)) * d > bound:
-            raise EngineInvariantError(
-                "kernel search of B^%d reached degree %d with %d of %d generators, "
-                "past Forney's bound %d" % (j, d, len(gens), target, bound))
-        basis, _ = comp._build(d)
-        hilbert[d] = len(basis)
-        # span of the monomial multiples of the generators found so far
-        span = Echelon(fld, (_shift_map(fld, n, gd, d - gd - k, k)(gv)
-                             for gd, gv in gens for k in range(d - gd + 1)))
-        for cand in basis:
-            if span.insert(cand) is not None:
-                gens.append((d, cand))
-                if len(gens) == target:
-                    break
-        d += 1
-    degrees = [gd for gd, _ in gens]
+    for r in (_point_rank(b, j), None):
+        if r is None:
+            r = generic_rank(power)
+        target, bound = n - r, r * D
+        degrees: List[int] = []
+        d = 0
+        while len(degrees) < target and sum(degrees) + (target - len(degrees)) * d <= bound:
+            if d not in hilbert:
+                hilbert[d] = n * (d + 1) - rank(fld, _matrix_component_rows(b, power, d, D))
+            degrees += [d] * (hilbert[d] - sum(d - a + 1 for a in degrees))
+            d += 1
+        if len(degrees) == target:
+            break
+    else:
+        raise EngineInvariantError(
+            "kernel count of B^%d stopped at degree %d with %d of %d generators "
+            "(Forney's bound %d)" % (j, d, len(degrees), target, bound))
+    top = max(degrees, default=-1)
     return GradedSubmodule(
         ring=b.ring,
         ambient_rank=n,
-        generators=[_component_to_poly_vector(b.ring, gv, n, gd) for gd, gv in gens],
         degrees=degrees,
-        hilbert=hilbert,
+        hilbert={d: hilbert[d] for d in range(top + 1)},
         certified_free=True,
-        stable_from=max(degrees, default=0) + 1,
+        stable_from=max(top, 0) + 1,
         label="ker(theta^%d)" % j,
     )
 
 
 def image_graded(b: P1Matrix, j: int = 1) -> GradedSubmodule:
-    """Generators of the graded image of the j-th power: a maximal linearly
-    independent set of columns, all in degree j * entry_degree."""
-    fld = b.ring.fld
+    """The graded image of the j-th power, generated by columns of degree
+    D = j * entry_degree, as many as its dimension in degree D."""
     n = b.size
-    power = b.mat.power(j)
     D = j * b.entry_degree
-    gens: List[Tuple[int, Vector]] = []
-    span = Echelon(fld)
-    for cv in _matrix_component_map(b, power, 0, D):
-        if span.insert(cv) is not None:
-            gens.append((D, cv))
     kj = kernel_graded(b, j)
     hilbert = {d: _image_dim(n, kj, D, d) for d in range(0, D + n + 2)}
-    generators = [_component_to_poly_vector(b.ring, gv, n, gd) for gd, gv in gens]
     # the image module need not be free, so no freeness certificate here
     return GradedSubmodule(
         ring=b.ring,
         ambient_rank=n,
-        generators=generators,
-        degrees=[gd for gd, _ in gens],
+        degrees=[D] * hilbert[D],
         hilbert=hilbert,
         certified_free=False,
         stable_from=None,

@@ -34,6 +34,7 @@ from .field import (
     reduce_vector,
     row_reduce,
     span_basis,
+    transpose,
     zeros,
 )
 from .schemes import (
@@ -351,8 +352,8 @@ def submodule_generated(rep: ModuleRep, vectors: Sequence[Vector]) -> Tuple[Modu
     while True:
         new_vectors = list(current)
         for m in rep.action.values():
-            for b in current:
-                new_vectors.append(mat_vec(fld, m, b))
+            # the images m b of the rows b of current: the rows of current m^T
+            new_vectors += mat_mul(fld, current, transpose(m))
         nxt = span_basis(fld, new_vectors)
         if len(nxt) == len(current):
             current = nxt

@@ -39,6 +39,11 @@ from .schemes import (
 )
 
 
+class EngineInvariantError(RuntimeError):
+    """A theorem the engine relies on failed to hold in a computation: a
+    bug in the engine, never a fault of the input."""
+
+
 @dataclass
 class ThetaMatrix:
     rep: ModuleRep
@@ -237,7 +242,8 @@ def jordan_type(fld: Field, n: Matrix, p: int) -> JordanType:
 
 def jordan_type_chain_oracle(fld: Field, n: Matrix, p: int) -> JordanType:
     """Independent route to the Jordan type: explicitly build Jordan chains
-    top-down and count their lengths, with structural assertions."""
+    top-down and count their lengths; a chain that fails its structural
+    checks raises ``EngineInvariantError``."""
     dim = len(n)
     powers = [identity(fld, dim)]
     while not is_zero_matrix(powers[-1]):
@@ -279,12 +285,16 @@ def jordan_type_chain_oracle(fld: Field, n: Matrix, p: int) -> JordanType:
             chain = [v]
             for _ in range(h - 1):
                 chain.append(mat_vec(fld, n, chain[-1]))
-            assert all(any(x) for x in chain), "chain broke early"
-            assert not any(mat_vec(fld, n, chain[-1])), "chain bottom not killed"
+            if not all(any(x) for x in chain):
+                raise EngineInvariantError("Jordan chain broke early")
+            if any(mat_vec(fld, n, chain[-1])):
+                raise EngineInvariantError("Jordan chain bottom not killed")
             lengths.append(h)
             all_vectors.extend(chain)
-    assert len(all_vectors) == dim, "chain vectors do not fill the space"
-    assert len(span_basis(fld, all_vectors)) == dim, "chain vectors are dependent"
+    if len(all_vectors) != dim:
+        raise EngineInvariantError("Jordan chain vectors do not fill the space")
+    if len(span_basis(fld, all_vectors)) != dim:
+        raise EngineInvariantError("Jordan chain vectors are dependent")
     counts = [0] * p
     for h in lengths:
         counts[h - 1] += 1
@@ -466,6 +476,7 @@ def constant_kernel_image_property(theta: ThetaMatrix, j: int, max_ext: int = 1,
 
 
 __all__ = [
+    "EngineInvariantError",
     "ThetaMatrix",
     "JordanType",
     "ConstancyReport",

@@ -10,6 +10,7 @@ from jordanbundles.bundles import (
     ComponentModule,
     EngineInvariantError,
     K0Class,
+    P1Matrix,
     endotrivial_test,
     global_sections,
     image_graded,
@@ -22,7 +23,7 @@ from jordanbundles.bundles import (
     splitting_type,
     subquotient_mj,
 )
-from jordanbundles.field import in_span, mat_vec, span_basis, transpose
+from jordanbundles.field import in_span, mat_vec, prime_field, span_basis, transpose
 from jordanbundles.modules import (
     construct_duals_example,
     construct_steinberg,
@@ -36,7 +37,7 @@ from jordanbundles.modules import (
     trivial_module,
 )
 from jordanbundles.operators import theta_global
-from jordanbundles.polyring import poly_eval
+from jordanbundles.polyring import PolyMatrix, WeightedRing, poly_eval
 from jordanbundles.schemes import multi_additive
 
 
@@ -82,11 +83,13 @@ def test_kernel_generator_for_small_weyl_is_powers_of_t_and_s():
     b = restrict_p1(theta_global(construct_weyl_sl2(m, p)))
     sub = kernel_graded(b, 1)
     assert sub.degrees == [m]
-    gen = sub.generators[0]
-    for i, entry in enumerate(gen):
-        assert not entry.is_zero()
-        (expo, _), = entry.terms.items()
-        assert expo == (i, m - i)
+    # the generator itself, from the frozen search: entry i is c_i s^i t^(m-i)
+    (gd, gv), = _frozen_kernel_search(b, 1)
+    assert gd == m
+    for i in range(b.size):
+        block = gv[i * (m + 1):(i + 1) * (m + 1)]
+        # coordinate k of a degree-m block is the coefficient of s^(m-k) t^k
+        assert [k for k, c in enumerate(block) if c] == [m - i]
 
 
 @pytest.mark.parametrize("p,m", [(3, 0), (3, 2), (3, 3), (5, 6)])
@@ -355,12 +358,11 @@ def test_kernel_search_matches_frozen_search_on_weyl_and_pim(p):
         sub = kernel_graded(b, 1)
         old = _frozen_kernel_search(b, 1)
         assert sub.degrees == [g for g, _ in old]
-        for gen, (gd, gv) in zip(sub.generators, old):
-            want = bundles._component_to_poly_vector(b.ring, gv, b.size, gd)
-            assert [f.terms for f in gen] == [f.terms for f in want]
-        # the search visits degrees 0 .. top generator degree and no more
+        # the count visits degrees 0 .. top generator degree and no more,
+        # with the kernel dimensions the search found there
         top = max(sub.degrees)
-        assert sorted(sub.hilbert) == list(range(top + 1))
+        comp = ComponentModule(b, ker_power=1)
+        assert sub.hilbert == {d: comp.dim(d) for d in range(top + 1)}
         assert sub.certified_free and sub.stable_from == top + 1
 
 
@@ -417,13 +419,62 @@ def test_syzygy_subquotients_p5(n, twist):
 
 
 def test_kernel_search_raises_past_forney_bound(monkeypatch):
-    # a generic rank that is too small asks for more generators than the
-    # kernel has; the search must stop at the degree bound and raise
+    # a point rank and a generic rank that are too small ask for more
+    # generators than the kernel has; both counts must stop at the degree
+    # bound, and the second stop raises
     b = restrict_p1(theta_global(construct_weyl_sl2(4, 3)))
+    monkeypatch.setattr(bundles, "_point_rank", lambda b, j: 1)
     monkeypatch.setattr(bundles, "generic_rank", lambda mat: 1)
     with pytest.raises(EngineInvariantError, match="Forney"):
         kernel_graded(b, 1)
     assert not issubclass(EngineInvariantError, ValueError)
+
+
+def test_kernel_count_falls_back_to_generic_rank(monkeypatch):
+    # B = [[s^3 t - s t^3, 0], [0, 0]] over GF(3) has rank 0 at all four
+    # points of P^1(F_3) and generic rank 1: the count for two generators
+    # stops at Forney's bound 0, and one Bareiss rank finishes it
+    fld = prime_field(3)
+    ring = WeightedRing(fld, ("s", "t"), (1, 1))
+    f = ring.monomial((3, 1)) - ring.monomial((1, 3))
+    b = P1Matrix(ring, PolyMatrix(ring, [[f, ring.zero()], [ring.zero(), ring.zero()]]), 4, 3)
+    calls = []
+    real = bundles.generic_rank
+
+    def spy(mat):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(bundles, "generic_rank", spy)
+    sub = kernel_graded(b, 1)
+    assert len(calls) == 1
+    assert sub.rank == 1 and sub.degrees == [0] and sub.hilbert == {0: 1}
+    assert splitting_type(sub).twists == (0,)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_kernel_count_needs_no_bareiss_for_paper_modules(p, monkeypatch):
+    # on Weyl modules, P_lambda and zig-zag modules some point of P^1(F_p)
+    # has the generic rank of every power, so Bareiss is never reached
+    def no_bareiss(mat):
+        raise AssertionError("generic_rank called")
+
+    monkeypatch.setattr(bundles, "generic_rank", no_bareiss)
+    modules = [construct_weyl_sl2(m, p) for m in range(2 * p - 1)]
+    modules += [principal_indecomposable_sl2(lam, p) for lam in range(p)]
+    modules += [construct_zigzag(n, p) for n in range(1, 5)]
+    for rep in modules:
+        b = restrict_p1(theta_global(rep))
+        for j in range(1, p):
+            assert kernel_graded(b, j).certified_free
+
+
+@given(dim=st.integers(2, 5), seed=st.integers(0, 10**6), j=st.sampled_from([1, 2]))
+@settings(max_examples=25, deadline=None)
+def test_kernel_count_matches_frozen_search_random(dim, seed, j):
+    rep = random_module(multi_additive(3, 2), dim, random.Random(seed))
+    b = restrict_p1(theta_global(rep))
+    assert kernel_graded(b, j).degrees == [g for g, _ in _frozen_kernel_search(b, j)]
 
 
 def test_negative_k0_rank_raises():

@@ -260,10 +260,12 @@ def test_console_script_help():
 
 
 def test_engine_invariant_failure_exits_3(capsys, monkeypatch):
-    # a generic rank that is too small makes the kernel search pass Forney's
-    # bound: an engine fault, reported apart from input errors
+    # a point rank and a generic rank that are too small make the kernel
+    # count pass Forney's bound: an engine fault, reported apart from input
+    # errors
     import jordanbundles.bundles as bundles
 
+    monkeypatch.setattr(bundles, "_point_rank", lambda b, j: 0)
     monkeypatch.setattr(bundles, "generic_rank", lambda mat: 0)
     code, out, err = run_cli(
         ["analyze", "--group", "u_sl2", "--p", "3", "--builtin", "weyl:4",

@@ -225,6 +225,18 @@ def test_jordan_type_rank_reconstruction():
             assert rank(fld, mat_pow(fld, n, j)) == expected
 
 
+def test_chain_oracle_raises_engine_fault_on_broken_chain(monkeypatch):
+    # the oracle's structural checks are engine faults, not asserts that
+    # vanish under python -O: chains built from a zero image break early
+    import jordanbundles.operators as operators
+
+    fld = prime_field(3)
+    n = [[1 if j == i + 1 else 0 for j in range(3)] for i in range(3)]
+    monkeypatch.setattr(operators, "mat_vec", lambda fld, a, v: [0] * len(a))
+    with pytest.raises(operators.EngineInvariantError, match="chain"):
+        jordan_type_chain_oracle(fld, n, 3)
+
+
 def test_jordan_type_rejects_non_p_nilpotent():
     # one Jordan block of size 4: 3-nilpotent fails, 5-nilpotent is fine
     fld = prime_field(3)
