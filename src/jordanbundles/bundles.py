@@ -47,7 +47,7 @@ from .field import (
     row_reduce,
     span_basis,
 )
-from .operators import (ThetaMatrix, EngineInvariantError, mj_fiber_dim, iter_scan_points,
+from .operators import (ThetaMatrix, EngineInvariantError, mj_fiber_dim, orbit_scan,
                         constant_jrank_report, ConstancyReport)
 from .polyring import PolyMatrix, Substitution, WeightedRing, generic_rank
 from .schemes import p1_chart
@@ -261,10 +261,14 @@ def kernel_graded(b: P1Matrix, j: int = 1) -> GradedSubmodule:
     and the count runs once more with r = ``generic_rank(B^j)`` (Bareiss);
     a second stop raises ``EngineInvariantError``.  ``hilbert`` holds h on
     the degrees 0 .. max a_i; ``certified_free`` is always True."""
+    return _kernel_of_power(b, j, b.mat.power(j))
+
+
+def _kernel_of_power(b: P1Matrix, j: int, power: PolyMatrix) -> GradedSubmodule:
+    """``kernel_graded`` with B^j = ``power`` already formed."""
     fld = b.ring.fld
     n = b.size
     D = j * b.entry_degree
-    power = b.mat.power(j)
     hilbert: Dict[int, int] = {}
     for r in (_point_rank(b, j), None):
         if r is None:
@@ -454,8 +458,9 @@ def subquotient_mj(b: P1Matrix, j: int, im_power: Optional[int] = None) -> Sheaf
     reported by rank and degree only."""
     q = b.p - j if im_power is None else im_power
     comp = ComponentModule(b, ker_power=j, im_power=q)
-    kj = kernel_graded(b, j)
-    kq = kj if q == j else kernel_graded(b, q)
+    # B^j and B^q are formed once, by the component module
+    kj = _kernel_of_power(b, j, comp._kmat)
+    kq = kj if q == j else _kernel_of_power(b, q, comp._imat)
     D = q * b.entry_degree
     n = b.size
     stable = max(kj.stable_from, kq.stable_from + D)
@@ -492,7 +497,7 @@ def image_sheaf_report(b: P1Matrix, j: int = 1) -> SheafReport:
     of the j-th power, from the kernel K_j: rk = N - rk K_j and
     deg = -D (N - rk K_j) - deg K_j with D = j * entry_degree."""
     comp = ComponentModule(b, ker_power=0, im_power=j)
-    kj = kernel_graded(b, j)
+    kj = _kernel_of_power(b, j, comp._imat)
     D = j * b.entry_degree
     n = b.size
     stable = kj.stable_from + D
@@ -555,7 +560,7 @@ def _fiber_scan(theta: ThetaMatrix, max_ext: int) -> Dict[int, Tuple[Tuple[int, 
     with the first point where it occurs."""
     p = theta.desc.p
     fiber: Dict[int, Tuple[Tuple[int, ...], int]] = {}
-    for fld, point, _ in iter_scan_points(theta.desc, theta.rep.fld, max_ext):
+    for fld, point, _, _ in orbit_scan(theta, max_ext):
         dim1 = mj_fiber_dim(fld, theta.mat.evaluate(point, fld), p, 1)
         fiber.setdefault(dim1, (point, dim1))
     return fiber

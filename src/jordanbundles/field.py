@@ -324,6 +324,49 @@ def mat_mul(fld: Field, a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
+def mat_combination(fld: Field, n: int, coeffs: Sequence[int], mats: Sequence[Matrix]) -> Matrix:
+    """The n x n matrix sum of c * m over the pairs of coefficients and
+    matrices."""
+    out = zeros(n, n)
+    for c, m in zip(coeffs, mats):
+        if c:
+            out = mat_add(fld, out, mat_scale(fld, c, m))
+    return out
+
+
+def commutant_basis(fld: Field, mats: Iterable[Matrix], n: int) -> List[Matrix]:
+    """A basis of the n x n matrices X with AX = XA for every A in mats."""
+    rows: List[Vector] = []
+    for a in mats:
+        for i in range(n):
+            for j in range(n):
+                row = [0] * (n * n)
+                for k in range(n):
+                    # (A X)_{ij} has coefficient A[i][k] on X[k][j]
+                    if a[i][k]:
+                        row[k * n + j] = fld.add(row[k * n + j], a[i][k])
+                    # (X A)_{ij} has coefficient A[k][j] on X[i][k]
+                    if a[k][j]:
+                        row[i * n + k] = fld.sub(row[i * n + k], a[k][j])
+                if any(row):
+                    rows.append(row)
+    return [[v[i * n:(i + 1) * n] for i in range(n)] for v in kernel_basis(fld, rows, n * n)]
+
+
+def add_scaled_entries(fld: Field, out: Matrix, c: int,
+                       entries: Iterable[Tuple[int, int, int]]) -> None:
+    """out += c * A in place, for a sparse A given by its entries (i, j, a)."""
+    add, mul = fld._add_table, fld._mul_table
+    if add is None:
+        for i, j, a in entries:
+            out[i][j] = fld.add(out[i][j], fld.mul(c, a))
+        return
+    mc = mul[c]
+    for i, j, a in entries:
+        row = out[i]
+        row[j] = add[row[j]][mc[a]]
+
+
 def mat_vec(fld: Field, a: Matrix, v: Vector) -> Vector:
     add, mul = fld._add_table, fld._mul_table
     out = [0] * len(a)
@@ -540,6 +583,9 @@ __all__ = [
     "mat_sub",
     "mat_scale",
     "mat_mul",
+    "mat_combination",
+    "commutant_basis",
+    "add_scaled_entries",
     "mat_vec",
     "mat_pow",
     "transpose",

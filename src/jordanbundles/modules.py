@@ -20,16 +20,17 @@ from .field import (
     Field,
     Matrix,
     Vector,
+    commutant_basis,
     ext_field_build,
     identity,
     is_zero_matrix,
     kernel_basis,
     mat_add,
+    mat_combination,
     mat_mul,
     mat_pow,
     mat_scale,
     mat_sub,
-    mat_vec,
     prime_field,
     reduce_vector,
     row_reduce,
@@ -83,16 +84,6 @@ def commutator(fld: Field, a: Matrix, b: Matrix) -> Matrix:
     return mat_sub(fld, mat_mul(fld, a, b), mat_mul(fld, b, a))
 
 
-def _combination(fld: Field, n: int, coeffs: Sequence[int], mats: Sequence[Matrix]) -> Matrix:
-    """The n x n matrix sum of c * m over the pairs of coefficients and
-    matrices."""
-    out = zeros(n, n)
-    for c, m in zip(coeffs, mats):
-        if c:
-            out = mat_add(fld, out, mat_scale(fld, c, m))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -130,11 +121,11 @@ def validate_module(rep: ModuleRep) -> List[str]:
         gens = [rep.action[nm] for nm in names]
         for (i, j), coeffs in bm.items():
             lhs = commutator(fld, rep.action[names[i]], rep.action[names[j]])
-            rhs = _combination(fld, rep.dim, [c % p for c in coeffs], gens)
+            rhs = mat_combination(fld, rep.dim, [c % p for c in coeffs], gens)
             if not is_zero_matrix(mat_sub(fld, lhs, rhs)):
                 failures.append("bracket relation [%s, %s] fails" % (names[i], names[j]))
         for i, nm in enumerate(names):
-            rhs = _combination(fld, rep.dim, [c % p for c in lie.ppower[i]], gens)
+            rhs = mat_combination(fld, rep.dim, [c % p for c in lie.ppower[i]], gens)
             if not is_zero_matrix(mat_sub(fld, mat_pow(fld, rep.action[nm], p), rhs)):
                 failures.append("restricted power relation for %s fails" % nm)
     elif desc.family == "sl2_height2":
@@ -371,12 +362,10 @@ def restrict_subspace(rep: ModuleRep, basis_rows: Matrix) -> ModuleRep:
     dim = len(basis)
     action: Dict[str, Matrix] = {}
     for nm, m in rep.action.items():
-        sub = zeros(dim, dim)
-        for col, b in enumerate(basis):
-            img = mat_vec(fld, m, b)
-            for rowi, c in enumerate(coords_in_basis(fld, basis, pivots, img)):
-                sub[rowi][col] = c
-        action[nm] = sub
+        # the images m b of the basis rows b are the rows of basis m^T; the
+        # coordinates of the image of row col fill column col
+        images = mat_mul(fld, basis, transpose(m)) if dim else []
+        action[nm] = transpose([coords_in_basis(fld, basis, pivots, img) for img in images])
     return ModuleRep(rep.desc, fld, dim, action, label=rep.label)
 
 
@@ -574,26 +563,6 @@ _SPLIT_TRIES = 25
 _COMMUTING_TRIES = 400
 
 
-def _commutant(rep: ModuleRep) -> List[Matrix]:
-    """Basis of {X : X A_g = A_g X for all generators}."""
-    fld, n = rep.fld, rep.dim
-    rows: List[Vector] = []
-    for a in rep.action.values():
-        for i in range(n):
-            for j in range(n):
-                row = [0] * (n * n)
-                for k in range(n):
-                    # (A X)_{ij} has coefficient A[i][k] on X[k][j]
-                    if a[i][k]:
-                        row[k * n + j] = fld.add(row[k * n + j], a[i][k])
-                    # (X A)_{ij} has coefficient A[k][j] on X[i][k]
-                    if a[k][j]:
-                        row[i * n + k] = fld.sub(row[i * n + k], a[k][j])
-                if any(row):
-                    rows.append(row)
-    return [[v[i * n:(i + 1) * n] for i in range(n)] for v in kernel_basis(fld, rows, n * n)]
-
-
 def _fitting(fld: Field, c: Matrix) -> Union[bool, Tuple[Matrix, Matrix]]:
     """Fitting scan of an n x n endomorphism c over lam in F_q, in order.
 
@@ -632,8 +601,8 @@ def decompose_summands(rep: ModuleRep, rng=None) -> Tuple[List[ModuleRep], Decom
         local).  Candidates: the commutant basis, then random combinations
         of it, drawn one at a time once no basis element has split m."""
         fld = m.fld
-        comm = _commutant(m)
-        draws = (_combination(fld, m.dim, [rng.randrange(fld.q) for _ in comm], comm)
+        comm = commutant_basis(fld, m.action.values(), m.dim)
+        draws = (mat_combination(fld, m.dim, [rng.randrange(fld.q) for _ in comm], comm)
                  for _ in range(_SPLIT_TRIES))
         certified = True
         for k, cand in enumerate(chain(comm, draws)):
@@ -716,11 +685,10 @@ def random_commuting_nilpotents(fld: Field, dim: int, count: int, p: int, rng) -
     """A list of pairwise-commuting matrices, each with N^p = 0."""
     first = random_nilpotent(fld, dim, p, rng)
     out = [first]
-    probe = ModuleRep(multi_additive(p, 1), fld, dim, {"X_0": first})
-    comm = _commutant(probe)
+    comm = commutant_basis(fld, [first], dim)
     while len(out) < count:
         for _ in range(_COMMUTING_TRIES):
-            cand = _combination(fld, dim, [rng.randrange(fld.q) for _ in comm], comm)
+            cand = mat_combination(fld, dim, [rng.randrange(fld.q) for _ in comm], comm)
             if is_zero_matrix(mat_pow(fld, cand, p)):
                 ok = all(is_zero_matrix(commutator(fld, cand, m)) for m in out)
                 if ok:

@@ -30,10 +30,11 @@ from .schemes import (
     GroupSchemeDesc,
     Point,
     coord_ring,
-    enumerate_points,
     generator_names,
+    orbit,
+    orbit_representatives,
     p1_chart,
-    point_dim,
+    representative_count,
     sample_points,
     validate_point,
 )
@@ -68,19 +69,10 @@ def _multinomial_mod(total: int, parts: Sequence[int], p: int) -> int:
 
 
 def _poly_kron(ring: WeightedRing, a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    na, nb = a.nrows, b.nrows
-    out = PolyMatrix.zero(ring, na * nb, a.ncols * b.ncols)
-    for i in range(na):
-        for j in range(a.ncols):
-            f = a.rows[i][j]
-            if f.is_zero():
-                continue
-            for k in range(nb):
-                for l in range(b.ncols):
-                    g = b.rows[k][l]
-                    if not g.is_zero():
-                        out.rows[i * nb + k][j * b.ncols + l] = f * g
-    return out
+    zero = ring.zero()
+    rows = [[f * g if f.terms and g.terms else zero for f in ra for g in rb]
+            for ra in a.rows for rb in b.rows]
+    return PolyMatrix(ring, rows)
 
 
 def _matrix_times_poly(ring: WeightedRing, m: Matrix, f: Poly) -> PolyMatrix:
@@ -229,13 +221,19 @@ class JordanType:
 def jordan_type(fld: Field, n: Matrix, p: int) -> JordanType:
     """Jordan type of a p-nilpotent matrix from the rank sequence of its
     powers: a_i = r_{i-1} - 2 r_i + r_{i+1}."""
-    powers = [n]  # n^1 .. n^p
+    # r_0 = dim, then r_i = rank n^i by elimination until one is 0, as every
+    # higher power vanishes too; otherwise n^p must be 0
+    ranks = [len(n)]
+    power = n
     for _ in range(p - 1):
-        powers.append(mat_mul(fld, powers[-1], n))
-    if not is_zero_matrix(powers[-1]):
-        raise ValueError("matrix is not p-nilpotent (p = %d)" % p)
-    # r_0 = dim, r_1 .. r_{p-1} by elimination, r_p = r_{p+1} = 0
-    ranks = [len(n)] + [rank(fld, m) for m in powers[:-1]] + [0, 0]
+        ranks.append(rank(fld, power))
+        if not ranks[-1]:
+            break
+        power = mat_mul(fld, power, n)
+    else:
+        if not is_zero_matrix(power):
+            raise ValueError("matrix is not p-nilpotent (p = %d)" % p)
+    ranks += [0] * (p + 2 - len(ranks))
     counts = tuple(ranks[i - 1] - 2 * ranks[i] + ranks[i + 1] for i in range(1, p + 1))
     return JordanType(p, counts)
 
@@ -358,18 +356,40 @@ def _scan_fields(base: Field, max_ext: int) -> List[Field]:
 
 def iter_scan_points(desc: GroupSchemeDesc, base: Field, max_ext: int,
                      rng: Optional[random.Random] = None):
-    """Yield (field, point) pairs over extensions of degree <= max_ext,
-    falling back to a seeded sample when full enumeration is too large."""
+    """Yield (field, point, weight, sampled) over extensions of degree <=
+    max_ext.  A field is scanned on P(G): one representative per G_m-orbit
+    (``orbit_representatives``), weighing the q - 1 points of its orbit.
+    When more than ``_SCAN_LIMIT`` representatives would be walked, a
+    seeded sample of ``_SAMPLE_COUNT`` points stands in, each weighing 1."""
     if rng is None:
         rng = random.Random(0)
     for fld in _scan_fields(base, max_ext):
-        dim = point_dim(desc)
-        if fld.q ** dim <= _SCAN_LIMIT:
-            for point in enumerate_points(desc, fld):
-                yield fld, point, False
+        if representative_count(desc, fld) <= _SCAN_LIMIT:
+            for point in orbit_representatives(desc, fld):
+                yield fld, point, fld.q - 1, False
         else:
             for point in sample_points(desc, fld, _SAMPLE_COUNT, rng):
-                yield fld, point, True
+                yield fld, point, 1, True
+
+
+def homogeneous_degree(theta: ThetaMatrix) -> int:
+    """The common weighted degree of the entries of Theta.  It makes
+    Theta(lambda . x) = lambda^deg Theta(x), so every power of the local
+    operator has one rank, kernel, image and Jordan type on each G_m-orbit:
+    the theorem the orbit scans rest on.  Raises ``EngineInvariantError``
+    when the entries have no common degree."""
+    deg = theta.mat.entries_homogeneous_of_degree()
+    if deg is None:
+        raise EngineInvariantError(
+            "Theta of a %s-module is not weighted-homogeneous of one degree, "
+            "so it is not constant on G_m-orbits" % theta.desc.label())
+    return deg
+
+
+def orbit_scan(theta: ThetaMatrix, max_ext: int, rng: Optional[random.Random] = None):
+    """``iter_scan_points`` for theta, once its homogeneity is checked."""
+    homogeneous_degree(theta)
+    return iter_scan_points(theta.desc, theta.rep.fld, max_ext, rng)
 
 
 def constant_jrank_report(theta: ThetaMatrix, j: int, max_ext: int = 2,
@@ -377,18 +397,17 @@ def constant_jrank_report(theta: ThetaMatrix, j: int, max_ext: int = 2,
     """Scan the rank of the j-th power of the local operator over all points
     of V(G) with coordinates in extensions up to degree max_ext, and compare
     with the generic rank over a chart when one is available."""
-    desc = theta.desc
     ranks_seen: Dict[int, Point] = {}
     fields: List[Tuple[int, int]] = []
     count = 0
     sampled = False
-    for fld, point, was_sampled in iter_scan_points(desc, theta.rep.fld, max_ext, rng):
+    for fld, point, weight, was_sampled in orbit_scan(theta, max_ext, rng):
         sampled = sampled or was_sampled
         if (fld.p, fld.e) not in fields:
             fields.append((fld.p, fld.e))
         m = theta.mat.evaluate(point, fld)
         r = rank(fld, mat_pow(fld, m, j))
-        count += 1
+        count += weight
         if r not in ranks_seen:
             ranks_seen[r] = point
     gen = generic_jrank(theta, j)
@@ -423,7 +442,7 @@ def jtype_scan(theta: ThetaMatrix, max_ext: int = 1,
                rng: Optional[random.Random] = None) -> Dict[JordanType, Point]:
     """Distinct local Jordan types with one witness point each."""
     seen: Dict[JordanType, Point] = {}
-    for fld, point, _ in iter_scan_points(theta.desc, theta.rep.fld, max_ext, rng):
+    for fld, point, _, _ in orbit_scan(theta, max_ext, rng):
         jt = jordan_type(fld, theta.mat.evaluate(point, fld), theta.desc.p)
         if jt not in seen:
             seen[jt] = point
@@ -432,15 +451,17 @@ def jtype_scan(theta: ThetaMatrix, max_ext: int = 1,
 
 def rank_variety_scan(theta: ThetaMatrix, j: int = 1, max_ext: int = 1,
                       rng: Optional[random.Random] = None) -> Dict[Point, int]:
-    """Rank of the j-th power of the local operator at every scanned point
-    (the locus of sub-maximal rank is the interesting part)."""
+    """Rank of the j-th power of the local operator at every scanned point,
+    in lexicographic order (the locus of sub-maximal rank is the
+    interesting part).  Each orbit is filled in from its representative."""
     out: Dict[Point, int] = {}
-    for fld, point, _ in iter_scan_points(theta.desc, theta.rep.fld, max_ext, rng):
+    for fld, point, _, sampled in orbit_scan(theta, max_ext, rng):
         if fld.e != 1:
             continue
-        m = theta.mat.evaluate(point, fld)
-        out[point] = rank(fld, mat_pow(fld, m, j))
-    return out
+        r = rank(fld, mat_pow(fld, theta.mat.evaluate(point, fld), j))
+        for pt in [point] if sampled else orbit(theta.desc, point, fld):
+            out[pt] = r
+    return dict(sorted(out.items()))
 
 
 def constant_kernel_image_property(theta: ThetaMatrix, j: int, max_ext: int = 1,
@@ -450,7 +471,7 @@ def constant_kernel_image_property(theta: ThetaMatrix, j: int, max_ext: int = 1,
     verdicts and witnesses."""
     kernels: List[Tuple[Point, Matrix]] = []
     images: List[Tuple[Point, Matrix]] = []
-    for fld, point, _ in iter_scan_points(theta.desc, theta.rep.fld, max_ext, rng):
+    for fld, point, _, _ in orbit_scan(theta, max_ext, rng):
         if fld.e != 1:
             continue  # subspaces over different fields are not comparable
         m = mat_pow(fld, theta.mat.evaluate(point, fld), j)
@@ -487,6 +508,8 @@ __all__ = [
     "local_jtype",
     "mj_fiber_dim",
     "iter_scan_points",
+    "homogeneous_degree",
+    "orbit_scan",
     "constant_jrank_report",
     "generic_jrank",
     "jtype_scan",

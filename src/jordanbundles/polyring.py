@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .field import Field, Matrix
+from .field import Field, Matrix, add_scaled_entries
 
 Expo = Tuple[int, ...]
 
@@ -262,13 +262,16 @@ def monomial_basis(ring: WeightedRing, degree: int) -> List[Expo]:
 
 
 class PolyMatrix:
-    """Dense matrix with Poly entries over a common ring."""
+    """Dense matrix with Poly entries over a common ring.  A matrix is not
+    written to after construction: ``evaluate`` keeps a form built from
+    the entries on first use."""
 
-    __slots__ = ("ring", "rows")
+    __slots__ = ("ring", "rows", "_form")
 
     def __init__(self, ring: WeightedRing, rows: Sequence[Sequence[Poly]]):
         self.ring = ring
         self.rows = [list(r) for r in rows]
+        self._form = None
 
     @property
     def nrows(self) -> int:
@@ -348,8 +351,49 @@ class PolyMatrix:
     def max_degree(self) -> int:
         return max((a.degree() for r in self.rows for a in r), default=-1)
 
+    def _coefficient_form(self) -> tuple:
+        """The matrix as sum_m A_m x^m: a list of (monomial, entries) with
+        the monomial as its (variable, exponent) pairs and the entries
+        (i, j, c) of A_m, and the largest exponent of each variable."""
+        if self._form is None:
+            by_mono: Dict[Expo, List[Tuple[int, int, int]]] = {}
+            for i, r in enumerate(self.rows):
+                for j, a in enumerate(r):
+                    for e, c in a.terms.items():
+                        by_mono.setdefault(e, []).append((i, j, c))
+            top: Dict[int, int] = {}
+            form = []
+            for e, entries in by_mono.items():
+                mono = tuple((v, k) for v, k in enumerate(e) if k)
+                for v, k in mono:
+                    top[v] = max(top.get(v, 0), k)
+                form.append((mono, entries))
+            self._form = (form, top)
+        return self._form
+
     def evaluate(self, point: Sequence[int], fld: Optional[Field] = None) -> Matrix:
-        return [[poly_eval(a, point, fld) for a in r] for r in self.rows]
+        """The matrix at a point with coordinates in fld (defaults to the
+        ring's field; a bigger field evaluates prime-field entries at
+        extension points): one value per distinct monomial, then one
+        sparse linear combination of the coefficient matrices."""
+        if fld is None:
+            fld = self.ring.fld
+        form, top = self._coefficient_form()
+        powers = {}
+        for v, k in top.items():
+            x = point[v]
+            pw = [1, x]
+            for _ in range(k - 1):
+                pw.append(fld.mul(pw[-1], x))
+            powers[v] = pw
+        out = [[0] * self.ncols for _ in range(self.nrows)]
+        for mono, entries in form:
+            val = 1
+            for v, k in mono:
+                val = fld.mul(val, powers[v][k])
+            if val:
+                add_scaled_entries(fld, out, val, entries)
+        return out
 
     def map_entries(self, fn: Callable[[Poly], Poly], ring: Optional[WeightedRing] = None) -> "PolyMatrix":
         return PolyMatrix(ring or self.ring, [[fn(a) for a in r] for r in self.rows])

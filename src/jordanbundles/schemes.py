@@ -27,7 +27,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .field import (
     Field,
     Matrix,
+    commutant_basis,
     is_zero_matrix,
+    mat_combination,
     mat_mul,
     mat_pow,
     mat_sub,
@@ -396,15 +398,101 @@ def enumerate_points(
             yield point
 
 
-def sample_points(desc: GroupSchemeDesc, fld: Field, count: int, rng) -> List[Point]:
-    """Seeded random sample of (not necessarily distinct) nonzero points."""
-    out: List[Point] = []
+def _is_builtin_sl2(desc: GroupSchemeDesc) -> bool:
+    return desc.family == "restricted_lie" and desc.lie is None
+
+
+def orbit_representatives(desc: GroupSchemeDesc, fld: Optional[Field] = None) -> Iterator[Point]:
+    """One point of each G_m-orbit of nonzero points of V(G)(fld), in
+    lexicographic order.
+
+    lambda -> lambda^w is a bijection of fld^x for every weight w, so each
+    orbit has q - 1 points and exactly one of them has 1 as its first
+    nonzero coordinate; that point is yielded.  In the integer coding it
+    is also the lex-first point of its orbit, so a scan over
+    representatives meets the first witness of any orbit-invariant
+    property at the same point as a scan over all of V(G)(fld).
+
+    The affine families take a leading 1 and a free tail, the u(sl2) cone
+    z^2 + xy = 0 is (0, 1, 0) and (1, -z^2, z), and the other families keep
+    the leading-1 points of the ambient space that lie on V(G)."""
+    if fld is None:
+        fld = prime_field(desc.p)
+    if _is_builtin_sl2(desc):
+        yield (0, 1, 0)
+        yield from sorted((1, fld.neg(fld.mul(z, z)), z) for z in range(fld.q))
+        return
     dim = point_dim(desc)
+    affine = desc.family in ("multi_additive", "additive_kernel")
+    for lead in range(dim - 1, -1, -1):
+        head = (0,) * lead + (1,)
+        for tail in itertools.product(range(fld.q), repeat=dim - lead - 1):
+            point = head + tail
+            if affine or validate_point(desc, point, fld):
+                yield point
+
+
+def representative_count(desc: GroupSchemeDesc, fld: Field) -> int:
+    """The number of candidate points ``orbit_representatives`` walks
+    through: q + 1 on the u(sl2) cone, (q^dim - 1)/(q - 1) elsewhere."""
+    if _is_builtin_sl2(desc):
+        return fld.q + 1
+    return (fld.q ** point_dim(desc) - 1) // (fld.q - 1)
+
+
+def orbit(desc: GroupSchemeDesc, point: Sequence[int], fld: Optional[Field] = None) -> List[Point]:
+    """The G_m-orbit (lambda^(w_i) x_i) of a point, lambda = 1, ..., q - 1,
+    where w_i is the weight of the i-th coordinate (1 or a power of p)."""
+    if fld is None:
+        fld = prime_field(desc.p)
+    weights = coord_ring(desc)[0].weights
+    return [tuple(fld.mul(fld.pow(lam, w), x) for w, x in zip(weights, point))
+            for lam in range(1, fld.q)]
+
+
+def _ambient_draws(desc: GroupSchemeDesc, fld: Field, rng) -> Iterator[Optional[Point]]:
+    """Uniform points of the ambient space, None where off V(G)."""
+    dim = point_dim(desc)
+    while True:
+        point = tuple(rng.randrange(fld.q) for _ in range(dim))
+        yield point if validate_point(desc, point, fld) else None
+
+
+def _gln_draws(desc: GroupSchemeDesc, fld: Field, rng) -> Iterator[Optional[Point]]:
+    """Points of V(GL_n(2)) by structure: A_0 uniform among the n x n
+    matrices with A_0^p = 0 (1 in q^n draws for n <= p), then A_1 uniform
+    among the combinations of a commutant basis of A_0 with A_1^p = 0.
+    One random matrix per draw; None when a draw is rejected."""
+    n, p = desc.n, desc.p
+
+    def nilpotent(m: Matrix) -> bool:
+        return is_zero_matrix(mat_pow(fld, m, p))
+
+    while True:
+        a0 = [[rng.randrange(fld.q) for _ in range(n)] for _ in range(n)]
+        if not nilpotent(a0):
+            yield None
+            continue
+        basis = commutant_basis(fld, [a0], n)
+        while True:
+            a1 = mat_combination(fld, n, [rng.randrange(fld.q) for _ in basis], basis)
+            if nilpotent(a1):
+                yield tuple(x for m in (a0, a1) for row in m for x in row)
+                break
+            yield None
+
+
+def sample_points(desc: GroupSchemeDesc, fld: Field, count: int, rng) -> List[Point]:
+    """Seeded random sample of (not necessarily distinct) nonzero points,
+    from at most 10000 * count draws: by structure for gln_height2, else
+    uniform in the ambient space and kept when on V(G)."""
+    draws = (_gln_draws if desc.family == "gln_height2" else _ambient_draws)(desc, fld, rng)
+    out: List[Point] = []
     attempts = 0
     while len(out) < count and attempts < 10000 * count:
         attempts += 1
-        point = tuple(rng.randrange(fld.q) for _ in range(dim))
-        if any(point) and validate_point(desc, point, fld):
+        point = next(draws)
+        if point is not None and any(point):
             out.append(point)
     if len(out) < count:
         raise RuntimeError("could not sample enough points of %s" % desc.label())
@@ -504,6 +592,9 @@ __all__ = [
     "validate_point",
     "sl2_height2_check_disagreements",
     "enumerate_points",
+    "orbit_representatives",
+    "representative_count",
+    "orbit",
     "sample_points",
     "frobenius_point_map",
     "st_ring",

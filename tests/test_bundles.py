@@ -482,3 +482,23 @@ def test_negative_k0_rank_raises():
     comp = ComponentModule(b, ker_power=1, im_power=1)
     with pytest.raises(EngineInvariantError, match="negative rank"):
         bundles._sheaf_report(comp, K0Class(-2, 1), 0, {})
+
+
+def test_subquotient_forms_each_power_once(monkeypatch):
+    # B^j and B^q are formed once and shared by both kernel counts and the
+    # component module (which still checks B^j B^q = 0)
+    b = restrict_p1(theta_global(construct_syzygy_E2(1, 3)))
+    calls = []
+    real = PolyMatrix.power
+
+    def power(self, n):
+        calls.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(PolyMatrix, "power", power)
+    expected = str(subquotient_mj(b, 1).splitting)
+    assert sorted(calls) == [1, 2]
+    calls.clear()
+    image_sheaf_report(b, 1)
+    assert calls == [1]
+    assert expected == "O(-2)"

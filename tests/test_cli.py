@@ -273,3 +273,36 @@ def test_engine_invariant_failure_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("error [E_INTERNAL]:")
+
+
+def test_inhomogeneous_theta_exits_3(capsys, monkeypatch):
+    # an orbit scan over a Theta whose entries have no common weighted
+    # degree is an engine fault, not an input error
+    import jordanbundles.cli as cli
+    from jordanbundles.operators import ThetaMatrix, theta_global
+    from jordanbundles.polyring import PolyMatrix
+
+    def bad_theta(rep):
+        th = theta_global(rep)
+        u0 = th.ring.var(0)
+        rows = [list(r) for r in th.mat.rows]
+        rows[0][0] = rows[0][0] + u0 * u0
+        return ThetaMatrix(rep, th.ring, PolyMatrix(th.ring, rows), 1)
+
+    monkeypatch.setattr(cli, "theta_global", bad_theta)
+    code, out, err = run_cli(
+        ["analyze", "--group", "ga1xga1", "--p", "3", "--builtin", "zigzag:1",
+         "--op", "constant-rank", "--format", "json"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error [E_INTERNAL]:") and "homogeneous" in err
+
+
+def test_twist_check_counts_every_nonzero_point():
+    # one check per orbit representative, counted for the q - 1 points of
+    # its orbit: 25 G_a(2) modules at the 80 nonzero points of F_9^2, and
+    # 25 G_a(3) modules, twisted once and twice, at the 728 of F_9^3
+    rows = CHECKS["twist"][1](3, 4, 2026)
+    assert rows[0]["check"] == "twist identity failures (of %d checks)" % (
+        25 * 80 + 25 * 2 * 728)
+    assert rows[0]["pass"]

@@ -4,17 +4,22 @@ import random
 
 import pytest
 
+import jordanbundles.modules as modules
 from jordanbundles.field import (
     identity,
     is_zero_matrix,
     mat_mul,
     mat_pow,
+    mat_vec,
     prime_field,
     rank,
+    row_reduce,
+    zeros,
 )
 from jordanbundles.modules import (
     ModuleRep,
     _fitting,
+    coords_in_basis,
     construct_duals_example,
     construct_steinberg,
     construct_syzygy_E2,
@@ -286,6 +291,67 @@ def test_gln_tensor_power_dims():
     assert gln_natural(3, 2).dim == 2
     assert gln_tensor_power(3, 2, 2).dim == 4
     assert gln_tensor_power(2, 3, 2).dim == 9
+
+
+def _restrict_by_vectors(rep, basis_rows):
+    # the induced action one basis vector at a time, by mat_vec
+    fld = rep.fld
+    basis, pivots = row_reduce(fld, basis_rows)
+    action = {}
+    for nm, m in rep.action.items():
+        sub = zeros(len(basis), len(basis))
+        for col, b in enumerate(basis):
+            for row, c in enumerate(coords_in_basis(fld, basis, pivots, mat_vec(fld, m, b))):
+                sub[row][col] = c
+        action[nm] = sub
+    return action
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_restrict_subspace_matches_vector_route_on_syzygies(p, monkeypatch):
+    # the one-mat_mul restriction gives the same action matrices as the
+    # per-vector route on every subspace the syzygies Omega^1..Omega^4 use
+    calls = []
+    real = modules.restrict_subspace
+
+    def spy(rep, basis_rows):
+        out = real(rep, basis_rows)
+        calls.append((rep, basis_rows, out))
+        return out
+
+    monkeypatch.setattr(modules, "restrict_subspace", spy)
+    for n in range(1, 5):
+        construct_syzygy_E2(n, p)
+    assert len(calls) == 4
+    for rep, basis_rows, out in calls:
+        assert out.action == _restrict_by_vectors(rep, basis_rows)
+
+
+def test_random_candidates_do_not_clear_certified(monkeypatch):
+    # only a commutant basis element without an eigenvalue clears the
+    # certificate; a random combination that finds none must not
+    comms = []
+    real_commutant = modules.commutant_basis
+
+    def commutant(fld, mats, n):
+        comms.append(real_commutant(fld, mats, n))
+        return comms[-1]
+
+    seen = {"basis": 0, "draw": 0}
+
+    def fitting(fld, c):
+        if any(c is b for b in comms[-1]):
+            seen["basis"] += 1
+            return True
+        seen["draw"] += 1
+        return False
+
+    monkeypatch.setattr(modules, "commutant_basis", commutant)
+    monkeypatch.setattr(modules, "_fitting", fitting)
+    summands, rpt = decompose_summands(construct_steinberg(3), rng=random.Random(1))
+    assert seen["basis"] == len(comms[0]) and seen["draw"] > 0
+    assert rpt.certified and not rpt.extended
+    assert [m.dim for m in summands] == [3]
 
 
 def test_restrict_subspace_closed():

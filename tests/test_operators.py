@@ -23,7 +23,9 @@ from jordanbundles.modules import (
     trivial_module,
 )
 from jordanbundles.operators import (
+    EngineInvariantError,
     JordanType,
+    ThetaMatrix,
     constant_jrank_report,
     constant_kernel_image_property,
     generic_jrank,
@@ -32,18 +34,23 @@ from jordanbundles.operators import (
     jtype_scan,
     local_jtype,
     mj_fiber_dim,
+    orbit_scan,
     rank_variety_scan,
     theta_global,
     theta_local,
 )
+from jordanbundles.polyring import PolyMatrix
 from jordanbundles.schemes import (
     additive_kernel,
     enumerate_points,
     frobenius_point_map,
     generator_names,
     multi_additive,
+    orbit,
+    restricted_lie,
     restricted_lie_sl2,
     sl2_height2,
+    sl2_lie_data,
 )
 
 
@@ -399,3 +406,102 @@ def test_pullback_to_subgroup_is_variable_restriction():
         for b in range(p):
             assert th2.mat.evaluate((a, b), rep3.fld) == \
                 th3.mat.evaluate((a, b, 0), rep3.fld)
+
+
+# ---------------------------------------------------------------------------
+# the orbit scan on P(G) against the plain affine scan of V(G)
+
+
+def _custom_sl2(p):
+    # u(sl2) given by structure constants: its cone comes from Jacobson's
+    # formula rather than from the closed form z^2 + xy = 0
+    weyl = construct_weyl_sl2(2, p)
+    return ModuleRep(restricted_lie(p, sl2_lie_data()), weyl.fld, weyl.dim, weyl.action)
+
+
+ORBIT_SCAN_CASES = [
+    ("Ga(1)^x2-p3", 2, lambda: random_module(multi_additive(3, 2), 3, random.Random(1))),
+    ("Ga(1)^x2-p5", 2, lambda: random_module(multi_additive(5, 2), 3, random.Random(2))),
+    ("Ga(1)^x3-p3", 2, lambda: random_module(multi_additive(3, 3), 3, random.Random(3))),
+    ("Ga(2)-p3", 2, lambda: random_module(additive_kernel(3, 2), 3, random.Random(4))),
+    ("Ga(2)-p5", 2, lambda: random_module(additive_kernel(5, 2), 3, random.Random(5))),
+    ("Ga(3)-p3", 2, lambda: random_module(additive_kernel(3, 3), 2, random.Random(6))),
+    ("u_sl2-p3", 2, lambda: random_module(restricted_lie_sl2(3), 4, random.Random(7))),
+    ("u_sl2-p5", 2, lambda: construct_weyl_sl2(3, 5)),
+    ("lie-sl2-p3", 2, lambda: _custom_sl2(3)),
+    ("lie-sl2-p5", 2, lambda: _custom_sl2(5)),
+    # V(G) over F_9 and F_25 is too large to walk point by point for the
+    # height-2 families; their prime fields are compared instead
+    ("SL2(2)-p3", 1, lambda: sl2_height2_natural(3)),
+    ("GL2(2)-p3", 1, lambda: gln_tensor_power(3, 2, 2)),
+    ("GL2(2)-p2", 1, lambda: gln_natural(2, 2)),
+]
+
+
+@pytest.mark.parametrize("label,max_ext,build", ORBIT_SCAN_CASES,
+                         ids=[c[0] for c in ORBIT_SCAN_CASES])
+def test_orbit_scan_matches_affine_scan(label, max_ext, build):
+    th = theta_global(build())
+    p = th.desc.p
+    # the plain affine scan: every nonzero point of every field, in order
+    affine = {}
+    first_jt, first_rank = {}, {}
+    flds = []
+    for e in range(1, max_ext + 1):
+        fld = ext_field_build(p, e)
+        flds.append(fld)
+        for pt in enumerate_points(th.desc, fld):
+            m = th.mat.evaluate(pt, fld)
+            jt = jordan_type(fld, m, p)
+            affine[(e, pt)] = jt
+            first_jt.setdefault(jt, pt)
+            first_rank.setdefault(rank(fld, m), pt)
+    # the orbit scan: one representative per orbit with its orbit size
+    weight = 0
+    for fld, pt, size, sampled in orbit_scan(th, max_ext):
+        assert not sampled and size == fld.q - 1
+        jt = jordan_type(fld, th.mat.evaluate(pt, fld), p)
+        for q_pt in orbit(th.desc, pt, fld):
+            assert affine[(fld.e, q_pt)] == jt
+        weight += size
+    assert weight == len(affine)
+    assert jtype_scan(th, max_ext=max_ext) == first_jt
+    rpt = constant_jrank_report(th, 1, max_ext=max_ext)
+    assert rpt.points_scanned == len(affine)
+    assert rpt.ranks_seen == first_rank
+    assert rpt.fields_scanned == [(f.p, f.e) for f in flds]
+    assert not rpt.sampled
+
+
+def test_rank_variety_scan_fills_every_orbit():
+    th = theta_global(sl2_height2_natural(3))
+    ranks = rank_variety_scan(th, j=1, max_ext=1)
+    fld = prime_field(3)
+    pts = list(enumerate_points(th.desc, fld))
+    assert list(ranks) == pts
+    assert all(ranks[pt] == rank(fld, th.mat.evaluate(pt, fld)) for pt in pts)
+
+
+def _inhomogeneous_theta():
+    # zig-zag's Theta with one entry u_0 replaced by u_0^2 + u_0
+    th = theta_global(construct_zigzag(1, 3))
+    u0 = th.ring.var(0)
+    rows = [list(r) for r in th.mat.rows]
+    i, j = next((i, j) for i, r in enumerate(rows) for j, a in enumerate(r) if not a.is_zero())
+    rows[i][j] = u0 * u0 + u0
+    return ThetaMatrix(th.rep, th.ring, PolyMatrix(th.ring, rows), 1)
+
+
+@pytest.mark.parametrize("scan", [
+    lambda th: constant_jrank_report(th, 1, max_ext=1),
+    lambda th: jtype_scan(th, max_ext=1),
+    lambda th: rank_variety_scan(th, j=1, max_ext=1),
+    lambda th: constant_kernel_image_property(th, 1, max_ext=1),
+])
+def test_orbit_scans_refuse_inhomogeneous_theta(scan):
+    # Theta(l.x) = l^deg Theta(x) is what lets one representative stand
+    # for its orbit; without it the scan is an engine fault
+    th = _inhomogeneous_theta()
+    assert th.mat.entries_homogeneous_of_degree() is None
+    with pytest.raises(EngineInvariantError, match="homogeneous"):
+        scan(th)

@@ -159,3 +159,30 @@ def test_polymatrix_power_and_substitute():
     assert sq.is_zero()
     assert mat.entries_homogeneous_of_degree() == 1
     assert mat.evaluate((2,), F3) == [[0, 2], [0, 0]]
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_evaluate_matches_entrywise_poly_eval(data):
+    # the coefficient form Theta = sum_m A_m x^m against one poly_eval per
+    # entry: prime-field matrices at prime and extension points, extension
+    # matrices at their own points, with coordinates that are often zero
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    ring_e = data.draw(st.sampled_from([1, 2]), label="ring degree")
+    point_e = data.draw(st.sampled_from([ring_e, 2]), label="point degree")
+    ring_fld = ext_field_build(p, ring_e)
+    fld = ext_field_build(p, point_e)
+    nvars = data.draw(st.integers(1, 3), label="nvars")
+    weights = tuple(data.draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars)))
+    ring = WeightedRing(ring_fld, tuple("x%d" % i for i in range(nvars)), weights)
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    nrows, ncols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    mat = PolyMatrix(ring, [[_random_poly(ring, rng, nterms=4, maxexp=6) for _ in range(ncols)]
+                            for _ in range(nrows)])
+    point = tuple(data.draw(st.one_of(st.just(0), st.integers(0, fld.q - 1)))
+                  for _ in range(nvars))
+    expected = [[poly_eval(a, point, fld) for a in r] for r in mat.rows]
+    assert mat.evaluate(point, fld) == expected
+    assert mat.evaluate(point, fld) == expected  # the kept form gives it again
+    if point_e == ring_e:
+        assert mat.evaluate(point) == expected

@@ -6,7 +6,14 @@ import pytest
 
 import itertools
 
-from jordanbundles.field import ext_field_build, is_zero_matrix, mat_pow, prime_field
+from jordanbundles.field import (
+    commutant_basis,
+    ext_field_build,
+    is_zero_matrix,
+    mat_mul,
+    mat_pow,
+    prime_field,
+)
 from jordanbundles.polyring import poly_eval, substitute
 from jordanbundles.schemes import (
     GroupSchemeDesc,
@@ -20,7 +27,10 @@ from jordanbundles.schemes import (
     generic_p_power,
     gln_height2,
     multi_additive,
+    orbit,
+    orbit_representatives,
     p1_chart,
+    representative_count,
     restricted_lie,
     restricted_lie_sl2,
     sample_points,
@@ -219,3 +229,75 @@ def test_sl2_nilpotent_cone_closed_form_matches_matrix_power(p, e):
     for point in itertools.product(range(fld.q), repeat=3):
         m = _trace_free_matrix(fld, *point)
         assert validate_point(desc, point, fld) == is_zero_matrix(mat_pow(fld, m, p))
+
+
+# ---------------------------------------------------------------------------
+# G_m-orbits and the structural GL_n(2) sampler
+
+ORBIT_DESCS = [
+    (multi_additive(3, 3), ext_field_build(3, 2)),
+    (additive_kernel(5, 2), ext_field_build(5, 2)),
+    (restricted_lie_sl2(3), ext_field_build(3, 2)),
+    (restricted_lie_sl2(5), ext_field_build(5, 2)),
+    (restricted_lie(3, sl2_lie_data()), ext_field_build(3, 2)),
+    (sl2_height2(3), prime_field(3)),
+    (gln_height2(3, 2), prime_field(3)),
+]
+
+
+@pytest.mark.parametrize("desc,fld", ORBIT_DESCS, ids=lambda x: str(x))
+def test_orbit_representatives_partition_the_points(desc, fld):
+    # each representative is the lex-first point of its orbit, the
+    # representatives come in lex order, and their orbits of q - 1 points
+    # each cover every nonzero point exactly once
+    reps = list(orbit_representatives(desc, fld))
+    assert reps == sorted(reps)
+    assert representative_count(desc, fld) >= len(reps)
+    covered = []
+    for rep in reps:
+        orb = orbit(desc, rep, fld)
+        assert len(set(orb)) == fld.q - 1
+        assert min(orb) == rep and rep[next(i for i, x in enumerate(rep) if x)] == 1
+        covered += orb
+    points = list(enumerate_points(desc, fld))
+    assert len(covered) == len(points) == len(reps) * (fld.q - 1)
+    assert set(covered) == set(points)
+
+
+def test_sl2_cone_representatives_are_p1():
+    fld = ext_field_build(5, 2)
+    reps = list(orbit_representatives(restricted_lie_sl2(5), fld))
+    assert len(reps) == representative_count(restricted_lie_sl2(5), fld) == fld.q + 1
+    assert reps[0] == (0, 1, 0)
+
+
+@pytest.mark.parametrize("p,n,e", [(3, 3, 1), (2, 3, 1), (3, 2, 2), (5, 2, 1)])
+def test_gln_sampler_draws_valid_points_by_structure(p, n, e):
+    desc = gln_height2(p, n)
+    fld = ext_field_build(p, e)
+    a = sample_points(desc, fld, 60, random.Random(11))
+    b = sample_points(desc, fld, 60, random.Random(11))
+    assert len(a) == 60 and a == b
+    assert all(any(pt) and validate_point(desc, pt, fld) for pt in a)
+    # the draws are not all alike: A_0 varies
+    assert len({pt[:n * n] for pt in a}) > 1
+
+
+def test_gln3_scan_samples_sixty_points():
+    from jordanbundles.operators import iter_scan_points
+
+    desc = gln_height2(3, 3)
+    got = list(iter_scan_points(desc, prime_field(3), 1, random.Random(0)))
+    assert len(got) == 60
+    assert all(w == 1 and sampled for _, _, w, sampled in got)
+
+
+def test_commutant_basis():
+    rng = random.Random(4)
+    fld = ext_field_build(3, 2)
+    for n in (1, 2, 3):
+        a = [[rng.randrange(fld.q) for _ in range(n)] for _ in range(n)]
+        basis = commutant_basis(fld, [a], n)
+        assert len(basis) >= n  # the powers of a are independent up to its degree
+        assert all(mat_mul(fld, a, x) == mat_mul(fld, x, a) for x in basis)
+    assert len(commutant_basis(fld, [[[0] * 3 for _ in range(3)]], 3)) == 9
