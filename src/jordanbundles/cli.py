@@ -8,8 +8,9 @@ Two subcommands:
 * ``reproduce`` — one of the paper checks in ``checks.CHECKS`` as a
   pass/fail table.
 
-Exit codes: 0 success, 1 input error, 2 mathematical counterexample or
-reproduction mismatch, 3 engine invariant failure.
+Exit codes: 0 success, 1 input error or too few sampled points
+(``E_SAMPLE``), 2 mathematical counterexample or reproduction mismatch,
+3 engine invariant failure.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .checks import CHECKS
 from .field import Field, prime_field
 from .schemes import (
     GroupSchemeDesc,
+    SamplingError,
     additive_kernel,
     gln_height2,
     multi_additive,
@@ -428,6 +430,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report, code = run_reproduce(args)
     except InputError as exc:
         print("error [%s]: %s" % (exc.code, exc), file=sys.stderr)
+        return 1
+    except SamplingError as exc:
+        print("error [E_SAMPLE]: %s" % exc, file=sys.stderr)
         return 1
     except EngineInvariantError as exc:
         print("error [E_INTERNAL]: %s" % exc, file=sys.stderr)

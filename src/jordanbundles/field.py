@@ -29,6 +29,11 @@ Table = Tuple[Tuple[int, ...], ...]
 _TABLE_LIMIT = 512  # build arithmetic tables for fields up to this order
 
 
+class EngineInvariantError(RuntimeError):
+    """A theorem the engine relies on failed to hold in a computation: a
+    bug in the engine, never a fault of the input."""
+
+
 def _poly_mul_mod(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> List[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
@@ -324,6 +329,14 @@ def mat_mul(fld: Field, a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
+def mat_sub_scalar(fld: Field, a: Matrix, lam: int) -> Matrix:
+    """a - lam * 1 as a new matrix."""
+    out = [row[:] for row in a]
+    for i in range(len(a)):
+        out[i][i] = fld.sub(out[i][i], lam)
+    return out
+
+
 def mat_combination(fld: Field, n: int, coeffs: Sequence[int], mats: Sequence[Matrix]) -> Matrix:
     """The n x n matrix sum of c * m over the pairs of coefficients and
     matrices."""
@@ -334,23 +347,95 @@ def mat_combination(fld: Field, n: int, coeffs: Sequence[int], mats: Sequence[Ma
     return out
 
 
+def _eigenbasis(fld: Field, a: Matrix) -> Optional[Tuple[Matrix, List[int]]]:
+    """When a is diagonalisable over F_q with more than one eigenvalue (a is
+    no scalar and a^q = a, as x^q - x has the elements of F_q as simple
+    roots): a basis of eigenvectors grouped by eigenvalue, and the group
+    sizes.  Else None."""
+    n = len(a)
+    if all(a[i][j] == (a[0][0] if i == j else 0) for i in range(n) for j in range(n)):
+        return None
+    if mat_pow(fld, a, fld.q) != a:
+        return None
+    vectors: Matrix = []
+    sizes: List[int] = []
+    for lam in range(fld.q):
+        space = kernel_basis(fld, mat_sub_scalar(fld, a, lam), n)
+        if space:
+            vectors += space
+            sizes.append(len(space))
+    return vectors, sizes
+
+
+def kernel_form(fld: Field, mats: Iterable[Matrix], n: int) -> List[Matrix]:
+    """The basis of the span of the n x n matrices ``mats`` that
+    ``kernel_basis`` returns for any system in the n^2 entries (row-major)
+    whose solutions are that span.  Each of its vectors ends in a 1 at a
+    coordinate where the others vanish, so read backwards they are the RREF
+    of the span with its rows in reverse order: the basis depends only on
+    the span."""
+    rref, _ = row_reduce(fld, ([x for row in reversed(m) for x in reversed(row)] for m in mats))
+    return [[v[i * n:(i + 1) * n] for i in range(n)]
+            for v in (row[::-1] for row in reversed(rref))]
+
+
 def commutant_basis(fld: Field, mats: Iterable[Matrix], n: int) -> List[Matrix]:
-    """A basis of the n x n matrices X with AX = XA for every A in mats."""
+    """A basis of the n x n matrices X with AX = XA for every A in mats: the
+    one ``kernel_basis`` returns for the Kronecker system in the entries of X.
+
+    Eigenblocks: when some A in mats is diagonalisable over F_q with more
+    than one eigenvalue (h, in every u(sl2) module and any basis), every such
+    X keeps each eigenspace of A.  In an eigenbasis P the unknowns are only
+    the entries of the diagonal blocks of X' = P^-1 X P, and the equations
+    of A vanish.  The solutions go back by X = P X' P^-1 and are brought to
+    the basis ``kernel_form`` gives their span.  Without such an A the
+    system is the Kronecker one, as a single block."""
+    mats = list(mats)
+    sizes, others, p = [n], mats, None
+    for k, a in enumerate(mats):
+        eig = _eigenbasis(fld, a)
+        if eig:
+            vectors, sizes = eig
+            p = transpose(vectors)
+            p_inv = inverse(fld, p)
+            others = [mat_mul(fld, p_inv, mat_mul(fld, b, p)) for b in mats[:k] + mats[k + 1:]]
+            break
+    # each index's block: its start, its size and the offset of its unknowns,
+    # X'[k][j] being unknown offset + (k - start) * size + (j - start)
+    blocks: List[Tuple[int, int, int]] = []
+    unknowns = 0
+    for d in sizes:
+        blocks += [(len(blocks), d, unknowns)] * d
+        unknowns += d * d
     rows: List[Vector] = []
-    for a in mats:
+    for a in others:
         for i in range(n):
+            si, di, oi = blocks[i]
             for j in range(n):
-                row = [0] * (n * n)
-                for k in range(n):
-                    # (A X)_{ij} has coefficient A[i][k] on X[k][j]
+                sj, dj, oj = blocks[j]
+                row = [0] * unknowns
+                # (A X')_{ij} has coefficient A[i][k] on X'[k][j]
+                for k in range(sj, sj + dj):
                     if a[i][k]:
-                        row[k * n + j] = fld.add(row[k * n + j], a[i][k])
-                    # (X A)_{ij} has coefficient A[k][j] on X[i][k]
+                        u = oj + (k - sj) * dj + j - sj
+                        row[u] = fld.add(row[u], a[i][k])
+                # (X' A)_{ij} has coefficient A[k][j] on X'[i][k]
+                for k in range(si, si + di):
                     if a[k][j]:
-                        row[i * n + k] = fld.sub(row[i * n + k], a[k][j])
+                        u = oi + (i - si) * di + k - si
+                        row[u] = fld.sub(row[u], a[k][j])
                 if any(row):
                     rows.append(row)
-    return [[v[i * n:(i + 1) * n] for i in range(n)] for v in kernel_basis(fld, rows, n * n)]
+    solutions = []
+    for v in kernel_basis(fld, rows, unknowns):
+        x = zeros(n, n)
+        for i in range(n):
+            si, di, oi = blocks[i]
+            x[i][si:si + di] = v[oi + (i - si) * di:oi + (i - si + 1) * di]
+        solutions.append(x)
+    if p is None:
+        return solutions
+    return kernel_form(fld, (mat_mul(fld, p, mat_mul(fld, x, p_inv)) for x in solutions), n)
 
 
 def add_scaled_entries(fld: Field, out: Matrix, c: int,
@@ -571,6 +656,7 @@ def random_invertible(fld: Field, n: int, rng) -> Matrix:
 
 
 __all__ = [
+    "EngineInvariantError",
     "Field",
     "Matrix",
     "Vector",
@@ -583,7 +669,9 @@ __all__ = [
     "mat_sub",
     "mat_scale",
     "mat_mul",
+    "mat_sub_scalar",
     "mat_combination",
+    "kernel_form",
     "commutant_basis",
     "add_scaled_entries",
     "mat_vec",

@@ -13,25 +13,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .field import (
+    EngineInvariantError,
     Field,
     Matrix,
     Vector,
     commutant_basis,
     ext_field_build,
     identity,
+    inverse,
     is_zero_matrix,
     kernel_basis,
+    kernel_form,
     mat_add,
     mat_combination,
     mat_mul,
     mat_pow,
     mat_scale,
     mat_sub,
+    mat_sub_scalar,
     prime_field,
+    random_invertible,
     reduce_vector,
     row_reduce,
     span_basis,
@@ -563,31 +567,81 @@ _SPLIT_TRIES = 25
 _COMMUTING_TRIES = 400
 
 
-def _fitting(fld: Field, c: Matrix) -> Union[bool, Tuple[Matrix, Matrix]]:
+def _fitting(fld: Field, c: Matrix) -> Union[None, int, Tuple[Matrix, Matrix]]:
     """Fitting scan of an n x n endomorphism c over lam in F_q, in order.
 
     At the first lam with 0 < dim ker (c - lam)^n < n, returns that kernel
     and the image of (c - lam)^n: two complementary c-invariant subspaces
-    (RREF row bases).  Returns True at a lam with (c - lam)^n = 0: c - lam
-    is nilpotent, so c - lam' is invertible for every other lam' and no
-    split exists.  Returns False when no lam gives either."""
+    (RREF row bases).  Returns lam itself at a lam with (c - lam)^n = 0:
+    c - lam is nilpotent, so c - lam' is invertible for every other lam' and
+    no split exists.  Returns None when no lam gives either."""
     n = len(c)
     for lam in range(fld.q):
-        shifted = [row[:] for row in c]
-        for i in range(n):
-            shifted[i][i] = fld.sub(shifted[i][i], lam)
-        power = mat_pow(fld, shifted, n)
+        power = mat_pow(fld, mat_sub_scalar(fld, c, lam), n)
         ker = kernel_basis(fld, power, n)
         if len(ker) == n:
-            return True
+            return lam
         if ker:
             return span_basis(fld, ker), span_basis(fld, [list(col) for col in zip(*power)])
-    return False
+    return None
+
+
+def _corner_rings(fld: Field, comm: Sequence[Matrix], u: Matrix,
+                  w: Matrix) -> Tuple[List[Matrix], List[Matrix]]:
+    """Bases of End(U) and End(W) for a split M = U + W into submodules
+    (RREF row bases), from a basis comm of End(M): End(U) = pi_U End(M)
+    iota_U, so End(U) is spanned by the U block of Q^-1 X Q, Q = [U; W]^T,
+    over X in comm, and End(W) by its W block.  Both come in the
+    coordinates ``restrict_subspace`` gives U and W, in the basis
+    ``kernel_form`` gives their span, the one ``commutant_basis`` returns."""
+    q = transpose(u + w)
+    q_inv = inverse(fld, q)
+    a = len(u)
+    xq = [mat_mul(fld, x, q) for x in comm]
+    return (kernel_form(fld, (mat_mul(fld, q_inv[:a], [row[:a] for row in y]) for y in xq), a),
+            kernel_form(fld, (mat_mul(fld, q_inv[a:], [row[a:] for row in y]) for y in xq), len(w)))
+
+
+def _local_certificate(fld: Field, nil: Sequence[Matrix]) -> bool:
+    """Whether the span N of the matrices nil is a nilpotent ideal of
+    k*1 + N: N*N lies in N and the chain N > N^2 > ... reaches 0 (each
+    power strictly inside the one before, so within dim N steps).  Given
+    nil = {c_i - lam_i} for a basis c_i of End(M) that holds 1, this proves
+    End(M) = k*1 + N local with residue field k, so M is absolutely
+    indecomposable."""
+    n = len(nil[0]) if nil else 0
+
+    def flat(m: Matrix) -> Vector:
+        return [x for row in m for x in row]
+
+    def square(v: Vector) -> Matrix:
+        return [v[i * n:(i + 1) * n] for i in range(n)]
+
+    span, pivots = row_reduce(fld, map(flat, nil))
+    gens = [square(v) for v in span]
+    power = gens
+    while power:
+        products = [flat(mat_mul(fld, a, b)) for a in power for b in gens]
+        if power is gens and any(any(reduce_vector(fld, span, pivots, v)) for v in products):
+            return False
+        nxt = span_basis(fld, products)
+        if len(nxt) == len(power):
+            return False
+        power = [square(v) for v in nxt]
+    return True
 
 
 def decompose_summands(rep: ModuleRep, rng=None) -> Tuple[List[ModuleRep], DecompositionReport]:
     """Split a module into indecomposable direct summands by Fitting
-    decompositions of commuting endomorphisms.  If the commutant has an
+    decompositions of commuting endomorphisms.
+
+    The commutant End(M) is computed once, by eigenblocks
+    (``commutant_basis``); the ring of each summand U of a split is the
+    corner pi_U End(M) iota_U (``_corner_rings``), not a new system.  Each
+    basis element is scanned; when none splits M and each is a scalar lam_i
+    plus a nilpotent, the local certificate (``_local_certificate`` on the
+    c_i - lam_i) proves M indecomposable.  Otherwise up to ``_SPLIT_TRIES``
+    random combinations of the basis are scanned.  If the commutant has an
     endomorphism with no eigenvalue in the base field the computation is
     retried over a degree-one-larger extension (reported in the result)."""
     import random
@@ -595,32 +649,42 @@ def decompose_summands(rep: ModuleRep, rng=None) -> Tuple[List[ModuleRep], Decom
     if rng is None:
         rng = random.Random(0)
 
-    def split_all(m: ModuleRep) -> Tuple[List[ModuleRep], bool]:
-        """The summands of m, and whether every commutant basis element of
-        each is a scalar plus a nilpotent (its endomorphism ring certified
-        local).  Candidates: the commutant basis, then random combinations
-        of it, drawn one at a time once no basis element has split m."""
+    def split_all(m: ModuleRep, comm: List[Matrix]) -> Tuple[List[ModuleRep], bool]:
+        """The summands of m, given a basis comm of End(m), and whether every
+        basis element of each summand's ring is a scalar plus a nilpotent."""
         fld = m.fld
-        comm = commutant_basis(fld, m.action.values(), m.dim)
-        draws = (mat_combination(fld, m.dim, [rng.randrange(fld.q) for _ in comm], comm)
-                 for _ in range(_SPLIT_TRIES))
-        certified = True
-        for k, cand in enumerate(chain(comm, draws)):
+        lams = []
+        for cand in comm:
             got = _fitting(fld, cand)
-            if got is False and k < len(comm):
-                certified = False
-            elif isinstance(got, tuple):
-                ls, lc = split_all(restrict_subspace(m, got[0]))
-                rs, rc = split_all(restrict_subspace(m, got[1]))
-                return ls + rs, lc and rc
+            if isinstance(got, tuple):
+                return split(m, comm, got)
+            lams.append(got)
+        certified = None not in lams
+        if certified and _local_certificate(fld, [mat_sub_scalar(fld, c, lam)
+                                                  for c, lam in zip(comm, lams)]):
+            return [m], True
+        for _ in range(_SPLIT_TRIES):
+            got = _fitting(fld, mat_combination(fld, m.dim, [rng.randrange(fld.q) for _ in comm], comm))
+            if isinstance(got, tuple):
+                return split(m, comm, got)
         return [m], certified
 
+    def split(m: ModuleRep, comm: List[Matrix],
+              got: Tuple[Matrix, Matrix]) -> Tuple[List[ModuleRep], bool]:
+        u_comm, w_comm = _corner_rings(m.fld, comm, *got)
+        ls, lc = split_all(restrict_subspace(m, got[0]), u_comm)
+        rs, rc = split_all(restrict_subspace(m, got[1]), w_comm)
+        return ls + rs, lc and rc
+
     fld = rep.fld
-    parts, certified = split_all(rep)
+    # the commutant of matrices over F_p has a basis over F_p, and the same
+    # canonical one over every extension
+    comm = commutant_basis(fld, rep.action.values(), rep.dim)
+    parts, certified = split_all(rep, comm)
     extended = not certified and fld.e == 1
     if extended:
         fld = ext_field_build(fld.p, 2)
-        parts, certified = split_all(replace(rep, fld=fld))
+        parts, certified = split_all(replace(rep, fld=fld), comm)
     return parts, DecompositionReport(fld, extended, certified)
 
 
@@ -641,18 +705,13 @@ def principal_indecomposable_sl2(lam: int, p: int, fld: Optional[Field] = None) 
             continue
         # the right summand has a highest-weight vector of weight lam
         # generating a (lam+1)-dimensional (simple) socle
-        f2 = part.fld
-        rows = list(part.action["e"])
-        shifted = [row[:] for row in part.action["h"]]
-        for i in range(part.dim):
-            shifted[i][i] = f2.sub(shifted[i][i], lam % p)
-        rows = rows + shifted
-        for v in kernel_basis(f2, rows, part.dim):
+        rows = part.action["e"] + mat_sub_scalar(part.fld, part.action["h"], lam % p)
+        for v in kernel_basis(part.fld, rows, part.dim):
             sub, _ = submodule_generated(part, [v])
             if sub.dim == lam + 1:
                 part.label = "P_%d" % lam
                 return part
-    raise RuntimeError("projective summand P_%d not found" % lam)
+    raise EngineInvariantError("projective summand P_%d not found" % lam)
 
 
 # ---------------------------------------------------------------------------
@@ -663,8 +722,6 @@ def principal_indecomposable_sl2(lam: int, p: int, fld: Optional[Field] = None) 
 def random_nilpotent(fld: Field, dim: int, p: int, rng) -> Matrix:
     """Random matrix with N^p = 0: a random Jordan shape with parts <= p in
     a random basis."""
-    from .field import random_invertible, inverse
-
     parts: List[int] = []
     left = dim
     while left > 0:
@@ -710,8 +767,6 @@ def random_module(desc: GroupSchemeDesc, dim: int, rng, fld: Optional[Field] = N
         return ModuleRep(desc, fld, dim, dict(zip(names, mats)), label="random")
     if desc.family == "restricted_lie" and desc.lie is None:
         # random direct sum of Weyl modules conjugated by a random basis
-        from .field import random_invertible, inverse
-
         parts: List[ModuleRep] = []
         left = dim
         while left > 0:

@@ -11,6 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .field import (
     Echelon,
+    EngineInvariantError,
     Field,
     Matrix,
     Vector,
@@ -38,11 +39,6 @@ from .schemes import (
     sample_points,
     validate_point,
 )
-
-
-class EngineInvariantError(RuntimeError):
-    """A theorem the engine relies on failed to hold in a computation: a
-    bug in the engine, never a fault of the input."""
 
 
 @dataclass

@@ -40,6 +40,10 @@ from .polyring import Poly, PolyMatrix, Substitution, WeightedRing, poly_eval
 FAMILIES = ("multi_additive", "additive_kernel", "restricted_lie", "sl2_height2", "gln_height2")
 
 
+class SamplingError(RuntimeError):
+    """Too few points of V(G) were found in the draws a sample may take."""
+
+
 @dataclass(frozen=True)
 class LieData:
     """A restricted Lie algebra by structure constants.
@@ -485,7 +489,8 @@ def _gln_draws(desc: GroupSchemeDesc, fld: Field, rng) -> Iterator[Optional[Poin
 def sample_points(desc: GroupSchemeDesc, fld: Field, count: int, rng) -> List[Point]:
     """Seeded random sample of (not necessarily distinct) nonzero points,
     from at most 10000 * count draws: by structure for gln_height2, else
-    uniform in the ambient space and kept when on V(G)."""
+    uniform in the ambient space and kept when on V(G).  Raises
+    ``SamplingError`` when the draws run out first."""
     draws = (_gln_draws if desc.family == "gln_height2" else _ambient_draws)(desc, fld, rng)
     out: List[Point] = []
     attempts = 0
@@ -495,7 +500,7 @@ def sample_points(desc: GroupSchemeDesc, fld: Field, count: int, rng) -> List[Po
         if point is not None and any(point):
             out.append(point)
     if len(out) < count:
-        raise RuntimeError("could not sample enough points of %s" % desc.label())
+        raise SamplingError("could not sample enough points of %s" % desc.label())
     return out
 
 
@@ -575,6 +580,7 @@ def p1_chart(desc: GroupSchemeDesc, fld: Optional[Field] = None) -> Optional[Sub
 
 __all__ = [
     "FAMILIES",
+    "SamplingError",
     "LieData",
     "GroupSchemeDesc",
     "Point",

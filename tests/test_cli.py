@@ -275,6 +275,41 @@ def test_engine_invariant_failure_exits_3(capsys, monkeypatch):
     assert err.startswith("error [E_INTERNAL]:")
 
 
+def test_missing_projective_summand_exits_3(capsys, monkeypatch):
+    # St (x) V_{p-1-lam} always has P_lam as a 2p-dimensional summand; a
+    # splitter that returns none is an engine fault
+    import jordanbundles.modules as modules
+
+    def no_pim(rep, rng=None):
+        return [rep], modules.DecompositionReport(rep.fld, False, True)
+
+    monkeypatch.setattr(modules, "decompose_summands", no_pim)
+    code, out, err = run_cli(
+        ["analyze", "--group", "u_sl2", "--p", "3", "--builtin", "pim:0",
+         "--op", "bundle", "--format", "json"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error [E_INTERNAL]:") and "P_0 not found" in err
+
+
+def test_sampling_failure_exits_1(capsys, monkeypatch):
+    # a scan over F_25 samples its points; draws that find too few are
+    # reported with their own code, not as a traceback
+    import jordanbundles.operators as operators
+    from jordanbundles.schemes import SamplingError
+
+    def no_points(desc, fld, count, rng):
+        raise SamplingError("could not sample enough points of %s" % desc.label())
+
+    monkeypatch.setattr(operators, "sample_points", no_points)
+    code, out, err = run_cli(
+        ["analyze", "--group", "sl2_2", "--p", "5", "--builtin", "natural",
+         "--op", "constant-rank", "--max-ext", "2", "--format", "json"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error [E_SAMPLE]:")
+
+
 def test_inhomogeneous_theta_exits_3(capsys, monkeypatch):
     # an orbit scan over a Theta whose entries have no common weighted
     # degree is an engine fault, not an input error

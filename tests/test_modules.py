@@ -3,22 +3,31 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import jordanbundles.modules as modules
 from jordanbundles.field import (
+    commutant_basis,
+    ext_field_build,
     identity,
+    inverse,
     is_zero_matrix,
+    kernel_basis,
     mat_mul,
     mat_pow,
+    mat_sub_scalar,
     mat_vec,
     prime_field,
+    random_invertible,
     rank,
     row_reduce,
     zeros,
 )
 from jordanbundles.modules import (
     ModuleRep,
+    _corner_rings,
     _fitting,
+    _local_certificate,
     coords_in_basis,
     construct_duals_example,
     construct_steinberg,
@@ -257,12 +266,50 @@ def test_decompose_extends_restriction_of_scalars():
 
 def test_fitting_scan_cases():
     fld = prime_field(3)
-    # scalar plus nilpotent: certified, no split
-    assert _fitting(fld, [[2, 1], [0, 2]]) is True
+    # scalar plus nilpotent: certified at its scalar, no split
+    assert _fitting(fld, [[2, 1], [0, 2]]) == 2
+    assert _fitting(fld, [[0, 1], [0, 0]]) == 0
     # diag(0, 1) splits at lam = 0 into its kernel and image
     assert _fitting(fld, [[0, 0], [0, 1]]) == ([[1, 0]], [[0, 1]])
     # no eigenvalue in F_3: neither split nor certificate
-    assert _fitting(fld, [[0, 2], [1, 0]]) is False
+    assert _fitting(fld, [[0, 2], [1, 0]]) is None
+
+
+def _certificate(fld, basis):
+    lams = [_fitting(fld, c) for c in basis]
+    assert all(isinstance(lam, int) for lam in lams)
+    return _local_certificate(fld, [mat_sub_scalar(fld, c, lam) for c, lam in zip(basis, lams)])
+
+
+def test_local_certificate_rejects_matrix_ring():
+    # a basis of M_2(GF(3)) whose elements are each a scalar plus a
+    # nilpotent: M_2 is not local, and N = sl_2 is not closed under products
+    fld = prime_field(3)
+    basis = [[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [2, 2]]]
+    assert rank(fld, [[x for row in c for x in row] for c in basis]) == 4
+    assert not _certificate(fld, basis)
+    # closed under products but not nilpotent: the chain k*1 > k*1 stalls
+    assert not _local_certificate(fld, [identity(fld, 2)])
+    assert _local_certificate(fld, [[[0, 1], [0, 0]]])
+    # nilpotent but not closed: e12 e23 = e13 lies outside N
+    assert not _local_certificate(fld, [[[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+                                        [[0, 0, 0], [0, 0, 1], [0, 0, 0]]])
+
+
+def test_local_certificate_accepts_zigzag(monkeypatch):
+    # End(X_2) is local: X_2 is indecomposable, and no draw is made
+    rep = construct_zigzag(2, 3)
+    assert _certificate(rep.fld, commutant_basis(rep.fld, rep.action.values(), rep.dim))
+    draws = []
+    real = modules.mat_combination
+
+    def spy(*args):
+        draws.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(modules, "mat_combination", spy)
+    summands, rpt = decompose_summands(rep, rng=random.Random(1))
+    assert rpt.certified and [m.dim for m in summands] == [5] and draws == []
 
 
 @pytest.mark.parametrize("lam,dim", [(0, 6), (1, 6), (2, 3)])
@@ -329,7 +376,8 @@ def test_restrict_subspace_matches_vector_route_on_syzygies(p, monkeypatch):
 
 def test_random_candidates_do_not_clear_certified(monkeypatch):
     # only a commutant basis element without an eigenvalue clears the
-    # certificate; a random combination that finds none must not
+    # certificate; a random combination that finds none must not.  The
+    # local certificate is forced to fail, so that the draws run.
     comms = []
     real_commutant = modules.commutant_basis
 
@@ -342,12 +390,13 @@ def test_random_candidates_do_not_clear_certified(monkeypatch):
     def fitting(fld, c):
         if any(c is b for b in comms[-1]):
             seen["basis"] += 1
-            return True
+            return 0
         seen["draw"] += 1
-        return False
+        return None
 
     monkeypatch.setattr(modules, "commutant_basis", commutant)
     monkeypatch.setattr(modules, "_fitting", fitting)
+    monkeypatch.setattr(modules, "_local_certificate", lambda fld, nil: False)
     summands, rpt = decompose_summands(construct_steinberg(3), rng=random.Random(1))
     assert seen["basis"] == len(comms[0]) and seen["draw"] > 0
     assert rpt.certified and not rpt.extended
@@ -385,3 +434,84 @@ def test_module_json_roundtrip():
         assert back.desc == rep.desc
         assert back.dim == rep.dim
         assert back.action == rep.action
+
+
+def _kronecker_commutant(fld, mats, n):
+    # the plain Kronecker system in the n^2 entries of X, kept as the
+    # reference for commutant_basis
+    rows = []
+    for a in mats:
+        for i in range(n):
+            for j in range(n):
+                row = [0] * (n * n)
+                for k in range(n):
+                    row[k * n + j] = fld.add(row[k * n + j], a[i][k])
+                    row[i * n + k] = fld.sub(row[i * n + k], a[k][j])
+                rows.append(row)
+    return [[v[i * n:(i + 1) * n] for i in range(n)] for v in kernel_basis(fld, rows, n * n)]
+
+
+COMMUTANT_FIELDS = [prime_field(3), prime_field(5), ext_field_build(3, 2)]
+
+
+def _dense(rep, rng):
+    fld = rep.fld
+    s = random_invertible(fld, rep.dim, rng)
+    si = inverse(fld, s)
+    return ModuleRep(rep.desc, fld, rep.dim,
+                     {nm: mat_mul(fld, mat_mul(fld, s, m), si) for nm, m in rep.action.items()})
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_commutant_basis_matches_kronecker_system(data):
+    # eigenblocks give the same basis, element for element, as the system
+    # in all n^2 unknowns: on u(sl2) Weyl sums and tensors in dense bases
+    # (h diagonalisable) and on random (G_a)^r modules (no such matrix)
+    fld = data.draw(st.sampled_from(COMMUTANT_FIELDS), label="field")
+    p = fld.p
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6), label="seed"))
+    kind = data.draw(st.sampled_from(["weyl-sum", "tensor", "multi_additive"]), label="kind")
+    if kind == "weyl-sum":
+        weights = data.draw(st.lists(st.integers(0, 2 * p - 2), min_size=1, max_size=3)
+                            .filter(lambda ws: sum(ws) + len(ws) <= 10))
+        rep = construct_weyl_sl2(weights[0], p, fld)
+        for m in weights[1:]:
+            rep = direct_sum(rep, construct_weyl_sl2(m, p, fld))
+        rep = _dense(rep, rng)
+    elif kind == "tensor":
+        a = data.draw(st.integers(0, p - 1))
+        b = data.draw(st.integers(0, 9 // (a + 1) - 1))
+        rep = _dense(tensor_module(construct_weyl_sl2(a, p, fld), construct_weyl_sl2(b, p, fld)), rng)
+    else:
+        rep = random_module(multi_additive(p, data.draw(st.integers(1, 3))),
+                            data.draw(st.integers(1, 6)), rng, fld)
+    mats = list(rep.action.values())
+    assert commutant_basis(fld, mats, rep.dim) == _kronecker_commutant(fld, mats, rep.dim)
+
+
+def _check_corner_rings(m, rng):
+    # every split a basis element or a random combination makes: the corner
+    # rings equal the commutants of the restricted summands; recurse on the
+    # first split
+    fld = m.fld
+    comm = commutant_basis(fld, m.action.values(), m.dim)
+    cands = comm + [modules.mat_combination(fld, m.dim, [rng.randrange(fld.q) for _ in comm], comm)
+                    for _ in range(3)]
+    splits = [got for got in (_fitting(fld, c) for c in cands) if isinstance(got, tuple)]
+    for got in splits:
+        for sub, ring in zip(got, _corner_rings(fld, comm, *got)):
+            part = restrict_subspace(m, sub)
+            assert ring == commutant_basis(fld, part.action.values(), part.dim)
+    return len(splits) + (sum(_check_corner_rings(restrict_subspace(m, sub), rng)
+                              for sub in splits[0]) if splits else 0)
+
+
+def test_corner_rings_are_summand_commutants():
+    rng = random.Random(5)
+    reps = [tensor_module(construct_steinberg(p), construct_weyl_sl2(p - 1 - lam, p))
+            for p, lam in ((3, 0), (5, 1), (5, 2))]
+    reps.append(_dense(direct_sum(construct_weyl_sl2(1, 3), direct_sum(
+        construct_weyl_sl2(1, 3), construct_weyl_sl2(2, 3))), rng))
+    reps.append(_dense(direct_sum(construct_zigzag(1, 3), dual_module(construct_zigzag(1, 3))), rng))
+    assert all(_check_corner_rings(rep, rng) > 0 for rep in reps)

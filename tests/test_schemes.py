@@ -138,6 +138,17 @@ def test_sample_points_deterministic_and_valid():
     assert all(validate_point(desc, pt, fld) for pt in a)
 
 
+def test_sample_points_raises_sampling_error(monkeypatch):
+    # draws that never land on V(G) exhaust the 10000 * count allowed
+    import itertools
+
+    import jordanbundles.schemes as schemes
+
+    monkeypatch.setattr(schemes, "_ambient_draws", lambda desc, fld, rng: itertools.repeat(None))
+    with pytest.raises(schemes.SamplingError, match="could not sample"):
+        sample_points(restricted_lie_sl2(5), ext_field_build(5, 2), 2, random.Random(0))
+
+
 def test_frobenius_point_map_shift_and_power():
     desc = additive_kernel(3, 3)
     fld = ext_field_build(3, 2)
