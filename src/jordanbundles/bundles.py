@@ -9,7 +9,7 @@ summand O(-d).  Components of a graded module in degree d are stored as
 coefficient vectors of length n*(d+1), the block for ambient coordinate i
 listing the coefficients of s^(d-k) t^k for k = 0..d.
 
-Every bundle here comes from kernels alone, by three facts:
+Every bundle here comes from kernels alone, by four facts:
 
 - The graded kernel K_j of B^j (N x N, entries homogeneous of degree
   D = j * entry_degree) is free: it is a second syzygy over the
@@ -21,6 +21,12 @@ Every bundle here comes from kernels alone, by three facts:
   Control 1975): the generator degrees of K_j sum to the degree of the
   image sheaf, a subsheaf of O(D)^N of rank r, so the sum is at most
   r * D.  A count of N - r0 generators under r0 * D proves r0 = r.
+- Block-Toeplitz window (the rank recursion behind Van Dooren's staircase
+  algorithm, Lin. Alg. Appl. 27, 1979): indexed by t-exponents, the
+  degree-d map is the leading block of one block-Toeplitz matrix, and the
+  degree-(d+1) map adds one block column that vanishes on the output
+  blocks <= d.  So one echelon, slid by a block per degree, gives every
+  rank, each degree paying only for what is new in it.
 
 Subquotients ker(B^j)/im(B^q) and images then follow from additivity in
 K_0(P^1): im(B^q) is O(-D)^N modulo K_q(-D), D = q * entry_degree, so
@@ -31,17 +37,18 @@ A failure of these facts in a computation is an engine fault and raises
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .field import (
+    Echelon,
     Field,
     Matrix,
     Vector,
     enumerate_elements,
     kernel_basis,
     mat_mul,
-    mat_pow,
     rank,
     reduce_vector,
     row_reduce,
@@ -242,12 +249,39 @@ class GradedSubmodule:
         return sum(max(0, d - g + 1) for g in self.degrees)
 
 
-def _point_rank(b: P1Matrix, j: int) -> int:
-    """The largest rank of B^j at the points of P^1(F_q): at most its
-    generic rank."""
-    fld = b.ring.fld
+def _point_rank(fld: Field, power: PolyMatrix) -> int:
+    """The largest rank of B^j = ``power`` at the points of P^1(F_q): at
+    most its generic rank."""
     points = [(0, 1)] + [(1, t) for t in enumerate_elements(fld)]
-    return max(rank(fld, mat_pow(fld, b.mat.evaluate(pt), j)) for pt in points)
+    return max(rank(fld, power.evaluate(pt)) for pt in points)
+
+
+def _degree_ranks(fld: Field, power: PolyMatrix, n: int, D: int) -> Iterator[int]:
+    """The ranks of the degree-d maps of ``power`` (n x n, entries
+    homogeneous of degree D), for d = 0, 1, ..., from one sliding echelon.
+
+    With coordinates indexed by t-exponent, the degree-d map is the leading
+    block of one block-Toeplitz matrix: its columns are the columns c_i of
+    sum_m A_m t^m, vectors over the output blocks 0 .. D, shifted by
+    k = 0 .. d blocks.  The shifts by d + 1 that the degree-(d+1) map adds
+    vanish on the blocks <= d, so a row whose pivot lies in block d is
+    never reduced against again: it is counted as finished and dropped,
+    and the window of D + 1 blocks moves on by one."""
+    cols = [[0] * (n * (D + 1)) for _ in range(n)]
+    for r, row in enumerate(power.rows):
+        for i, f in enumerate(row):
+            for e, c in f.terms.items():
+                cols[i][e[1] * n + r] = c
+    ech = Echelon(fld)
+    finished = 0
+    while True:
+        for c in cols:
+            ech.insert(c)
+        yield finished + len(ech.rows)
+        k = bisect_left(ech.pivots, n)
+        finished += k
+        ech.rows = [row[n:] + [0] * n for row in ech.rows[k:]]
+        ech.pivots = [pc - n for pc in ech.pivots[k:]]
 
 
 def kernel_graded(b: P1Matrix, j: int = 1) -> GradedSubmodule:
@@ -255,7 +289,9 @@ def kernel_graded(b: P1Matrix, j: int = 1) -> GradedSubmodule:
     by its generator degrees, read off ranks (the module docstring gives
     the theorems).  K is free with Hilbert function h(d) = N (d + 1) - rank
     of the degree-d map, so it has h(d) - sum_{a_i < d} (d - a_i + 1)
-    generators in degree d.  The count runs to N - r0 generators, r0 the
+    generators in degree d.  The ranks come in degree order from one
+    sliding block-Toeplitz echelon (``_degree_ranks``), shared by both
+    passes of the count.  The count runs to N - r0 generators, r0 the
     largest rank of B^j at the points of P^1(F_q).  If it passes Forney's
     bound r0 * D, D = j * entry_degree, then r0 is below the generic rank
     and the count runs once more with r = ``generic_rank(B^j)`` (Bareiss);
@@ -269,8 +305,9 @@ def _kernel_of_power(b: P1Matrix, j: int, power: PolyMatrix) -> GradedSubmodule:
     fld = b.ring.fld
     n = b.size
     D = j * b.entry_degree
+    ranks = _degree_ranks(fld, power, n, D)
     hilbert: Dict[int, int] = {}
-    for r in (_point_rank(b, j), None):
+    for r in (_point_rank(fld, power), None):
         if r is None:
             r = generic_rank(power)
         target, bound = n - r, r * D
@@ -278,7 +315,8 @@ def _kernel_of_power(b: P1Matrix, j: int, power: PolyMatrix) -> GradedSubmodule:
         d = 0
         while len(degrees) < target and sum(degrees) + (target - len(degrees)) * d <= bound:
             if d not in hilbert:
-                hilbert[d] = n * (d + 1) - rank(fld, _matrix_component_rows(b, power, d, D))
+                # both passes visit d = 0, 1, ..., so the next rank is degree d's
+                hilbert[d] = n * (d + 1) - next(ranks)
             degrees += [d] * (hilbert[d] - sum(d - a + 1 for a in degrees))
             d += 1
         if len(degrees) == target:

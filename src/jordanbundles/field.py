@@ -575,7 +575,7 @@ class Echelon:
         or None when v already lies in the span (which is left unchanged)."""
         fld = self.fld
         w = reduce_vector(fld, self.rows, self.pivots, v)
-        pc = next((j for j, x in enumerate(w) if x), None)
+        pc = next(compress(range(len(w)), w), None)
         if pc is None:
             return None
         if w[pc] != 1:

@@ -8,6 +8,7 @@ in particular in the fraction-free rank computation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -297,18 +298,34 @@ class PolyMatrix:
         )
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """The product over nonzero entries only: the nonzero entries of
+        each row of ``other`` are listed once, and each term of an entry
+        a_it is multiplied into them, accumulating one term dict per output
+        entry (i, j).  A term that cancels is deleted: its product is
+        nonzero, so a zero sum means it was already there."""
+        fld = self.ring.fld
+        add, mul = fld._add_table, fld._mul_table
+        nonzero = [[(j, b.terms.items()) for j, b in enumerate(r) if b.terms]
+                   for r in other.rows]
         out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = self.ring.zero()
-                for t in range(self.ncols):
-                    a = self.rows[i][t]
-                    b = other.rows[t][j]
-                    if a.terms and b.terms:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
+        for row in self.rows:
+            acc: List[Dict[Expo, int]] = [{} for _ in range(other.ncols)]
+            for a, entries in zip(row, nonzero):
+                for e1, c1 in a.terms.items():
+                    mc = None if mul is None else mul[c1]
+                    for j, terms in entries:
+                        dj = acc[j]
+                        for e2, c2 in terms:
+                            e = tuple(map(operator.add, e1, e2))
+                            if add is None:
+                                c = fld.add(dj.get(e, 0), fld.mul(c1, c2))
+                            else:
+                                c = add[dj.get(e, 0)][mc[c2]]
+                            if c:
+                                dj[e] = c
+                            else:
+                                del dj[e]
+            out.append([Poly(self.ring, dj) for dj in acc])
         return PolyMatrix(self.ring, out)
 
     def power(self, n: int) -> "PolyMatrix":

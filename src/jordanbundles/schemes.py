@@ -486,12 +486,39 @@ def _gln_draws(desc: GroupSchemeDesc, fld: Field, rng) -> Iterator[Optional[Poin
             yield None
 
 
+def _sl2h2_draws(desc: GroupSchemeDesc, fld: Field, rng) -> Iterator[Point]:
+    """Uniform nonzero points (alpha_0, alpha_1) of V(SL2(2)): both on the
+    cone z^2 + xy = 0 and proportional.  There are (q^2 - 1)(q + 1) of
+    them: alpha_0 = 0 with alpha_1 one of the q^2 - 1 nonzero cone points
+    (drawn with probability 1/(q + 1)), or alpha_0 a nonzero cone point and
+    alpha_1 = c alpha_0 with c in F_q."""
+    q = fld.q
+
+    def cone_point() -> Point:
+        # (0, y, 0) with y != 0, or (x, -z^2/x, z) with x != 0
+        k = rng.randrange(q * q - 1)
+        if k < q - 1:
+            return (0, k + 1, 0)
+        x, z = divmod(k - (q - 1), q)
+        x += 1
+        return (x, fld.neg(fld.div(fld.mul(z, z), x)), z)
+
+    while True:
+        if rng.randrange(q + 1) == 0:
+            yield (0, 0, 0) + cone_point()
+        else:
+            a0 = cone_point()
+            c = rng.randrange(q)
+            yield a0 + tuple(fld.mul(c, x) for x in a0)
+
+
 def sample_points(desc: GroupSchemeDesc, fld: Field, count: int, rng) -> List[Point]:
     """Seeded random sample of (not necessarily distinct) nonzero points,
-    from at most 10000 * count draws: by structure for gln_height2, else
-    uniform in the ambient space and kept when on V(G).  Raises
-    ``SamplingError`` when the draws run out first."""
-    draws = (_gln_draws if desc.family == "gln_height2" else _ambient_draws)(desc, fld, rng)
+    from at most 10000 * count draws: by structure for gln_height2 and
+    sl2_height2, else uniform in the ambient space and kept when on V(G).
+    Raises ``SamplingError`` when the draws run out first."""
+    draws = {"gln_height2": _gln_draws, "sl2_height2": _sl2h2_draws}.get(
+        desc.family, _ambient_draws)(desc, fld, rng)
     out: List[Point] = []
     attempts = 0
     while len(out) < count and attempts < 10000 * count:

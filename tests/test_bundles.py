@@ -23,7 +23,8 @@ from jordanbundles.bundles import (
     splitting_type,
     subquotient_mj,
 )
-from jordanbundles.field import in_span, mat_vec, prime_field, span_basis, transpose
+from jordanbundles.field import (ext_field_build, in_span, mat_vec, prime_field, rank, span_basis,
+                                 transpose)
 from jordanbundles.modules import (
     construct_duals_example,
     construct_steinberg,
@@ -37,7 +38,7 @@ from jordanbundles.modules import (
     trivial_module,
 )
 from jordanbundles.operators import theta_global
-from jordanbundles.polyring import PolyMatrix, WeightedRing, poly_eval
+from jordanbundles.polyring import Poly, PolyMatrix, WeightedRing, poly_eval
 from jordanbundles.schemes import multi_additive
 
 
@@ -423,7 +424,7 @@ def test_kernel_search_raises_past_forney_bound(monkeypatch):
     # generators than the kernel has; both counts must stop at the degree
     # bound, and the second stop raises
     b = restrict_p1(theta_global(construct_weyl_sl2(4, 3)))
-    monkeypatch.setattr(bundles, "_point_rank", lambda b, j: 1)
+    monkeypatch.setattr(bundles, "_point_rank", lambda fld, power: 1)
     monkeypatch.setattr(bundles, "generic_rank", lambda mat: 1)
     with pytest.raises(EngineInvariantError, match="Forney"):
         kernel_graded(b, 1)
@@ -475,6 +476,80 @@ def test_kernel_count_matches_frozen_search_random(dim, seed, j):
     rep = random_module(multi_additive(3, 2), dim, random.Random(seed))
     b = restrict_p1(theta_global(rep))
     assert kernel_graded(b, j).degrees == [g for g, _ in _frozen_kernel_search(b, j)]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_degree_ranks_match_direct_elimination(data):
+    # the sliding block-Toeplitz echelon against one elimination of the
+    # whole degree-d map, d = 0 .. 8, on random P^1 matrices with zero
+    # columns, the zero matrix, products through fewer columns and powers
+    # of strictly upper triangular matrices
+    fld = data.draw(st.sampled_from([prime_field(3), prime_field(5), ext_field_build(3, 2)]),
+                    label="field")
+    D = data.draw(st.sampled_from([1, 2, 3]), label="D")
+    n = data.draw(st.integers(1, 5), label="n")
+    kind = data.draw(st.sampled_from(["random", "zero", "low rank", "power"]), label="kind")
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    ring = WeightedRing(fld, ("s", "t"), (1, 1))
+
+    def entry(deg):
+        if rng.random() < 0.4:
+            return ring.zero()
+        terms = {(deg - m, m): rng.randrange(fld.q) for m in range(deg + 1)
+                 if rng.random() < 0.6}
+        return Poly(ring, {e: c for e, c in terms.items() if c})
+
+    def random_matrix(rows, cols, deg, upper=False):
+        return PolyMatrix(ring, [[ring.zero() if upper and j <= i else entry(deg)
+                                  for j in range(cols)] for i in range(rows)])
+
+    if kind == "random":
+        mat = random_matrix(n, n, D)
+        dead = [j for j in range(n) if rng.random() < 0.3]
+        for row in mat.rows:
+            for j in dead:
+                row[j] = ring.zero()
+    elif kind == "zero":
+        mat = PolyMatrix.zero(ring, n, n)
+    elif kind == "low rank":
+        m, d1 = rng.randint(1, max(1, n - 1)), rng.randint(0, D)
+        mat = random_matrix(n, m, d1) * random_matrix(m, n, D - d1)
+    else:
+        mat = random_matrix(n, n, 1, upper=True).power(D)
+    b = P1Matrix(ring, mat, D, fld.p)
+    ranks = bundles._degree_ranks(fld, mat, n, D)
+    for d in range(9):
+        assert next(ranks) == rank(fld, bundles._matrix_component_rows(b, mat, d, D))
+
+
+def _assert_kernel_sections_match_splitting(b, j):
+    """h^0 of K_j(d) by two-chart gluing on the kernel's components
+    against sum max(0, d - a_i + 1) for its generator degrees a_i, on a
+    window of twists d around the a_i."""
+    degrees = kernel_graded(b, j).degrees
+    comp = ComponentModule(b, ker_power=j)
+    for d in range(min(degrees, default=0) - 2, max(degrees, default=0) + 2):
+        expected = sum(max(0, d - a + 1) for a in degrees)
+        assert bundles._twisted_sections_dim(comp, d, 2) == expected, (j, d, degrees)
+
+
+def test_kernel_splitting_matches_twisted_sections():
+    # Weyl modules, P_lambda and Omega^1 .. Omega^4 at p = 3
+    reps = [construct_weyl_sl2(m, 3) for m in range(5)]
+    reps += [principal_indecomposable_sl2(lam, 3) for lam in range(3)]
+    reps += [construct_syzygy_E2(k, 3) for k in (1, 2, 3, 4)]
+    for rep in reps:
+        b = restrict_p1(theta_global(rep))
+        for j in (1, 2):
+            _assert_kernel_sections_match_splitting(b, j)
+
+
+@given(dim=st.integers(2, 5), seed=st.integers(0, 10**6), j=st.sampled_from([1, 2]))
+@settings(max_examples=15, deadline=None)
+def test_kernel_splitting_matches_twisted_sections_random(dim, seed, j):
+    rep = random_module(multi_additive(3, 2), dim, random.Random(seed))
+    _assert_kernel_sections_match_splitting(restrict_p1(theta_global(rep)), j)
 
 
 def test_negative_k0_rank_raises():

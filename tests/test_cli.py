@@ -265,7 +265,7 @@ def test_engine_invariant_failure_exits_3(capsys, monkeypatch):
     # errors
     import jordanbundles.bundles as bundles
 
-    monkeypatch.setattr(bundles, "_point_rank", lambda b, j: 0)
+    monkeypatch.setattr(bundles, "_point_rank", lambda fld, power: 0)
     monkeypatch.setattr(bundles, "generic_rank", lambda mat: 0)
     code, out, err = run_cli(
         ["analyze", "--group", "u_sl2", "--p", "3", "--builtin", "weyl:4",
@@ -341,3 +341,17 @@ def test_twist_check_counts_every_nonzero_point():
     assert rows[0]["check"] == "twist identity failures (of %d checks)" % (
         25 * 80 + 25 * 2 * 728)
     assert rows[0]["pass"]
+
+
+def test_sl2_height2_scan_over_f25_reports(capsys):
+    # SL2(2) points over F_25 are drawn by structure, so the scan that the
+    # rejection sampler could not finish now reports: the natural module is
+    # not of constant rank (exit 2)
+    code, out, err = run_cli(
+        ["analyze", "--group", "sl2_2", "--p", "5", "--builtin", "natural",
+         "--op", "constant-rank", "--max-ext", "2", "--format", "json"], capsys)
+    assert code == 2 and err == ""
+    report = json.loads(out)
+    assert report["results"]["constant"] is False
+    assert report["results"]["fields_scanned"] == [[5, 1], [5, 2]]
+    assert report["provenance"]["sampled"] is True

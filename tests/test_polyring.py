@@ -186,3 +186,50 @@ def test_evaluate_matches_entrywise_poly_eval(data):
     assert mat.evaluate(point, fld) == expected  # the kept form gives it again
     if point_e == ring_e:
         assert mat.evaluate(point) == expected
+
+
+def _triple_loop_product(x, y):
+    """The product entry by entry over every index triple, as PolyMatrix
+    multiplied before it listed nonzero entries: the oracle for ``*``."""
+    out = []
+    for i in range(x.nrows):
+        row = []
+        for j in range(y.ncols):
+            acc = x.ring.zero()
+            for t in range(x.ncols):
+                a, b = x.rows[i][t], y.rows[t][j]
+                if a.terms and b.terms:
+                    acc = acc + a * b
+            row.append(acc)
+        out.append(row)
+    return PolyMatrix(x.ring, out)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_sparse_product_matches_triple_loop(data):
+    # mostly-zero matrices over weighted rings in 2-4 variables, over prime
+    # fields, GF(9) and the tableless GF(5^4); products of any shape and
+    # powers up to the 4th
+    fld = data.draw(st.sampled_from([F3, F5, F9, ext_field_build(5, 4)]), label="field")
+    nvars = data.draw(st.integers(2, 4), label="nvars")
+    weights = tuple(data.draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars)))
+    ring = WeightedRing(fld, tuple("x%d" % i for i in range(nvars)), weights)
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    density = data.draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]), label="density")
+
+    def random_matrix(n, m):
+        return PolyMatrix(ring, [[_random_poly(ring, rng, nterms=3) if rng.random() < density
+                                  else ring.zero() for _ in range(m)] for _ in range(n)])
+
+    n, m, k = (data.draw(st.integers(1, 5)) for _ in range(3))
+    x, y = random_matrix(n, m), random_matrix(m, k)
+    prod = x * y
+    expected = _triple_loop_product(x, y)
+    assert prod.rows == expected.rows
+    assert all(0 not in a.terms.values() for r in prod.rows for a in r)
+    sq = random_matrix(n, n)
+    acc = sq
+    for e in range(1, 5):
+        assert sq.power(e).rows == acc.rows
+        acc = _triple_loop_product(acc, sq)

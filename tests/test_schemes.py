@@ -294,6 +294,27 @@ def test_gln_sampler_draws_valid_points_by_structure(p, n, e):
     assert len({pt[:n * n] for pt in a}) > 1
 
 
+def test_sl2h2_sampler_covers_every_point_over_f3():
+    # V(SL2(2))(F_3) has (q^2 - 1)(q + 1) = 32 nonzero points
+    desc, fld = sl2_height2(3), prime_field(3)
+    every = {pt for pt in itertools.product(range(3), repeat=6)
+             if any(pt) and validate_point(desc, pt, fld)}
+    assert len(every) == 32
+    drawn = sample_points(desc, fld, 2000, random.Random(5))
+    assert all(validate_point(desc, pt, fld) for pt in drawn)
+    assert set(drawn) == every
+    assert sample_points(desc, fld, 50, random.Random(5)) == drawn[:50]
+
+
+def test_sl2h2_sampler_over_f25_finds_points_at_once():
+    # rejection in F_25^6 hits V(G) about once in q^3 draws; the structural
+    # draws never miss
+    desc, fld = sl2_height2(5), ext_field_build(5, 2)
+    drawn = sample_points(desc, fld, 60, random.Random(0))
+    assert len(drawn) == 60 and len(set(drawn)) > 50
+    assert all(any(pt) and validate_point(desc, pt, fld) for pt in drawn)
+
+
 def test_gln3_scan_samples_sixty_points():
     from jordanbundles.operators import iter_scan_points
 
