@@ -6,8 +6,14 @@ K-theory bookkeeping.
 Degree conventions: the ambient module is free on generators in degree 0;
 a generator of a graded submodule in degree d contributes a line-bundle
 summand O(-d).  Components of a graded module in degree d are stored as
-coefficient vectors of length n*(d+1), the block for ambient coordinate i
-listing the coefficients of s^(d-k) t^k for k = 0..d.
+coefficient vectors in N (d + 1) coordinates, t-exponent major: block m,
+of N coordinates, holds the coefficients of s^(d-m) t^m.  Multiplying by
+s^a t^b pads a vector with b blocks of zeros in front and a behind
+(``_shift``).  The degree-d map of B^j has as columns the N columns of
+sum_m A_m t^m (``_toeplitz_columns``), each shifted by s^(d-k) t^k for
+k = 0 .. d (``_degree_map``).  The kernel and image components, the
+sliding rank count and the two-chart section counts all use this one
+layout.
 
 Every bundle here comes from kernels alone, by four facts:
 
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .field import (
     Echelon,
@@ -54,8 +60,8 @@ from .field import (
     row_reduce,
     span_basis,
 )
-from .operators import (ThetaMatrix, EngineInvariantError, mj_fiber_dim, orbit_scan,
-                        constant_jrank_report, ConstancyReport)
+from .operators import (ThetaMatrix, EngineInvariantError, _on_variety, mj_fiber_dim,
+                        orbit_scan, constant_jrank_report, ConstancyReport)
 from .polyring import PolyMatrix, Substitution, WeightedRing, generic_rank
 from .schemes import p1_chart
 
@@ -100,59 +106,33 @@ def restrict_p1(theta: ThetaMatrix, chart: Optional[Substitution] = None) -> P1M
 # ---------------------------------------------------------------------------
 
 
-def _component_layout(n: int, d: int) -> int:
-    return n * (d + 1)
+def _toeplitz_columns(power: PolyMatrix, n: int, D: int) -> List[Vector]:
+    """The n columns of sum_m A_m t^m for ``power`` (n x n, entries
+    homogeneous of degree D), as component vectors of degree D: the
+    coefficient of s^(D-m) t^m in entry (r, i) sits at m n + r of column
+    i.  A homogeneous entry has one term per exponent of t."""
+    cols = [[0] * (n * (D + 1)) for _ in range(n)]
+    for r, row in enumerate(power.rows):
+        for i, f in enumerate(row):
+            for e, c in f.terms.items():
+                cols[i][e[1] * n + r] = c
+    return cols
 
 
-def _shift_map(fld: Field, n: int, d: int, a: int, b: int) -> Callable[[Vector], Vector]:
-    """Multiplication by s^a t^b as a map of component vectors from degree d
-    to degree d+a+b."""
-    dd = d + a + b
-
-    def apply(v: Vector) -> Vector:
-        out = [0] * _component_layout(n, dd)
-        for i in range(n):
-            for k in range(d + 1):
-                c = v[i * (d + 1) + k]
-                if c:
-                    out[i * (dd + 1) + k + b] = c
-        return out
-
-    return apply
+def _shift(v: Vector, n: int, a: int, b: int) -> Vector:
+    """Multiplication by s^a t^b of a component vector: b blocks of zeros
+    in front of it and a behind."""
+    return [0] * (n * b) + v + [0] * (n * a)
 
 
-def _matrix_component_map(b: P1Matrix, power_mat: PolyMatrix, deg_in: int, D: int) -> Iterator[Vector]:
-    """Columns: the images of the standard basis of the degree-deg_in
-    component of the free module under the matrix (entries homogeneous of
-    degree D), as component vectors of degree deg_in + D.  Generated one at
-    a time, so that an elimination over them holds one copy.  A homogeneous
-    entry has one term per exponent of t, so no two terms share a
-    coordinate."""
-    n = b.size
-    dd = deg_in + D
-    for i in range(n):
-        for k in range(deg_in + 1):
-            out = [0] * _component_layout(n, dd)
-            for r in range(n):
-                for e, c in power_mat.rows[r][i].terms.items():
-                    out[r * (dd + 1) + e[1] + k] = c
-            yield out
-
-
-def _matrix_component_rows(b: P1Matrix, power_mat: PolyMatrix, deg_in: int, D: int) -> Iterator[Vector]:
-    """The rows of the same map, one per coordinate of the degree
-    deg_in + D component, generated one at a time."""
-    n = b.size
-    for r in range(n):
-        # entry (r, i) by the t-exponent of its terms
-        by_t = [{e[1]: c for e, c in f.terms.items()} for f in power_mat.rows[r]]
-        for m in range(deg_in + D + 1):
-            row = [0] * _component_layout(n, deg_in)
-            for i, terms in enumerate(by_t):
-                for t, c in terms.items():
-                    if 0 <= m - t <= deg_in:
-                        row[i * (deg_in + 1) + m - t] = c
-            yield row
+def _degree_map(cols: List[Vector], d: int) -> Iterator[Vector]:
+    """The columns of the degree-d map of the matrix whose Toeplitz columns
+    are ``cols``: the image of s^(d-k) t^k e_i is column i shifted by
+    s^(d-k) t^k, in the order k n + i of the source coordinates."""
+    n = len(cols)
+    for k in range(d + 1):
+        for c in cols:
+            yield _shift(c, n, d - k, k)
 
 
 class ComponentModule:
@@ -172,6 +152,9 @@ class ComponentModule:
         self.n = b.size
         self._kmat = b.mat.power(ker_power) if ker_power else None
         self._imat = b.mat.power(im_power) if im_power else None
+        D = b.entry_degree
+        self._kcols = _toeplitz_columns(self._kmat, self.n, ker_power * D) if ker_power else None
+        self._icols = _toeplitz_columns(self._imat, self.n, im_power * D) if im_power else None
         if ker_power and im_power:
             prod = self._kmat * self._imat
             if not prod.is_zero():
@@ -190,24 +173,21 @@ class ComponentModule:
     def _build(self, d: int) -> Tuple[Matrix, Matrix]:
         if d < 0:
             return [], []
-        n = self.n
-        if self.ker_power:
-            D = self.ker_power * self.b.entry_degree
-            # kernel of the map sending a degree-d vector to its image
-            rows = _matrix_component_rows(self.b, self._kmat, d, D)
-            basis = span_basis(self.fld, kernel_basis(self.fld, rows, _component_layout(n, d)))
-        else:
-            basis = None
-        sub: Matrix = []
-        if self.im_power:
-            Di = self.im_power * self.b.entry_degree
-            src = d - Di
-            if src >= 0:
-                sub = span_basis(self.fld, _matrix_component_map(self.b, self._imat, src, Di))
-        if basis is None:
-            basis = sub
-            sub = []
-        return basis, sub
+        if not self.ker_power:
+            return self._image(d), []
+        # the kernel of the degree-d map, read by rows
+        rows = zip(*_degree_map(self._kcols, d))
+        return span_basis(self.fld, kernel_basis(self.fld, rows, self.n * (d + 1))), self.sub(d)
+
+    def _image(self, d: int) -> Matrix:
+        """RREF rows of the degree-d component of im(B^q)."""
+        src = d - self.im_power * self.b.entry_degree
+        return span_basis(self.fld, _degree_map(self._icols, src)) if src >= 0 else []
+
+    def sub(self, d: int) -> Matrix:
+        """The sub rows of the degree-d component (im(B^q) in a subquotient,
+        none otherwise), built without its basis and not kept."""
+        return self._image(d) if self.ker_power and self.im_power else []
 
     def dim(self, d: int) -> int:
         """Dimension of the degree-d component; a component not already
@@ -260,18 +240,14 @@ def _degree_ranks(fld: Field, power: PolyMatrix, n: int, D: int) -> Iterator[int
     """The ranks of the degree-d maps of ``power`` (n x n, entries
     homogeneous of degree D), for d = 0, 1, ..., from one sliding echelon.
 
-    With coordinates indexed by t-exponent, the degree-d map is the leading
-    block of one block-Toeplitz matrix: its columns are the columns c_i of
-    sum_m A_m t^m, vectors over the output blocks 0 .. D, shifted by
-    k = 0 .. d blocks.  The shifts by d + 1 that the degree-(d+1) map adds
-    vanish on the blocks <= d, so a row whose pivot lies in block d is
-    never reduced against again: it is counted as finished and dropped,
-    and the window of D + 1 blocks moves on by one."""
-    cols = [[0] * (n * (D + 1)) for _ in range(n)]
-    for r, row in enumerate(power.rows):
-        for i, f in enumerate(row):
-            for e, c in f.terms.items():
-                cols[i][e[1] * n + r] = c
+    The degree-d map is the leading block of one block-Toeplitz matrix: its
+    columns are the Toeplitz columns c_i of ``power``, vectors over the
+    output blocks 0 .. D, shifted by k = 0 .. d blocks.  The shifts by
+    d + 1 that the degree-(d+1) map adds vanish on the blocks <= d, so a
+    row whose pivot lies in block d is never reduced against again: it is
+    counted as finished and dropped, and the window of D + 1 blocks moves
+    on by one."""
+    cols = _toeplitz_columns(power, n, D)
     ech = Echelon(fld)
     finished = 0
     while True:
@@ -413,13 +389,11 @@ def _twisted_sections_dim(comp: ComponentModule, d: int, bound: int) -> int:
     if k == 0:
         return 0
     E = bound
-    _, big_sub = comp.component(dd + bound + 2 * E)
+    big_sub = comp.sub(dd + bound + 2 * E)
     big_piv = _pivot_columns(big_sub)
     # map (a, b) -> (st)^E ( t^bound a - s^bound b ) reduced mod the sub
-    shift_a = _shift_map(fld, n, dd, E, bound + E)
-    shift_b = _shift_map(fld, n, dd, bound + E, E)
-    cols = [reduce_vector(fld, big_sub, big_piv, shift_a(v)) for v in basis]
-    cols += [reduce_vector(fld, big_sub, big_piv, [fld.neg(x) for x in shift_b(v)])
+    cols = [reduce_vector(fld, big_sub, big_piv, _shift(v, n, E, bound + E)) for v in basis]
+    cols += [reduce_vector(fld, big_sub, big_piv, [fld.neg(x) for x in _shift(v, n, bound + E, E)])
              for v in basis]
     rows = [list(r) for r in zip(*cols)]
     sols = kernel_basis(fld, rows, 2 * k) if rows else []
@@ -427,15 +401,13 @@ def _twisted_sections_dim(comp: ComponentModule, d: int, bound: int) -> int:
         return 0
     # quotient by pairs representing the zero section: s-power kills a and
     # t-power kills b
-    _, sub_a = comp.component(dd + 2 * E)
+    sub_a = comp.sub(dd + 2 * E)
     a_piv = _pivot_columns(sub_a)
-    shift_sa = _shift_map(fld, n, dd, 2 * E, 0)
-    shift_tb = _shift_map(fld, n, dd, 0, 2 * E)
     # each solution's two chart vectors, as combinations of the basis rows
     vas = mat_mul(fld, [sol[:k] for sol in sols], basis)
     vbs = mat_mul(fld, [sol[k:] for sol in sols], basis)
-    zero_rows = [reduce_vector(fld, sub_a, a_piv, shift_sa(va))
-                 + reduce_vector(fld, sub_a, a_piv, shift_tb(vb))
+    zero_rows = [reduce_vector(fld, sub_a, a_piv, _shift(va, n, 2 * E, 0))
+                 + reduce_vector(fld, sub_a, a_piv, _shift(vb, n, 0, 2 * E))
                  for va, vb in zip(vas, vbs)]
     # sections = compatible pairs modulo pairs vanishing on both charts;
     # the dimension is the rank of the chartwise evaluation of the solutions
@@ -565,18 +537,14 @@ def global_sections(theta: ThetaMatrix, j: int = 1) -> Tuple[List[Vector], str]:
         raise NotImplementedError(
             "global sections need an affine V(G) or the sl2 conic chart"
         )
+    # theta^j (m x 1) vanishes iff every coefficient matrix A_m of it kills m
     n = theta.dim
-    monomials = set()
-    for r in range(n):
-        for c in range(n):
-            monomials.update(power.rows[r][c].terms.keys())
-    monomials = sorted(monomials)
     rows: List[Vector] = []
-    for r in range(n):
-        for e in monomials:
-            row = [power.rows[r][c].terms.get(e, 0) for c in range(n)]
-            if any(row):
-                rows.append(row)
+    for _, entries in power.coefficients()[0]:
+        by_row: Dict[int, Vector] = {}
+        for r, col, c in entries:
+            by_row.setdefault(r, [0] * n)[col] = c
+        rows.extend(by_row.values())
     return span_basis(fld, kernel_basis(fld, rows, n)), note
 
 
@@ -599,7 +567,7 @@ def _fiber_scan(theta: ThetaMatrix, max_ext: int) -> Dict[int, Tuple[Tuple[int, 
     p = theta.desc.p
     fiber: Dict[int, Tuple[Tuple[int, ...], int]] = {}
     for fld, point, _, _ in orbit_scan(theta, max_ext):
-        dim1 = mj_fiber_dim(fld, theta.mat.evaluate(point, fld), p, 1)
+        dim1 = _on_variety(mj_fiber_dim, fld, theta.mat.evaluate(point, fld), p, 1)
         fiber.setdefault(dim1, (point, dim1))
     return fiber
 

@@ -36,7 +36,7 @@ from .modules import (
     principal_indecomposable_sl2,
     random_module,
 )
-from .operators import ThetaMatrix, homogeneous_degree, jordan_type, theta_global
+from .operators import ThetaMatrix, homogeneous_degree, local_jtype, theta_global
 from .polyring import Substitution
 from .schemes import (
     additive_kernel,
@@ -172,9 +172,9 @@ def twist(p: int, n_max: int, seed: int) -> Rows:
             theta_s = theta_global(frobenius_twist_gar(rep, s))
             homogeneous_degree(theta_s)
             for point in orbit_representatives(desc, fld2):
-                jt1 = jordan_type(fld2, theta_s.mat.evaluate(point, fld2), p)
+                jt1 = local_jtype(theta_s, point, fld2)
                 moved = frobenius_point_map(desc, point, s, fld2)
-                jt2 = jordan_type(fld2, theta.mat.evaluate(moved, fld2), p)
+                jt2 = local_jtype(theta, moved, fld2)
                 checked += orbit_size
                 if jt1 != jt2:
                     failures += orbit_size

@@ -26,7 +26,7 @@ from .field import (
     span_basis,
 )
 from .modules import ModuleRep, _divided_power_op
-from .polyring import Poly, PolyMatrix, WeightedRing, generic_rank
+from .polyring import PolyMatrix, WeightedRing, generic_rank, monomial_basis
 from .schemes import (
     GroupSchemeDesc,
     Point,
@@ -71,92 +71,64 @@ def _poly_kron(ring: WeightedRing, a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(ring, rows)
 
 
-def _matrix_times_poly(ring: WeightedRing, m: Matrix, f: Poly) -> PolyMatrix:
-    rows = []
-    for r in m:
-        rows.append([f.scale(c) if c else ring.zero() for c in r])
-    return PolyMatrix(ring, rows)
-
-
 def theta_global(rep: ModuleRep) -> ThetaMatrix:
     """The universal operator of the module as a polynomial matrix over the
-    coordinate ring of the ambient space of V(G)."""
+    coordinate ring of the ambient space of V(G).  Outside gl_n it is built
+    from its coefficient form, a list of (action matrix, monomial) pairs."""
     desc, fld = rep.desc, rep.fld
     p = desc.p
     ring, _ = coord_ring(desc, fld)
     n = rep.dim
-    total = PolyMatrix.zero(ring, n, n)
+    act = rep.action
 
-    if desc.family == "multi_additive":
-        for i in range(desc.r):
-            total = total + _matrix_times_poly(ring, rep.action["X_%d" % i], ring.var(i))
-        return ThetaMatrix(rep, ring, total, 1)
+    def build(terms, degree: int) -> ThetaMatrix:
+        entries = [([(i, j, c) for i, row in enumerate(m) for j, c in enumerate(row) if c], f)
+                   for m, f in terms]
+        return ThetaMatrix(rep, ring, PolyMatrix.from_terms(ring, n, n, entries), degree)
+
+    if desc.family in ("multi_additive", "restricted_lie"):
+        return build([(act[nm], ring.var(i)) for i, nm in enumerate(generator_names(desc))], 1)
 
     if desc.family == "additive_kernel":
-        r = desc.r
-        target = p ** (r - 1)
         # exponent tuples (i_0..i_{r-1}) with sum_l i_l p^l = p^(r-1)
-        def solutions(l: int, remaining: int, prefix: Tuple[int, ...]):
-            if l == r - 1:
-                w = p ** l
-                if remaining % w == 0:
-                    yield prefix + (remaining // w,)
-                return
-            w = p ** l
-            for k in range(remaining // w + 1):
-                yield from solutions(l + 1, remaining - k * w, prefix + (k,))
-
-        for expo in solutions(0, target, ()):
-            i = sum(expo)
-            c = _multinomial_mod(i, expo, p)
-            if c == 0:
-                continue
-            op = _divided_power_op(rep, i)
-            total = total + _matrix_times_poly(ring, op, ring.monomial(expo, c))
-        return ThetaMatrix(rep, ring, total, p ** (r - 1))
-
-    if desc.family == "restricted_lie":
-        for i, nm in enumerate(generator_names(desc)):
-            total = total + _matrix_times_poly(ring, rep.action[nm], ring.var(i))
-        return ThetaMatrix(rep, ring, total, 1)
+        target = p ** (desc.r - 1)
+        terms = []
+        for expo in monomial_basis(ring, target):
+            c = _multinomial_mod(sum(expo), expo, p)
+            if c:
+                terms.append((_divided_power_op(rep, sum(expo)), ring.monomial(expo, c)))
+        return build(terms, target)
 
     if desc.family == "sl2_height2":
         x0, y0, z0, x1, y1, z1 = (ring.var(i) for i in range(6))
-        total = total + _matrix_times_poly(ring, rep.action["e"], x1)
-        total = total + _matrix_times_poly(ring, rep.action["f"], y1)
-        total = total + _matrix_times_poly(ring, rep.action["h"], z1)
-        total = total + _matrix_times_poly(ring, rep.action["e[p]"], x0 ** p)
-        total = total + _matrix_times_poly(ring, rep.action["f[p]"], y0 ** p)
-        total = total + _matrix_times_poly(ring, rep.action["h[p]"], z0 ** p)
+        terms = [(act["e"], x1), (act["f"], y1), (act["h"], z1),
+                 (act["e[p]"], x0 ** p), (act["f[p]"], y0 ** p), (act["h[p]"], z0 ** p)]
         for i in range(p):
             for j in range(p - i + 1):
                 l = p - i - j
-                if j >= p or l >= p:
-                    continue
-                mono = x0 ** i * y0 ** j * z0 ** l
-                total = total + _matrix_times_poly(ring, rep.action["d(%d,%d,%d)" % (i, j, l)], mono)
-        return ThetaMatrix(rep, ring, total, p)
+                if j < p and l < p:
+                    terms.append((act["d(%d,%d,%d)" % (i, j, l)], x0 ** i * y0 ** j * z0 ** l))
+        return build(terms, p)
 
-    # gln_height2
+    # gln_height2: level(l, c) is c a_l, a_l the generic matrix of the
+    # level-l coordinates
     nsize = desc.n
-    a0 = PolyMatrix(ring, [[ring.var(i * nsize + j) for j in range(nsize)] for i in range(nsize)])
-    a1 = PolyMatrix(
-        ring,
-        [[ring.var(nsize * nsize + i * nsize + j) for j in range(nsize)] for i in range(nsize)],
-    )
+
+    def level(l: int, c: int = 1) -> PolyMatrix:
+        return PolyMatrix.from_terms(ring, nsize, nsize, [
+            ([(i, j, c)], ring.var((l * nsize + i) * nsize + j))
+            for i in range(nsize) for j in range(nsize)])
+
     if rep.construction is None:
         raise ValueError("gln_height2 modules must be structural")
     if rep.construction[0] == "gln_natural":
-        return ThetaMatrix(rep, ring, a1, p)
+        return ThetaMatrix(rep, ring, level(1), p)
     d = rep.construction[1]
-    # beta_f = a0^f / f! for f < p, beta_p = a1
-    betas: List[PolyMatrix] = [PolyMatrix.identity(ring, nsize)]
-    for f in range(1, p):
-        betas.append(betas[-1] * a0 if f > 1 else a0)
+    # beta_f = a0^f / f! = beta_{f-1} a0 / f for f < p, beta_p = a1
+    betas: List[PolyMatrix] = [PolyMatrix.identity(ring, nsize), level(0)]
     for f in range(2, p):
-        inv_fact = pow(math.factorial(f) % p, p - 2, p)
-        betas[f] = betas[f].map_entries(lambda g: g.scale(inv_fact))
-    betas.append(a1)
+        betas.append(betas[-1] * level(0, pow(f, p - 2, p)))
+    betas.append(level(1))
     # convolve tensor factors, tracking coefficients of T^0..T^p
     conv: List[PolyMatrix] = [betas[m] for m in range(p + 1)]
     for _ in range(1, d):
@@ -171,11 +143,10 @@ def theta_global(rep: ModuleRep) -> ThetaMatrix:
     return ThetaMatrix(rep, ring, conv[p], p)
 
 
-def theta_local(theta: ThetaMatrix, point: Sequence[int], fld: Optional[Field] = None,
-                check: bool = True) -> Matrix:
+def theta_local(theta: ThetaMatrix, point: Sequence[int], fld: Optional[Field] = None) -> Matrix:
     if fld is None:
         fld = theta.rep.fld
-    if check and not validate_point(theta.desc, point, fld):
+    if not validate_point(theta.desc, point, fld):
         raise ValueError("point %r is not on V(%s)" % (tuple(point), theta.desc.label()))
     return theta.mat.evaluate(point, fld)
 
@@ -295,10 +266,19 @@ def jordan_type_chain_oracle(fld: Field, n: Matrix, p: int) -> JordanType:
     return JordanType(p, tuple(counts))
 
 
+def _on_variety(fn, fld: Field, local: Matrix, p: int, *args):
+    """``fn(fld, local, p, *args)`` on Theta(x) at a point x of V(G), where it
+    is p-nilpotent: a ``ValueError`` saying otherwise is an engine fault."""
+    try:
+        return fn(fld, local, p, *args)
+    except ValueError as exc:
+        raise EngineInvariantError("local operator on V(G): %s" % exc) from exc
+
+
 def local_jtype(theta: ThetaMatrix, point: Sequence[int], fld: Optional[Field] = None) -> JordanType:
     if fld is None:
         fld = theta.rep.fld
-    return jordan_type(fld, theta_local(theta, point, fld), theta.desc.p)
+    return _on_variety(jordan_type, fld, theta_local(theta, point, fld), theta.desc.p)
 
 
 def mj_fiber_dim(fld: Field, n: Matrix, p: int, j: int) -> int:
@@ -421,16 +401,19 @@ def constant_jrank_report(theta: ThetaMatrix, j: int, max_ext: int = 2,
 
 
 def generic_jrank(theta: ThetaMatrix, j: int) -> Optional[int]:
-    """Rank of the j-th power of the global operator at the generic point,
-    via fraction-free elimination.  Computed on the ambient ring when V(G)
-    is an affine space and on the P^1 chart when one is built in; None
-    otherwise."""
+    """Rank of the j-th power of the global operator at the generic point.
+    On the P^1 chart, when one is built in, it is N minus the rank of the
+    graded kernel of B^j, which Forney's bound certifies (see
+    ``bundles.kernel_graded``); when V(G) is any other affine space it is
+    found by fraction-free elimination; None otherwise."""
+    from .bundles import kernel_graded, restrict_p1
+
     desc = theta.desc
-    if desc.family in ("multi_additive", "additive_kernel"):
-        return generic_rank(theta.mat.power(j))
     chart = p1_chart(desc, theta.rep.fld)
     if chart is not None:
-        return generic_rank(theta.mat.substitute(chart).power(j))
+        return theta.dim - kernel_graded(restrict_p1(theta, chart), j).rank
+    if desc.family in ("multi_additive", "additive_kernel"):
+        return generic_rank(theta.mat.power(j))
     return None
 
 
@@ -439,7 +422,7 @@ def jtype_scan(theta: ThetaMatrix, max_ext: int = 1,
     """Distinct local Jordan types with one witness point each."""
     seen: Dict[JordanType, Point] = {}
     for fld, point, _, _ in orbit_scan(theta, max_ext, rng):
-        jt = jordan_type(fld, theta.mat.evaluate(point, fld), theta.desc.p)
+        jt = _on_variety(jordan_type, fld, theta.mat.evaluate(point, fld), theta.desc.p)
         if jt not in seen:
             seen[jt] = point
     return seen

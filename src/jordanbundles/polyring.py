@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .field import Field, Matrix, add_scaled_entries
 
@@ -165,9 +165,6 @@ class Poly:
         e = max(self.terms)
         return e, self.terms[e]
 
-    def coeff(self, expo: Sequence[int]) -> int:
-        return self.terms.get(tuple(expo), 0)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -226,16 +223,9 @@ class Substitution:
 
 
 def substitute(f: Poly, sub: Substitution) -> Poly:
-    if f.ring != sub.source:
-        raise ValueError("polynomial not in the substitution's source ring")
-    out = sub.target.zero()
-    for e, c in f.terms.items():
-        term = sub.target.const(c)
-        for img, k in zip(sub.images, e):
-            if k:
-                term = term * img ** k
-        out = out + term
-    return out
+    """The image of f under the ring map: ``PolyMatrix.substitute`` on the
+    1 x 1 matrix [f]."""
+    return PolyMatrix(f.ring, [[f]]).substitute(sub).rows[0][0]
 
 
 def monomial_basis(ring: WeightedRing, degree: int) -> List[Expo]:
@@ -264,8 +254,8 @@ def monomial_basis(ring: WeightedRing, degree: int) -> List[Expo]:
 
 class PolyMatrix:
     """Dense matrix with Poly entries over a common ring.  A matrix is not
-    written to after construction: ``evaluate`` keeps a form built from
-    the entries on first use."""
+    written to after construction: its coefficient form sum_m A_m x^m
+    (``coefficients``) is built from the entries on first use and kept."""
 
     __slots__ = ("ring", "rows", "_form")
 
@@ -290,6 +280,26 @@ class PolyMatrix:
     def identity(cls, ring: WeightedRing, n: int) -> "PolyMatrix":
         rows = [[ring.const(1) if i == j else ring.zero() for j in range(n)] for i in range(n)]
         return cls(ring, rows)
+
+    @classmethod
+    def from_terms(cls, ring: WeightedRing, nrows: int, ncols: int,
+                   terms: Iterable[Tuple[Iterable[Tuple[int, int, int]], Poly]]) -> "PolyMatrix":
+        """The sum of f A over pairs (entries, f) of the sparse entries
+        (i, j, c), c nonzero, of a constant matrix A and a Poly f, with one
+        term dict per output entry.  A term that cancels is deleted, as in
+        ``__mul__``."""
+        fld = ring.fld
+        acc: List[List[Dict[Expo, int]]] = [[{} for _ in range(ncols)] for _ in range(nrows)]
+        for entries, f in terms:
+            for i, j, c in entries:
+                dij = acc[i][j]
+                for e, cf in f.terms.items():
+                    v = fld.add(dij.get(e, 0), fld.mul(c, cf))
+                    if v:
+                        dij[e] = v
+                    else:
+                        del dij[e]
+        return cls(ring, [[Poly(ring, d) for d in row] for row in acc])
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         return PolyMatrix(
@@ -343,9 +353,6 @@ class PolyMatrix:
                 base = base * base
         return PolyMatrix.identity(self.ring, self.nrows) if result is None else result
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.ring, [list(c) for c in zip(*self.rows)])
-
     def is_zero(self) -> bool:
         return all(a.is_zero() for r in self.rows for a in r)
 
@@ -365,13 +372,11 @@ class PolyMatrix:
             return None
         return degs.pop() if degs else 0
 
-    def max_degree(self) -> int:
-        return max((a.degree() for r in self.rows for a in r), default=-1)
-
-    def _coefficient_form(self) -> tuple:
+    def coefficients(self) -> tuple:
         """The matrix as sum_m A_m x^m: a list of (monomial, entries) with
         the monomial as its (variable, exponent) pairs and the entries
-        (i, j, c) of A_m, and the largest exponent of each variable."""
+        (i, j, c) of A_m, one per nonzero coefficient, and the largest
+        exponent of each variable."""
         if self._form is None:
             by_mono: Dict[Expo, List[Tuple[int, int, int]]] = {}
             for i, r in enumerate(self.rows):
@@ -395,7 +400,7 @@ class PolyMatrix:
         sparse linear combination of the coefficient matrices."""
         if fld is None:
             fld = self.ring.fld
-        form, top = self._coefficient_form()
+        form, top = self.coefficients()
         powers = {}
         for v, k in top.items():
             x = point[v]
@@ -412,11 +417,18 @@ class PolyMatrix:
                 add_scaled_entries(fld, out, val, entries)
         return out
 
-    def map_entries(self, fn: Callable[[Poly], Poly], ring: Optional[WeightedRing] = None) -> "PolyMatrix":
-        return PolyMatrix(ring or self.ring, [[fn(a) for a in r] for r in self.rows])
-
     def substitute(self, sub: Substitution) -> "PolyMatrix":
-        return self.map_entries(lambda f: substitute(f, sub), sub.target)
+        """The image under the ring map: the image of each distinct
+        monomial is formed once, then summed with its coefficient matrix."""
+        if self.ring != sub.source:
+            raise ValueError("polynomial not in the substitution's source ring")
+        terms = []
+        for mono, entries in self.coefficients()[0]:
+            image = sub.target.one()
+            for v, k in mono:
+                image = image * sub.images[v] ** k
+            terms.append((entries, image))
+        return PolyMatrix.from_terms(sub.target, self.nrows, self.ncols, terms)
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(a) for a in r) + "]" for r in self.rows)

@@ -87,10 +87,11 @@ def test_kernel_generator_for_small_weyl_is_powers_of_t_and_s():
     # the generator itself, from the frozen search: entry i is c_i s^i t^(m-i)
     (gd, gv), = _frozen_kernel_search(b, 1)
     assert gd == m
-    for i in range(b.size):
-        block = gv[i * (m + 1):(i + 1) * (m + 1)]
-        # coordinate k of a degree-m block is the coefficient of s^(m-k) t^k
-        assert [k for k, c in enumerate(block) if c] == [m - i]
+    n = b.size
+    for i in range(n):
+        # coordinate k n + i of a degree-m vector is the coefficient of
+        # s^(m-k) t^k in entry i
+        assert [k for k in range(m + 1) if gv[k * n + i]] == [m - i]
 
 
 @pytest.mark.parametrize("p,m", [(3, 0), (3, 2), (3, 3), (5, 6)])
@@ -177,12 +178,14 @@ def test_component_module_dim_and_zero_elements():
     b = restrict_p1(theta_global(construct_syzygy_E2(2, 3)))
     comp = ComponentModule(b, ker_power=1, im_power=2)
     dims = [comp.dim(d) for d in range(8)]
-    assert comp._cache == {}  # dim builds components without keeping them
+    subs = [comp.sub(d) for d in range(8)]
+    assert comp._cache == {}  # dim and sub build components without keeping them
     fld = comp.fld
     rng = random.Random(5)
     for d in range(8):
         basis, sub = comp.component(d)
         assert comp.dim(d) == dims[d] == len(basis) - len(sub)
+        assert comp.sub(d) == subs[d] == sub
         for _ in range(6):
             # random combinations of the kernel rows, some inside the image
             rows = sub if sub and rng.random() < 0.5 else basis
@@ -332,7 +335,7 @@ def _frozen_kernel_search(b, j):
                 continue
             basis, _ = comp.component(d)
             hilbert[d] = len(basis)
-            span_rows = [bundles._shift_map(fld, n, gd, d - gd - k, k)(gv)
+            span_rows = [bundles._shift(gv, n, d - gd - k, k)
                          for gd, gv in gens for k in range(d - gd + 1)]
             current = span_basis(fld, span_rows) if span_rows else []
             for cand in basis:
@@ -519,8 +522,31 @@ def test_degree_ranks_match_direct_elimination(data):
         mat = random_matrix(n, n, 1, upper=True).power(D)
     b = P1Matrix(ring, mat, D, fld.p)
     ranks = bundles._degree_ranks(fld, mat, n, D)
+    cols = bundles._toeplitz_columns(mat, n, D)
     for d in range(9):
-        assert next(ranks) == rank(fld, bundles._matrix_component_rows(b, mat, d, D))
+        expected = rank(fld, _matrix_component_rows(b, mat, d, D))
+        assert next(ranks) == expected
+        # the degree-d map from the shifted Toeplitz columns, too
+        assert rank(fld, list(bundles._degree_map(cols, d))) == expected
+
+
+def _matrix_component_rows(b: P1Matrix, power_mat: PolyMatrix, deg_in: int, D: int):
+    """The rows of the degree-deg_in map of ``power_mat``, one per
+    coordinate of the degree deg_in + D component, generated one at a time
+    (the former builder, in the former coordinate-major layout, where the
+    block for ambient coordinate i lists the coefficients of s^(d-k) t^k
+    for k = 0..d; ranks do not depend on the layout)."""
+    n = b.size
+    for r in range(n):
+        # entry (r, i) by the t-exponent of its terms
+        by_t = [{e[1]: c for e, c in f.terms.items()} for f in power_mat.rows[r]]
+        for m in range(deg_in + D + 1):
+            row = [0] * (n * (deg_in + 1))
+            for i, terms in enumerate(by_t):
+                for t, c in terms.items():
+                    if 0 <= m - t <= deg_in:
+                        row[i * (deg_in + 1) + m - t] = c
+            yield row
 
 
 def _assert_kernel_sections_match_splitting(b, j):

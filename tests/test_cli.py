@@ -355,3 +355,25 @@ def test_sl2_height2_scan_over_f25_reports(capsys):
     assert report["results"]["constant"] is False
     assert report["results"]["fields_scanned"] == [[5, 1], [5, 2]]
     assert report["provenance"]["sampled"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--group", "ga1xga1", "--p", "3", "--builtin", "zigzag:1",
+     "--op", "jtype", "--point", "1,0"],
+    ["analyze", "--group", "u_sl2", "--p", "3", "--builtin", "weyl:2", "--op", "projective"],
+    ["analyze", "--group", "ga1xga1", "--p", "3", "--builtin", "syzygy:1",
+     "--op", "endotrivial"],
+    ["reproduce", "twist", "--p", "2"],
+], ids=["jtype", "projective", "endotrivial", "twist"])
+def test_non_nilpotent_local_operator_exits_3(capsys, monkeypatch, argv):
+    # Theta(x) is p-nilpotent at every point of V(G); an evaluation that
+    # breaks this is an engine fault (exit 3), not an input error (exit 1)
+    from jordanbundles.polyring import PolyMatrix
+
+    def identity(self, point, fld=None):
+        return [[int(i == j) for j in range(self.ncols)] for i in range(self.nrows)]
+
+    monkeypatch.setattr(PolyMatrix, "evaluate", identity)
+    code, out, err = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error [E_INTERNAL]:") and "not p-nilpotent" in err

@@ -17,6 +17,7 @@ from jordanbundles.modules import (
     frobenius_twist_gar,
     gln_natural,
     gln_tensor_power,
+    principal_indecomposable_sl2,
     random_module,
     random_nilpotent,
     sl2_height2_natural,
@@ -39,7 +40,7 @@ from jordanbundles.operators import (
     theta_global,
     theta_local,
 )
-from jordanbundles.polyring import PolyMatrix
+from jordanbundles.polyring import PolyMatrix, generic_rank
 from jordanbundles.schemes import (
     additive_kernel,
     enumerate_points,
@@ -47,6 +48,7 @@ from jordanbundles.schemes import (
     generator_names,
     multi_additive,
     orbit,
+    p1_chart,
     restricted_lie,
     restricted_lie_sl2,
     sl2_height2,
@@ -505,3 +507,192 @@ def test_orbit_scans_refuse_inhomogeneous_theta(scan):
     assert th.mat.entries_homogeneous_of_degree() is None
     with pytest.raises(EngineInvariantError, match="homogeneous"):
         scan(th)
+
+
+# ---------------------------------------------------------------------------
+# Theta from its coefficient form against the former dense-sum builder
+
+
+def _frozen_matrix_times_poly(ring, m, f):
+    return PolyMatrix(ring, [[f.scale(c) if c else ring.zero() for c in r] for r in m])
+
+
+def _frozen_theta_global(rep):
+    """The former builder: one dense n x n matrix per generator, added up
+    with ``PolyMatrix.__add__``; its exponent tuples for G_a(r) come from a
+    recursion of its own.  The oracle for ``theta_global``."""
+    import math
+
+    from jordanbundles.modules import _divided_power_op
+    from jordanbundles.operators import _multinomial_mod, _poly_kron
+    from jordanbundles.schemes import coord_ring
+
+    desc, fld = rep.desc, rep.fld
+    p = desc.p
+    ring, _ = coord_ring(desc, fld)
+    n = rep.dim
+    total = PolyMatrix.zero(ring, n, n)
+    if desc.family in ("multi_additive", "restricted_lie"):
+        for i, nm in enumerate(generator_names(desc)):
+            total = total + _frozen_matrix_times_poly(ring, rep.action[nm], ring.var(i))
+        return total
+    if desc.family == "additive_kernel":
+        r = desc.r
+
+        def solutions(l, remaining, prefix):
+            w = p ** l
+            if l == r - 1:
+                if remaining % w == 0:
+                    yield prefix + (remaining // w,)
+                return
+            for k in range(remaining // w + 1):
+                yield from solutions(l + 1, remaining - k * w, prefix + (k,))
+
+        for expo in solutions(0, p ** (r - 1), ()):
+            c = _multinomial_mod(sum(expo), expo, p)
+            if c:
+                total = total + _frozen_matrix_times_poly(
+                    ring, _divided_power_op(rep, sum(expo)), ring.monomial(expo, c))
+        return total
+    if desc.family == "sl2_height2":
+        x0, y0, z0, x1, y1, z1 = (ring.var(i) for i in range(6))
+        for nm, f in (("e", x1), ("f", y1), ("h", z1),
+                      ("e[p]", x0 ** p), ("f[p]", y0 ** p), ("h[p]", z0 ** p)):
+            total = total + _frozen_matrix_times_poly(ring, rep.action[nm], f)
+        for i in range(p):
+            for j in range(p - i + 1):
+                l = p - i - j
+                if j >= p or l >= p:
+                    continue
+                total = total + _frozen_matrix_times_poly(
+                    ring, rep.action["d(%d,%d,%d)" % (i, j, l)], x0 ** i * y0 ** j * z0 ** l)
+        return total
+    # gln_height2: the convolution of beta(T) over the tensor factors
+    m = desc.n
+    a0 = PolyMatrix(ring, [[ring.var(i * m + j) for j in range(m)] for i in range(m)])
+    a1 = PolyMatrix(ring, [[ring.var(m * m + i * m + j) for j in range(m)] for i in range(m)])
+    if rep.construction[0] == "gln_natural":
+        return a1
+    betas = [PolyMatrix.identity(ring, m), a0]
+    for f in range(2, p):
+        betas.append(betas[-1] * a0)
+    for f in range(2, p):
+        inv_fact = pow(math.factorial(f) % p, p - 2, p)
+        betas[f] = PolyMatrix(ring, [[g.scale(inv_fact) for g in r] for r in betas[f].rows])
+    betas.append(a1)
+    conv = list(betas)
+    for _ in range(1, rep.construction[1]):
+        new = []
+        for k in range(p + 1):
+            acc = _poly_kron(ring, conv[0], betas[k])
+            for a in range(1, k + 1):
+                acc = acc + _poly_kron(ring, conv[a], betas[k - a])
+            new.append(acc)
+        conv = new
+    return conv[p]
+
+
+THETA_FAMILIES = [
+    ("Ga(1)-p3", lambda: random_module(multi_additive(3, 1), 3, random.Random(11))),
+    ("Ga(1)^x2-zigzag", lambda: construct_zigzag(3, 3)),
+    ("Ga(1)^x2-syzygy", lambda: construct_syzygy_E2(3, 5)),
+    ("Ga(1)^x2-F9", lambda: random_module(multi_additive(3, 2), 4, random.Random(12),
+                                          ext_field_build(3, 2))),
+    ("Ga(1)^x3-p2", lambda: random_module(multi_additive(2, 3), 4, random.Random(13))),
+    ("Ga(2)-duals", lambda: construct_duals_example(5)),
+    ("Ga(2)-F625", lambda: random_module(additive_kernel(5, 2), 3, random.Random(14),
+                                         ext_field_build(5, 4))),
+    ("Ga(3)-p2", lambda: random_module(additive_kernel(2, 3), 4, random.Random(15))),
+    ("Ga(3)-p3", lambda: random_module(additive_kernel(3, 3), 3, random.Random(16))),
+    ("u_sl2-weyl", lambda: construct_weyl_sl2(6, 5)),
+    ("u_sl2-steinberg", lambda: construct_steinberg(3)),
+    ("lie-sl2-p3", lambda: _custom_sl2(3)),
+    ("lie-sl2-p5", lambda: _custom_sl2(5)),
+    ("SL2(2)-p3", lambda: sl2_height2_natural(3)),
+    ("SL2(2)-p5", lambda: sl2_height2_natural(5)),
+    ("GL2(2)-natural", lambda: gln_natural(3, 2)),
+    ("GL3(2)-natural", lambda: gln_natural(2, 3)),
+    ("GL2(2)-tensor", lambda: gln_tensor_power(3, 2, 2)),
+    ("GL2(2)-tensor3", lambda: gln_tensor_power(5, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("label,build", THETA_FAMILIES, ids=[c[0] for c in THETA_FAMILIES])
+def test_theta_global_matches_frozen_dense_sum(label, build):
+    rep = build()
+    theta = theta_global(rep)
+    frozen = _frozen_theta_global(rep)
+    assert theta.mat.ring == frozen.ring
+    assert theta.mat.rows == frozen.rows
+    assert all(0 not in f.terms.values() for r in theta.mat.rows for f in r)
+
+
+# ---------------------------------------------------------------------------
+# generic ranks: the kernel count on P^1 charts against Bareiss
+
+
+def _bareiss_jrank(theta, j):
+    chart = p1_chart(theta.desc, theta.rep.fld)
+    mat = theta.mat if chart is None else theta.mat.substitute(chart)
+    return generic_rank(mat.power(j))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_generic_jrank_on_charts_matches_bareiss(p):
+    modules = [construct_weyl_sl2(m, p) for m in range(2 * p - 1)]
+    modules += [principal_indecomposable_sl2(lam, p) for lam in range(p)]
+    modules += [construct_syzygy_E2(k, p) for k in (1, 2, 3)]
+    for rep in modules:
+        theta = theta_global(rep)
+        for j in range(1, p):
+            assert generic_jrank(theta, j) == _bareiss_jrank(theta, j), (rep.label, j)
+
+
+@given(p=st.sampled_from([2, 3, 5]), dim=st.integers(2, 5), seed=st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_generic_jrank_on_charts_matches_bareiss_random(p, dim, seed):
+    theta = theta_global(random_module(multi_additive(p, 2), dim, random.Random(seed)))
+    for j in range(1, p):
+        assert generic_jrank(theta, j) == _bareiss_jrank(theta, j)
+
+
+def test_generic_jrank_on_charts_needs_no_bareiss(monkeypatch):
+    # the chart route is the kernel count, certified by Forney's bound;
+    # Bareiss stays for the other affine varieties
+    import jordanbundles.bundles as bundles
+    import jordanbundles.operators as operators
+
+    def no_bareiss(mat):
+        raise AssertionError("generic_rank called")
+
+    monkeypatch.setattr(bundles, "generic_rank", no_bareiss)
+    monkeypatch.setattr(operators, "generic_rank", no_bareiss)
+    for rep in (construct_syzygy_E2(3, 5), construct_weyl_sl2(7, 5)):
+        for j in range(1, 5):
+            assert generic_jrank(theta_global(rep), j) is not None
+    with pytest.raises(AssertionError, match="generic_rank called"):
+        generic_jrank(theta_global(construct_duals_example(3)), 1)
+
+
+# ---------------------------------------------------------------------------
+# a non-p-nilpotent Theta(x) on V(G) is an engine fault
+
+
+def test_local_operator_faults_are_engine_faults(monkeypatch):
+    # Theta(x) of a module is p-nilpotent at every point of V(G), so the
+    # scans turn "not p-nilpotent" into EngineInvariantError; jordan_type
+    # and mj_fiber_dim on a caller's matrix keep their ValueError
+    from jordanbundles.bundles import projectivity_test
+
+    theta = theta_global(construct_zigzag(1, 3))
+    monkeypatch.setattr(PolyMatrix, "evaluate",
+                        lambda self, point, fld=None: [[1 if i == j else 0 for j in range(self.ncols)]
+                                                       for i in range(self.nrows)])
+    with pytest.raises(EngineInvariantError, match="not p-nilpotent"):
+        local_jtype(theta, (1, 0))
+    with pytest.raises(EngineInvariantError, match="not p-nilpotent"):
+        jtype_scan(theta)
+    with pytest.raises(EngineInvariantError, match="not p-nilpotent"):
+        projectivity_test(theta)
+    with pytest.raises(ValueError, match="not p-nilpotent"):
+        jordan_type(prime_field(3), [[1]], 3)

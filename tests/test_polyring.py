@@ -233,3 +233,51 @@ def test_sparse_product_matches_triple_loop(data):
     for e in range(1, 5):
         assert sq.power(e).rows == acc.rows
         acc = _triple_loop_product(acc, sq)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_matrix_substitution_commutes_with_evaluation(data):
+    # M.substitute(phi) at x equals M at phi(x), with images of several
+    # terms, zero images, and images whose products make terms cancel
+    fld = data.draw(st.sampled_from([F3, F5, F9, ext_field_build(5, 4)]), label="field")
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    src = WeightedRing(fld, ("a", "b", "c"), (1, 1, 1))
+    tgt = WeightedRing(fld, ("s", "t"), (1, 1))
+    s, t = tgt.var(0), tgt.var(1)
+    pool = [tgt.zero(), s, t, s + t, s - t, s * s - t * t, s * t,
+            _random_poly(tgt, rng, nterms=3, maxexp=3)]
+    images = tuple(data.draw(st.sampled_from(pool), label="image %d" % i) for i in range(3))
+    sub = Substitution(src, tgt, images, 1)
+    nrows, ncols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    mat = PolyMatrix(src, [[_random_poly(src, rng, nterms=4, maxexp=3) for _ in range(ncols)]
+                           for _ in range(nrows)])
+    image = mat.substitute(sub)
+    assert image.ring == tgt and (image.nrows, image.ncols) == (nrows, ncols)
+    assert all(0 not in f.terms.values() for r in image.rows for f in r)
+    for x in [(0, 0), (1, 0), (0, 1)] + [(rng.randrange(fld.q), rng.randrange(fld.q))
+                                         for _ in range(4)]:
+        phi_x = tuple(poly_eval(f, x) for f in images)
+        assert image.evaluate(x) == mat.evaluate(phi_x)
+    # each entry is the substitution of the polynomial there
+    assert image.rows == [[substitute(f, sub) for f in r] for r in mat.rows]
+
+
+def test_substitute_checks_the_source_ring():
+    src = WeightedRing(F3, ("a",), (1,))
+    tgt = WeightedRing(F3, ("s", "t"), (1, 1))
+    sub = Substitution(src, tgt, (tgt.var(0),), 1)
+    with pytest.raises(ValueError, match="source ring"):
+        substitute(tgt.var(1), sub)
+    with pytest.raises(ValueError, match="source ring"):
+        PolyMatrix(tgt, [[tgt.var(1)]]).substitute(sub)
+
+
+def test_from_terms_cancels_and_skips_zero_polynomials():
+    ring = WeightedRing(F3, ("x", "y"), (1, 1))
+    x, y = ring.var(0), ring.var(1)
+    # (x + y) A + (2x) A with A = [[0, 1], [1, 0]] leaves y A: the x terms cancel
+    a = [(0, 1, 1), (1, 0, 1)]
+    mat = PolyMatrix.from_terms(ring, 2, 3, [(a, x + y), (a, x.scale(2)), (a, ring.zero())])
+    assert mat.rows == [[ring.zero(), y, ring.zero()], [y, ring.zero(), ring.zero()]]
+    assert mat.coefficients()[0] == [(((1, 1),), [(0, 1, 1), (1, 0, 1)])]
