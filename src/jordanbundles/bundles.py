@@ -85,8 +85,12 @@ class P1Matrix:
 def restrict_p1(theta: ThetaMatrix, chart: Optional[Substitution] = None) -> P1Matrix:
     """Restrict the global operator to a standard-graded P^1 chart.  The
     chart defaults to the built-in one (identity for the rank-2
-    multi-additive group, the conic for sl2); raises when none exists."""
-    if chart is None:
+    multi-additive group, the conic for sl2); raises when none exists.
+    Theta restricted to the built-in chart is homogeneous by construction,
+    so an inhomogeneous result there is an ``EngineInvariantError``; on a
+    caller's chart it is a ``ValueError``."""
+    builtin = chart is None
+    if builtin:
         chart = p1_chart(theta.desc, theta.rep.fld)
     if chart is None:
         raise ValueError(
@@ -95,6 +99,10 @@ def restrict_p1(theta: ThetaMatrix, chart: Optional[Substitution] = None) -> P1M
     mat = theta.mat.substitute(chart)
     degree = mat.entries_homogeneous_of_degree()
     if degree is None:
+        if builtin:
+            raise EngineInvariantError(
+                "Theta of a %s-module restricted to the built-in P^1 chart "
+                "is not homogeneous" % theta.desc.label())
         raise ValueError("chart restriction is not homogeneous")
     if degree == 0 and mat.is_zero():
         degree = theta.entry_degree * chart.scale

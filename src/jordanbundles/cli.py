@@ -296,12 +296,11 @@ def run_analyze(args) -> Tuple[dict, int]:
         if not rpt.constant:
             exit_code = 2
     elif args.op in ("bundle", "ktheory"):
-        chart = p1_chart(desc)
-        if chart is None:
+        if p1_chart(desc) is None:
             raise InputError(
                 "E_UNSUPPORTED",
                 "no projective-line chart for group family %r" % desc.family)
-        sub = kernel_graded(restrict_p1(theta, chart), j)
+        sub = kernel_graded(restrict_p1(theta), j)
         prov_extra["kernel_stable_from"] = sub.stable_from
         prov_extra["certified_free"] = sub.certified_free
         if args.op == "bundle":
@@ -316,12 +315,11 @@ def run_analyze(args) -> Tuple[dict, int]:
         basis, note = global_sections(theta, j)
         results = {"dimension": len(basis), "method": note}
     elif args.op == "subquotient":
-        chart = p1_chart(desc)
-        if chart is None:
+        if p1_chart(desc) is None:
             raise InputError(
                 "E_UNSUPPORTED",
                 "no projective-line chart for group family %r" % desc.family)
-        rpt = subquotient_mj(restrict_p1(theta, chart), j)
+        rpt = subquotient_mj(restrict_p1(theta), j)
         results = {
             "fiber_rank": rpt.fiber_rank, "degree": rpt.degree,
             "splitting": list(rpt.splitting.twists) if rpt.splitting else None,

@@ -11,7 +11,15 @@ fields built by ``ext_field_build`` carry addition, negation,
 multiplication and inversion tables, and every elimination and product
 runs on table lookups.  Larger fields, and a ``Field`` constructed without
 tables, use residue arithmetic (e == 1) or digit arithmetic (e > 1)
-through the ``Field`` methods.
+through the ``Field`` methods.  ``Field.pow`` (and so ``frobenius``)
+squares and multiplies on the multiplication table when there is one.
+
+``power_ranks(fld, n, k)`` gives the rank sequence [rank n^0, ..., rank
+n^k] of a square matrix from iterated images, never forming a power: the
+row space of n^(i+1) is the row space of n^i times n, so each step
+eliminates the r_i rows kept from the step before and multiplies them by
+n.  Local Jordan types, ker/im fiber dimensions and the rank scans all
+read it.
 """
 
 from __future__ import annotations
@@ -148,13 +156,15 @@ class Field:
         if a == 0:
             return 1 if n == 0 else 0
         n %= self.q - 1
+        mul = self._mul_table
         result = 1
         base = a
         while n:
             if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = self.mul(result, base) if mul is None else mul[result][base]
             n >>= 1
+            if n:
+                base = self.mul(base, base) if mul is None else mul[base][base]
         return result
 
     def frobenius(self, a: int, s: int = 1) -> int:
@@ -595,6 +605,61 @@ def rank(fld: Field, a: Matrix) -> int:
     return len(row_reduce(fld, a)[1])
 
 
+def power_ranks(fld: Field, n: Matrix, k: int) -> List[int]:
+    """[rank n^0, rank n^1, ..., rank n^k] for a square n, from iterated
+    images rather than powers: the row space of n^(i+1) is the row space of
+    n^i times n.  So step i eliminates the rows that span the row space of
+    n^i, row by row against the independent ones kept so far, and
+    multiplies the r_i kept rows by n, one scaled row of n per nonzero
+    entry of a kept row.  A rank that stops falling stays there (the row
+    spaces of n^(i-1) and n^i are then equal, and so are their images
+    under n), so the sequence is padded from the first rank equal to its
+    predecessor, zero included.  Table lookups when the field has tables,
+    ``Field`` methods otherwise."""
+    size = len(n)
+    ranks = [size]
+    add, neg, mul, inv = fld._add_table, fld._neg_table, fld._mul_table, fld._inv_table
+    rows = n
+    while len(ranks) <= k:
+        # kept rows as (pivot column, row, -1 / pivot entry)
+        kept: List[Tuple[int, Vector, int]] = []
+        for v in rows:
+            for pc, e, ninv in kept:
+                c = v[pc]
+                if not c:
+                    continue
+                if add is None:
+                    f = fld.mul(c, ninv)
+                    v = [fld.add(x, fld.mul(f, y)) for x, y in zip(v, e)]
+                else:
+                    m = mul[mul[c][ninv]]
+                    v = [add[x][m[y]] for x, y in zip(v, e)]
+            pc = next(compress(range(size), v), None)
+            if pc is not None:
+                ninv = fld.neg(fld.inv(v[pc])) if inv is None else neg[inv[v[pc]]]
+                kept.append((pc, v, ninv))
+        ranks.append(len(kept))
+        if not kept or len(kept) == ranks[-2]:
+            break
+        # each kept row times n: the sum of c times row i of n over its
+        # nonzero entries c (it has one, its pivot)
+        rows = []
+        for _, e, _ in kept:
+            out = None
+            for c, nrow in zip(e, n):
+                if not c:
+                    continue
+                if add is None:
+                    term = [fld.mul(c, y) for y in nrow]
+                    out = term if out is None else [fld.add(x, y) for x, y in zip(out, term)]
+                else:
+                    mc = mul[c]
+                    out = ([mc[y] for y in nrow] if out is None
+                           else [add[x][mc[y]] for x, y in zip(out, nrow)])
+            rows.append(out)
+    return ranks + ranks[-1:] * (k + 1 - len(ranks))
+
+
 def kernel_basis(fld: Field, a: Iterable[Sequence[int]], ncols: Optional[int] = None) -> List[Vector]:
     """Canonical basis of the right kernel {v : a v = 0}, normalized from the
     reduced echelon form (free variable set to 1, read off in column order).
@@ -682,6 +747,7 @@ __all__ = [
     "reduce_vector",
     "Echelon",
     "rank",
+    "power_ranks",
     "kernel_basis",
     "span_basis",
     "in_span",

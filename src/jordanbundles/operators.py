@@ -22,7 +22,7 @@ from .field import (
     mat_mul,
     mat_pow,
     mat_vec,
-    rank,
+    power_ranks,
     span_basis,
 )
 from .modules import ModuleRep, _divided_power_op
@@ -187,21 +187,12 @@ class JordanType:
 
 def jordan_type(fld: Field, n: Matrix, p: int) -> JordanType:
     """Jordan type of a p-nilpotent matrix from the rank sequence of its
-    powers: a_i = r_{i-1} - 2 r_i + r_{i+1}."""
-    # r_0 = dim, then r_i = rank n^i by elimination until one is 0, as every
-    # higher power vanishes too; otherwise n^p must be 0
-    ranks = [len(n)]
-    power = n
-    for _ in range(p - 1):
-        ranks.append(rank(fld, power))
-        if not ranks[-1]:
-            break
-        power = mat_mul(fld, power, n)
-    else:
-        if not is_zero_matrix(power):
-            raise ValueError("matrix is not p-nilpotent (p = %d)" % p)
-    ranks += [0] * (p + 2 - len(ranks))
-    counts = tuple(ranks[i - 1] - 2 * ranks[i] + ranks[i + 1] for i in range(1, p + 1))
+    powers (``power_ranks``): a_i = r_{i-1} - 2 r_i + r_{i+1}."""
+    ranks = power_ranks(fld, n, p)
+    if ranks[p]:
+        raise ValueError("matrix is not p-nilpotent (p = %d)" % p)
+    ranks.append(0)
+    counts = tuple([ranks[i - 1] - 2 * ranks[i] + ranks[i + 1] for i in range(1, p + 1)])
     return JordanType(p, counts)
 
 
@@ -283,17 +274,13 @@ def local_jtype(theta: ThetaMatrix, point: Sequence[int], fld: Optional[Field] =
 
 def mj_fiber_dim(fld: Field, n: Matrix, p: int, j: int) -> int:
     """dim ker(n^j) / im(n^(p-j)) for a p-nilpotent matrix (the image is
-    contained in the kernel, so this is a plain dimension difference)."""
-    dim = len(n)
-    powers = [identity(fld, dim), n]
-    while len(powers) <= max(j, p - j):
-        powers.append(mat_mul(fld, powers[-1], n))
-    nj, npj = powers[j], powers[p - j]
-    ker_dim = dim - rank(fld, nj)
-    # containment check: n^j * n^(p-j) = n^p = 0 automatically; verify anyway
-    if not is_zero_matrix(mat_mul(fld, nj, npj)):
+    contained in the kernel, so this is a plain dimension difference):
+    (N - r_j) - r_(p-j) from the rank sequence of the powers."""
+    ranks = power_ranks(fld, n, p)
+    # the image lies in the kernel exactly when n^j n^(p-j) = n^p = 0
+    if ranks[p]:
         raise ValueError("image not contained in kernel; matrix not p-nilpotent")
-    return ker_dim - rank(fld, npj)
+    return (len(n) - ranks[j]) - ranks[p - j]
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +369,7 @@ def constant_jrank_report(theta: ThetaMatrix, j: int, max_ext: int = 2,
         if (fld.p, fld.e) not in fields:
             fields.append((fld.p, fld.e))
         m = theta.mat.evaluate(point, fld)
-        r = rank(fld, mat_pow(fld, m, j))
+        r = power_ranks(fld, m, j)[j]
         count += weight
         if r not in ranks_seen:
             ranks_seen[r] = point
@@ -409,9 +396,8 @@ def generic_jrank(theta: ThetaMatrix, j: int) -> Optional[int]:
     from .bundles import kernel_graded, restrict_p1
 
     desc = theta.desc
-    chart = p1_chart(desc, theta.rep.fld)
-    if chart is not None:
-        return theta.dim - kernel_graded(restrict_p1(theta, chart), j).rank
+    if p1_chart(desc, theta.rep.fld) is not None:
+        return theta.dim - kernel_graded(restrict_p1(theta), j).rank
     if desc.family in ("multi_additive", "additive_kernel"):
         return generic_rank(theta.mat.power(j))
     return None
@@ -437,7 +423,7 @@ def rank_variety_scan(theta: ThetaMatrix, j: int = 1, max_ext: int = 1,
     for fld, point, _, sampled in orbit_scan(theta, max_ext, rng):
         if fld.e != 1:
             continue
-        r = rank(fld, mat_pow(fld, theta.mat.evaluate(point, fld), j))
+        r = power_ranks(fld, theta.mat.evaluate(point, fld), j)[j]
         for pt in [point] if sampled else orbit(theta.desc, point, fld):
             out[pt] = r
     return dict(sorted(out.items()))

@@ -375,44 +375,40 @@ class PolyMatrix:
     def coefficients(self) -> tuple:
         """The matrix as sum_m A_m x^m: a list of (monomial, entries) with
         the monomial as its (variable, exponent) pairs and the entries
-        (i, j, c) of A_m, one per nonzero coefficient, and the largest
-        exponent of each variable."""
+        (i, j, c) of A_m, one per nonzero coefficient, and the set of the
+        distinct (variable, exponent) pairs of the monomials."""
         if self._form is None:
             by_mono: Dict[Expo, List[Tuple[int, int, int]]] = {}
             for i, r in enumerate(self.rows):
                 for j, a in enumerate(r):
                     for e, c in a.terms.items():
                         by_mono.setdefault(e, []).append((i, j, c))
-            top: Dict[int, int] = {}
+            factors = set()
             form = []
             for e, entries in by_mono.items():
                 mono = tuple((v, k) for v, k in enumerate(e) if k)
-                for v, k in mono:
-                    top[v] = max(top.get(v, 0), k)
+                factors.update(mono)
                 form.append((mono, entries))
-            self._form = (form, top)
+            self._form = (form, factors)
         return self._form
 
     def evaluate(self, point: Sequence[int], fld: Optional[Field] = None) -> Matrix:
         """The matrix at a point with coordinates in fld (defaults to the
         ring's field; a bigger field evaluates prime-field entries at
-        extension points): one value per distinct monomial, then one
-        sparse linear combination of the coefficient matrices."""
+        extension points): one ``Field.pow`` per distinct (variable,
+        exponent) pair, one value per distinct monomial, then one sparse
+        linear combination of the coefficient matrices."""
         if fld is None:
             fld = self.ring.fld
-        form, top = self.coefficients()
-        powers = {}
-        for v, k in top.items():
-            x = point[v]
-            pw = [1, x]
-            for _ in range(k - 1):
-                pw.append(fld.mul(pw[-1], x))
-            powers[v] = pw
-        out = [[0] * self.ncols for _ in range(self.nrows)]
+        form, factors = self.coefficients()
+        powers = {(v, k): fld.pow(point[v], k) for v, k in factors}
+        ncols = self.ncols
+        out = [[0] * ncols for _ in self.rows]
+        mul = fld._mul_table
         for mono, entries in form:
             val = 1
-            for v, k in mono:
-                val = fld.mul(val, powers[v][k])
+            for vk in mono:
+                val = fld.mul(val, powers[vk]) if mul is None else mul[val][powers[vk]]
             if val:
                 add_scaled_entries(fld, out, val, entries)
         return out

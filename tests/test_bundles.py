@@ -39,7 +39,7 @@ from jordanbundles.modules import (
 )
 from jordanbundles.operators import theta_global
 from jordanbundles.polyring import Poly, PolyMatrix, WeightedRing, poly_eval
-from jordanbundles.schemes import multi_additive
+from jordanbundles.schemes import multi_additive, p1_chart
 
 
 def test_restrict_p1_entry_degrees():
@@ -53,6 +53,19 @@ def test_restrict_p1_unsupported_family():
     rep = construct_duals_example(3)
     with pytest.raises((ValueError, NotImplementedError)):
         restrict_p1(theta_global(rep))
+
+
+def test_restrict_p1_inhomogeneous_result(monkeypatch):
+    # Theta of a validated module is homogeneous on the built-in chart, so
+    # an inhomogeneous restriction there is an engine fault; on a chart the
+    # caller supplies it stays a ValueError
+    theta = theta_global(construct_weyl_sl2(2, 3))
+    chart = p1_chart(theta.desc, theta.rep.fld)
+    monkeypatch.setattr(PolyMatrix, "entries_homogeneous_of_degree", lambda self: None)
+    with pytest.raises(EngineInvariantError, match="built-in P\\^1 chart"):
+        restrict_p1(theta)
+    with pytest.raises(ValueError, match="not homogeneous"):
+        restrict_p1(theta, chart)
 
 
 def test_conic_chart_matrix_matches_direct_expansion():

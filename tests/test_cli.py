@@ -333,6 +333,20 @@ def test_inhomogeneous_theta_exits_3(capsys, monkeypatch):
     assert err.startswith("error [E_INTERNAL]:") and "homogeneous" in err
 
 
+def test_inhomogeneous_chart_restriction_exits_3(capsys, monkeypatch):
+    # Theta restricted to the built-in P^1 chart is homogeneous by
+    # construction; a restriction that is not is an engine fault
+    from jordanbundles.polyring import PolyMatrix
+
+    monkeypatch.setattr(PolyMatrix, "entries_homogeneous_of_degree", lambda self: None)
+    code, out, err = run_cli(
+        ["analyze", "--group", "u_sl2", "--p", "3", "--builtin", "weyl:2",
+         "--op", "bundle", "--format", "json"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error [E_INTERNAL]:") and "built-in P^1 chart" in err
+
+
 def test_twist_check_counts_every_nonzero_point():
     # one check per orbit representative, counted for the q - 1 points of
     # its orbit: 25 G_a(2) modules at the 80 nonzero points of F_9^2, and

@@ -23,6 +23,7 @@ from jordanbundles.field import (
     mat_scale,
     mat_sub,
     mat_vec,
+    power_ranks,
     prime_field,
     rank,
     reduce_vector,
@@ -295,6 +296,11 @@ def test_table_kernel_matches_field_methods(data):
     assert mat_add(fld, a, a2) == mat_add(bare, a, a2)
     assert mat_sub(fld, a, a2) == mat_sub(bare, a, a2)
     assert mat_scale(fld, c, a) == mat_scale(bare, c, a)
+    k = rng.randrange(3 * fld.q)
+    assert fld.pow(c, k) == bare.pow(c, k)
+    assert fld.frobenius(c, 2) == bare.frobenius(c, 2)
+    sq = sparse(cols, cols)
+    assert power_ranks(fld, sq, cols + 1) == power_ranks(bare, sq, cols + 1)
     assert solve(fld, a, rhs) == solve(bare, a, rhs)
     residual = reduce_vector(fld, red[0], red[1], v)
     assert residual == reduce_vector(bare, red[0], red[1], v)
@@ -336,3 +342,64 @@ def test_echelon_insert_matches_in_span(data):
         assert all(row[pc] == 1 and not any(row[:pc]) for row, pc in zip(ech.rows, ech.pivots))
         assert len(ech.rows) == rank(fld, vectors[:k + 1])
     assert span_basis(fld, ech.rows) == span_basis(fld, vectors)
+
+
+# ---------------------------------------------------------------------------
+# rank sequences of powers
+
+
+def _ranks_of_powers(fld, n, k):
+    return [rank(fld, mat_pow(fld, n, j)) for j in range(k + 1)]
+
+
+def _planted(fld, dim, r, rng):
+    """A random dim x dim matrix of rank at most r: its powers' ranks fall
+    and then stay, usually above zero."""
+    b = _random_matrix(fld, dim, r, rng)
+    c = _random_matrix(fld, r, dim, rng)
+    return mat_mul(fld, b, c) if r else zeros(dim, dim)
+
+
+# (p, e): prime fields, GF(p^2), GF(p^3), and GF(11^3), which has no tables
+POWER_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (11, 3)]
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_power_ranks_matches_ranks_of_powers(data):
+    """power_ranks against rank(n^j) for every j <= k, with and without
+    the field's tables, on p-nilpotent matrices and on planted-rank ones
+    whose rank sequence settles above zero."""
+    from jordanbundles.modules import random_nilpotent
+
+    p, e = data.draw(st.sampled_from(POWER_FIELDS), label="field")
+    fld = ext_field_build(p, e)
+    if data.draw(st.booleans(), label="bare"):
+        fld = Field(p, e, fld.modulus)
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    dim = data.draw(st.integers(1, 6), label="dim")
+    if data.draw(st.booleans(), label="nilpotent"):
+        n = random_nilpotent(fld, dim, p, rng)
+    else:
+        n = _planted(fld, dim, rng.randint(0, dim), rng)
+    k = data.draw(st.integers(0, dim + 2), label="k")
+    assert power_ranks(fld, n, k) == _ranks_of_powers(fld, n, k)
+
+
+@pytest.mark.parametrize("fld", [prime_field(3), ext_field_build(3, 2),
+                                 Field(3, 2, ext_field_build(3, 2).modulus)],
+                         ids=["F3", "F9", "F9-bare"])
+def test_power_ranks_edge_cases(fld):
+    # zero matrices, 1 x 1 matrices and the empty matrix
+    for dim in range(5):
+        assert power_ranks(fld, zeros(dim, dim), 4) == [dim] + [0] * 4
+    for c in range(fld.q):
+        assert power_ranks(fld, [[c]], 3) == [1] + [1 if c else 0] * 3
+    assert power_ranks(fld, [[2]], 0) == [1]
+    # a Jordan block of size 2 beside an invertible 1 x 1 block: the rank
+    # stops falling at 1, above zero
+    n = [[0, 1, 0], [0, 0, 0], [0, 0, 2]]
+    assert power_ranks(fld, n, 5) == _ranks_of_powers(fld, n, 5) == [3, 2, 1, 1, 1, 1]
+    # one Jordan block of size 4
+    j4 = [[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)]
+    assert power_ranks(fld, j4, 6) == [4, 3, 2, 1, 0, 0, 0]

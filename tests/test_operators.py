@@ -5,7 +5,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jordanbundles.field import ext_field_build, mat_pow, prime_field, rank
+from jordanbundles.field import (
+    Field,
+    ext_field_build,
+    identity,
+    is_zero_matrix,
+    mat_mul,
+    mat_pow,
+    prime_field,
+    rank,
+)
 from jordanbundles.modules import (
     ModuleRep,
     construct_duals_example,
@@ -276,6 +285,91 @@ def test_mj_fiber_dim_formula():
         for k in range(2):
             free[3*b + k + 1][3*b + k] = 1
     assert mj_fiber_dim(fld, free, p, 1) == 0
+
+
+# ---------------------------------------------------------------------------
+# the rank-sequence route against the former powers-then-rank route
+
+
+def _frozen_jordan_type(fld, n, p):
+    """The former jordan_type: the rank of each power, formed by one full
+    product per step, until a rank is 0; otherwise n^p must vanish."""
+    ranks = [len(n)]
+    power = n
+    for _ in range(p - 1):
+        ranks.append(rank(fld, power))
+        if not ranks[-1]:
+            break
+        power = mat_mul(fld, power, n)
+    else:
+        if not is_zero_matrix(power):
+            raise ValueError("matrix is not p-nilpotent (p = %d)" % p)
+    ranks += [0] * (p + 2 - len(ranks))
+    counts = tuple(ranks[i - 1] - 2 * ranks[i] + ranks[i + 1] for i in range(1, p + 1))
+    return JordanType(p, counts)
+
+
+def _frozen_mj_fiber_dim(fld, n, p, j):
+    """The former mj_fiber_dim: ranks of the powers n^j and n^(p-j) formed
+    by products, with the containment n^j n^(p-j) = 0 checked."""
+    dim = len(n)
+    powers = [identity(fld, dim), n]
+    while len(powers) <= max(j, p - j):
+        powers.append(mat_mul(fld, powers[-1], n))
+    nj, npj = powers[j], powers[p - j]
+    ker_dim = dim - rank(fld, nj)
+    if not is_zero_matrix(mat_mul(fld, nj, npj)):
+        raise ValueError("image not contained in kernel; matrix not p-nilpotent")
+    return ker_dim - rank(fld, npj)
+
+
+# GF(p), GF(p^2) and GF(p^3); GF(11^3) is past the table limit
+JORDAN_FIELDS = {pe: ext_field_build(*pe) for pe in [
+    (2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (5, 3),
+    (11, 3)]}
+
+
+def _jordan_field(p, e, tables):
+    """GF(p^e), with its tables or as a bare ``Field`` of the same modulus."""
+    fld = JORDAN_FIELDS[p, e]
+    return fld if tables else Field(p, e, fld.modulus)
+
+
+@given(seed=st.integers(0, 10**6), pe=st.sampled_from(sorted(JORDAN_FIELDS)),
+       tables=st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_jordan_type_matches_frozen_route_and_oracle(seed, pe, tables):
+    # the rank sequence on table lookups and on Field methods
+    p, e = pe
+    fld = _jordan_field(p, e, tables)
+    rng = random.Random(seed)
+    n = random_nilpotent(fld, rng.randint(1, 7), p, rng)
+    jt = jordan_type(fld, n, p)
+    assert jt == _frozen_jordan_type(fld, n, p)
+    assert jt == jordan_type_chain_oracle(fld, n, p)
+    assert jt.dim == len(n)
+
+
+@pytest.mark.parametrize("p,e,tables", [(3, 2, True), (3, 2, False), (5, 2, True)],
+                         ids=["F9", "F9-bare", "F25"])
+def test_mj_fiber_dim_matches_frozen_formula(p, e, tables):
+    fld = _jordan_field(p, e, tables)
+    rng = random.Random(p * 10 + e)
+    for _ in range(25):
+        n = random_nilpotent(fld, rng.randint(1, 8), p, rng)
+        for j in range(p + 1):
+            assert mj_fiber_dim(fld, n, p, j) == _frozen_mj_fiber_dim(fld, n, p, j)
+
+
+@pytest.mark.parametrize("tables", [True, False], ids=["F9", "F9-bare"])
+def test_jordan_type_rejects_rank_settling_above_zero(tables):
+    # the rank of the powers stops falling above zero: not nilpotent at all
+    fld = _jordan_field(3, 2, tables)
+    for n in ([[1]], [[0, 1], [0, 1]], [[0, 1, 0], [0, 0, 0], [0, 0, 5]]):
+        with pytest.raises(ValueError, match="not p-nilpotent"):
+            jordan_type(fld, n, 3)
+        with pytest.raises(ValueError, match="not p-nilpotent"):
+            mj_fiber_dim(fld, n, 3, 1)
 
 
 def test_zigzag_local_jordan_type():
