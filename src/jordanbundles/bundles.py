@@ -11,9 +11,8 @@ of N coordinates, holds the coefficients of s^(d-m) t^m.  Multiplying by
 s^a t^b pads a vector with b blocks of zeros in front and a behind
 (``_shift``).  The degree-d map of B^j has as columns the N columns of
 sum_m A_m t^m (``_toeplitz_columns``), each shifted by s^(d-k) t^k for
-k = 0 .. d (``_degree_map``).  The kernel and image components, the
-sliding rank count and the two-chart section counts all use this one
-layout.
+k = 0 .. d (``_degree_map``).  The sliding rank count and the kernel
+generators use this one layout.
 
 Every bundle here comes from kernels alone, by four facts:
 
@@ -37,6 +36,17 @@ Every bundle here comes from kernels alone, by four facts:
 Subquotients ker(B^j)/im(B^q) and images then follow from additivity in
 K_0(P^1): im(B^q) is O(-D)^N modulo K_q(-D), D = q * entry_degree, so
     rk = rk K_j - (N - rk K_q),  deg = deg K_j + (N - rk K_q) D + deg K_q.
+Their splitting types come from duality:
+
+- Duality.  A graded module presented as M = coker phi, phi a map of free
+  modules, has Hom_S(M, S) = ker phi^T, free again.  If F is the sheaf of
+  M and T its torsion, the generator degrees delta_k of ker phi^T give
+  F/T = (+) O(delta_k), so T has length deg F - sum delta_k and F is a
+  bundle exactly when that is 0.  For K_j / im B^q, phi writes the
+  columns of B^q in the generators of K_j; for im B^j it is the matrix of
+  those generators.  ker phi^T is counted by ranks like K_j, to rk F
+  generators under Forney's bound deg F.
+
 A failure of these facts in a computation is an engine fault and raises
 ``EngineInvariantError``.
 """
@@ -45,20 +55,19 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import accumulate
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .field import (
     Echelon,
     Field,
-    Matrix,
     Vector,
     enumerate_elements,
     kernel_basis,
-    mat_mul,
     rank,
-    reduce_vector,
-    row_reduce,
+    solve,
     span_basis,
+    transpose,
 )
 from .operators import (ThetaMatrix, EngineInvariantError, _on_variety, mj_fiber_dim,
                         orbit_scan, constant_jrank_report, ConstancyReport)
@@ -143,78 +152,8 @@ def _degree_map(cols: List[Vector], d: int) -> Iterator[Vector]:
             yield _shift(c, n, d - k, k)
 
 
-class ComponentModule:
-    """A graded module presented degreewise: each component is a quotient
-    (span of ``basis`` rows) / (span of ``sub`` rows) of component vectors
-    in a common free ambient.  Supports the kernel, image, and subquotient
-    modules of powers of a restricted operator."""
-
-    def __init__(self, b: P1Matrix, ker_power: int = 0, im_power: Optional[int] = None):
-        """ker_power = j > 0: components are ker(B^j)_d; im_power = q:
-        subtract the degree-shifted image of B^q.  ker_power == 0 with
-        im_power = q gives the image module of B^q itself."""
-        self.b = b
-        self.ker_power = ker_power
-        self.im_power = im_power
-        self.fld = b.ring.fld
-        self.n = b.size
-        self._kmat = b.mat.power(ker_power) if ker_power else None
-        self._imat = b.mat.power(im_power) if im_power else None
-        D = b.entry_degree
-        self._kcols = _toeplitz_columns(self._kmat, self.n, ker_power * D) if ker_power else None
-        self._icols = _toeplitz_columns(self._imat, self.n, im_power * D) if im_power else None
-        if ker_power and im_power:
-            prod = self._kmat * self._imat
-            if not prod.is_zero():
-                raise ValueError(
-                    "image of power %d is not contained in kernel of power %d" % (im_power, ker_power)
-                )
-        self._cache: Dict[int, Tuple[Matrix, Matrix]] = {}
-
-    def component(self, d: int) -> Tuple[Matrix, Matrix]:
-        """(basis rows, sub rows) for degree d; the module component is the
-        quotient of the two spans.  Both are in RREF."""
-        if d not in self._cache:
-            self._cache[d] = self._build(d)
-        return self._cache[d]
-
-    def _build(self, d: int) -> Tuple[Matrix, Matrix]:
-        if d < 0:
-            return [], []
-        if not self.ker_power:
-            return self._image(d), []
-        # the kernel of the degree-d map, read by rows
-        rows = zip(*_degree_map(self._kcols, d))
-        return span_basis(self.fld, kernel_basis(self.fld, rows, self.n * (d + 1))), self.sub(d)
-
-    def _image(self, d: int) -> Matrix:
-        """RREF rows of the degree-d component of im(B^q)."""
-        src = d - self.im_power * self.b.entry_degree
-        return span_basis(self.fld, _degree_map(self._icols, src)) if src >= 0 else []
-
-    def sub(self, d: int) -> Matrix:
-        """The sub rows of the degree-d component (im(B^q) in a subquotient,
-        none otherwise), built without its basis and not kept."""
-        return self._image(d) if self.ker_power and self.im_power else []
-
-    def dim(self, d: int) -> int:
-        """Dimension of the degree-d component; a component not already
-        held is built for its size and not kept."""
-        basis, sub = self._cache[d] if d in self._cache else self._build(d)
-        return len(basis) - len(sub)
-
-    def is_zero_element(self, d: int, v: Vector) -> bool:
-        _, sub = self.component(d)
-        return not any(reduce_vector(self.fld, sub, _pivot_columns(sub), v))
-
-
-def _pivot_columns(rref: Matrix) -> List[int]:
-    """Pivot columns of a matrix in RREF: the first nonzero of each row."""
-    return [next(j for j, x in enumerate(row) if x) for row in rref]
-
-
 # ---------------------------------------------------------------------------
-# graded kernels and images: generator degrees from ranks
+# graded kernels: generator degrees from ranks
 # ---------------------------------------------------------------------------
 
 
@@ -284,6 +223,23 @@ def kernel_graded(b: P1Matrix, j: int = 1) -> GradedSubmodule:
     return _kernel_of_power(b, j, b.mat.power(j))
 
 
+def _generator_degrees(h: Callable[[int], int], start: int, target: int,
+                       bound: int) -> Tuple[List[int], int]:
+    """Generator degrees of a free graded module, zero below degree
+    ``start``, from its Hilbert function ``h``: degree d holds
+    h(d) - sum_{a_i < d} (d - a_i + 1) new generators.  The count visits
+    d = start, start + 1, ... until it holds ``target`` generators, or
+    stops short when the generators still missing, each of degree >= d,
+    would take the degree sum past ``bound`` (Forney's bound).  Returns the
+    degrees found and the degree where the count stopped."""
+    degrees: List[int] = []
+    d = start
+    while len(degrees) < target and sum(degrees) + (target - len(degrees)) * d <= bound:
+        degrees += [d] * (h(d) - sum(d - a + 1 for a in degrees))
+        d += 1
+    return degrees, d
+
+
 def _kernel_of_power(b: P1Matrix, j: int, power: PolyMatrix) -> GradedSubmodule:
     """``kernel_graded`` with B^j = ``power`` already formed."""
     fld = b.ring.fld
@@ -291,18 +247,18 @@ def _kernel_of_power(b: P1Matrix, j: int, power: PolyMatrix) -> GradedSubmodule:
     D = j * b.entry_degree
     ranks = _degree_ranks(fld, power, n, D)
     hilbert: Dict[int, int] = {}
+
+    def h(d: int) -> int:
+        if d not in hilbert:
+            # both passes visit d = 0, 1, ..., so the next rank is degree d's
+            hilbert[d] = n * (d + 1) - next(ranks)
+        return hilbert[d]
+
     for r in (_point_rank(fld, power), None):
         if r is None:
             r = generic_rank(power)
         target, bound = n - r, r * D
-        degrees: List[int] = []
-        d = 0
-        while len(degrees) < target and sum(degrees) + (target - len(degrees)) * d <= bound:
-            if d not in hilbert:
-                # both passes visit d = 0, 1, ..., so the next rank is degree d's
-                hilbert[d] = n * (d + 1) - next(ranks)
-            degrees += [d] * (hilbert[d] - sum(d - a + 1 for a in degrees))
-            d += 1
+        degrees, d = _generator_degrees(h, 0, target, bound)
         if len(degrees) == target:
             break
     else:
@@ -318,25 +274,6 @@ def _kernel_of_power(b: P1Matrix, j: int, power: PolyMatrix) -> GradedSubmodule:
         certified_free=True,
         stable_from=max(top, 0) + 1,
         label="ker(theta^%d)" % j,
-    )
-
-
-def image_graded(b: P1Matrix, j: int = 1) -> GradedSubmodule:
-    """The graded image of the j-th power, generated by columns of degree
-    D = j * entry_degree, as many as its dimension in degree D."""
-    n = b.size
-    D = j * b.entry_degree
-    kj = kernel_graded(b, j)
-    hilbert = {d: _image_dim(n, kj, D, d) for d in range(0, D + n + 2)}
-    # the image module need not be free, so no freeness certificate here
-    return GradedSubmodule(
-        ring=b.ring,
-        ambient_rank=n,
-        degrees=[D] * hilbert[D],
-        hilbert=hilbert,
-        certified_free=False,
-        stable_from=None,
-        label="im(theta^%d)" % j,
     )
 
 
@@ -370,7 +307,7 @@ def splitting_type(sub: GradedSubmodule) -> SplittingType:
 
 
 # ---------------------------------------------------------------------------
-# subquotients and sheaf identification from components
+# subquotients and images: splitting types by duality
 # ---------------------------------------------------------------------------
 
 
@@ -382,44 +319,6 @@ class SheafReport:
     stable_from: Optional[int]
     hilbert: Dict[int, int]
     note: str = ""
-
-
-def _twisted_sections_dim(comp: ComponentModule, d: int, bound: int) -> int:
-    """dim H^0 of the sheaf of the module twisted by O(d), by two-chart
-    gluing with denominator exponent ``bound``."""
-    fld = comp.fld
-    n = comp.n
-    dd = d + bound
-    if dd < 0:
-        return 0
-    basis, _ = comp.component(dd)
-    k = len(basis)
-    if k == 0:
-        return 0
-    E = bound
-    big_sub = comp.sub(dd + bound + 2 * E)
-    big_piv = _pivot_columns(big_sub)
-    # map (a, b) -> (st)^E ( t^bound a - s^bound b ) reduced mod the sub
-    cols = [reduce_vector(fld, big_sub, big_piv, _shift(v, n, E, bound + E)) for v in basis]
-    cols += [reduce_vector(fld, big_sub, big_piv, [fld.neg(x) for x in _shift(v, n, bound + E, E)])
-             for v in basis]
-    rows = [list(r) for r in zip(*cols)]
-    sols = kernel_basis(fld, rows, 2 * k) if rows else []
-    if not sols:
-        return 0
-    # quotient by pairs representing the zero section: s-power kills a and
-    # t-power kills b
-    sub_a = comp.sub(dd + 2 * E)
-    a_piv = _pivot_columns(sub_a)
-    # each solution's two chart vectors, as combinations of the basis rows
-    vas = mat_mul(fld, [sol[:k] for sol in sols], basis)
-    vbs = mat_mul(fld, [sol[k:] for sol in sols], basis)
-    zero_rows = [reduce_vector(fld, sub_a, a_piv, _shift(va, n, 2 * E, 0))
-                 + reduce_vector(fld, sub_a, a_piv, _shift(vb, n, 0, 2 * E))
-                 for va, vb in zip(vas, vbs)]
-    # sections = compatible pairs modulo pairs vanishing on both charts;
-    # the dimension is the rank of the chartwise evaluation of the solutions
-    return len(row_reduce(fld, zero_rows)[1])
 
 
 def _image_class(n: int, kernel: GradedSubmodule, shift: int) -> K0Class:
@@ -435,29 +334,116 @@ def _image_dim(n: int, kernel: GradedSubmodule, shift: int, d: int) -> int:
     return n * max(0, d - shift + 1) - kernel.free_dim(d - shift)
 
 
-def _sheaf_report(comp: ComponentModule, cls: K0Class, stable_from: int,
-                  hilbert: Dict[int, int]) -> SheafReport:
-    """Report a sheaf from its K_0 class: rank 0 and 1 are read off, a
-    rank-2 splitting is found by two-chart section counts on ``comp``, a
-    larger rank is reported by rank and degree only."""
+# A presentation of a graded module M = coker phi, phi mapping
+# (+)_c S(-w_c) to (+)_r S(-u_r): (field, phi, u, w), where phi[r][c] lists
+# the t-coefficients of an entry homogeneous of degree w_c - u_r (empty
+# when that is negative).
+Presentation = Tuple[Field, List[List[Vector]], List[int], List[int]]
+
+
+def _kernel_generators(b: P1Matrix, j: int, power: PolyMatrix,
+                       degrees: List[int]) -> List[Tuple[int, Vector]]:
+    """Generators of K_j (B^j = ``power``) as (degree, component vector),
+    built only in the generator degrees the count found: at each such
+    degree a, the kernel of the degree-a map modulo the shifts of the
+    generators below a."""
+    fld, n = b.ring.fld, b.size
+    cols = _toeplitz_columns(power, n, j * b.entry_degree)
+    gens: List[Tuple[int, Vector]] = []
+    for a in sorted(set(degrees)):
+        span = Echelon(fld, (_shift(v, n, a - g - k, k) for g, v in gens for k in range(a - g + 1)))
+        kernel = kernel_basis(fld, zip(*_degree_map(cols, a)), n * (a + 1))
+        gens += [(a, v) for v in kernel if span.insert(v) is not None]
+    if [a for a, _ in gens] != sorted(degrees):
+        raise EngineInvariantError("generators of ker(B^%d) found in degrees %s, counted in %s"
+                                   % (j, [a for a, _ in gens], sorted(degrees)))
+    return gens
+
+
+def _subquotient_presentation(b: P1Matrix, j: int, kmat: PolyMatrix, kj: GradedSubmodule,
+                              q: int, imat: PolyMatrix) -> Presentation:
+    """K_j / im B^q as coker phi: with generators k_i of K_j in degrees
+    a_i, column c of B^q is sum_i k_i phi_ic, phi_ic of degree
+    E - a_i, E = q * entry_degree.  One ``solve`` per column in degree E,
+    where K_j has the shifts of the k_i as a basis."""
+    fld, n = b.ring.fld, b.size
+    E = q * b.entry_degree
+    gens = _kernel_generators(b, j, kmat, kj.degrees)
+    shifts = transpose([_shift(v, n, E - a - k, k) for a, v in gens for k in range(E - a + 1)])
+    sols = [solve(fld, shifts, col) for col in _toeplitz_columns(imat, n, E)]
+    if None in sols:
+        raise EngineInvariantError("a column of B^%d lies outside ker(B^%d)" % (q, j))
+    phi, off = [], 0
+    for a, _ in gens:
+        width = max(0, E - a + 1)
+        phi.append([x[off:off + width] for x in sols])
+        off += width
+    return fld, phi, [a for a, _ in gens], [E] * n
+
+
+def _image_presentation(b: P1Matrix, j: int, kmat: PolyMatrix,
+                        kj: GradedSubmodule) -> Presentation:
+    """im B^j = S(-D)^N / K_j(-D), D = j * entry_degree, as coker phi with
+    phi = [k_1 ... k_m], the generators of K_j: entry (c, i) is entry c of
+    k_i, read off its component vector at coordinates c, c + N, ..."""
+    n, D = b.size, j * b.entry_degree
+    gens = _kernel_generators(b, j, kmat, kj.degrees)
+    phi = [[v[c::n] for _, v in gens] for c in range(n)]
+    return b.ring.fld, phi, [D] * n, [a + D for a, _ in gens]
+
+
+def _dual_degrees(fld: Field, phi: List[List[Vector]], u: List[int], w: List[int],
+                  rk: int, deg: int) -> List[int]:
+    """Generator degrees of Hom_S(M, S) = ker phi^T for M = coker phi (see
+    ``Presentation``), a free module of rank ``rk``.  phi^T maps
+    (+)_r S(u_r) to (+)_c S(w_c); its degree-delta map sends
+    s^(delta+u_r-k) t^k e_r to sum_c phi_rc t^k (times a power of s), with
+    one block of t-exponents per target c (the targets need not share a
+    degree).  The kernel count of ``_generator_degrees`` runs on its
+    ranks, from delta = -max u_r, with Forney's bound ``deg``: the
+    generators sum to the degree of F/T, F the sheaf of M of degree
+    ``deg`` and T its torsion."""
+
+    def h(delta: int) -> int:
+        offsets = list(accumulate((max(0, delta + x + 1) for x in w), initial=0))
+        cols = []
+        for r, ur in enumerate(u):
+            for k in range(delta + ur + 1):
+                col = [0] * offsets[-1]
+                for off, f in zip(offsets, phi[r]):
+                    col[off + k:off + k + len(f)] = f
+                cols.append(col)
+        return len(cols) - rank(fld, cols)
+
+    degrees, d = _generator_degrees(h, -max(u), rk, deg)
+    if len(degrees) < rk:
+        raise EngineInvariantError(
+            "dual count stopped at degree %d with %d of %d generators (Forney's bound %d)"
+            % (d, len(degrees), rk, deg))
+    return degrees
+
+
+def _sheaf_report(cls: K0Class, stable_from: int, hilbert: Dict[int, int],
+                  presentation: Callable[[], Presentation]) -> SheafReport:
+    """Report a sheaf F from its K_0 class: rank 0 and 1 are read off.  A
+    larger rank is split by the dual count on a presentation of its module
+    M: F/T = (+) O(delta_k) for the generator degrees delta_k of
+    Hom_S(M, S), so the torsion T of F has length deg F - sum delta_k, and
+    F is a bundle exactly when that is 0."""
     r, deg = cls.rank, cls.degree
     if r < 0:
         raise EngineInvariantError("negative rank %d in K_0 for %s" % (r, cls))
     if r == 0:
         return SheafReport(0, 0, SplittingType(()), stable_from, hilbert)
-    if r > 2:
-        return SheafReport(r, deg, None, stable_from, hilbert,
-                           note="rank > 2: splitting not identified")
     if r == 1:
         # a line bundle is determined by its degree
         return SheafReport(1, deg, SplittingType((deg,)), stable_from, hilbert)
-    top = _rank2_top_twist(comp, comp.b, deg)
-    if top is None:
-        return SheafReport(r, deg, None, stable_from, hilbert, note="section scan inconclusive")
-    other = deg - top
-    if other > top:
-        return SheafReport(r, deg, None, stable_from, hilbert, note="twist ordering inconsistent")
-    return SheafReport(2, deg, SplittingType((top, other)), stable_from, hilbert)
+    twists = sorted(_dual_degrees(*presentation(), r, deg), reverse=True)
+    torsion = deg - sum(twists)
+    if torsion:
+        return SheafReport(r, deg, None, stable_from, hilbert,
+                           note="not locally free: torsion of length %d" % torsion)
+    return SheafReport(r, deg, SplittingType(tuple(twists)), stable_from, hilbert)
 
 
 def subquotient_mj(b: P1Matrix, j: int, im_power: Optional[int] = None) -> SheafReport:
@@ -471,56 +457,45 @@ def subquotient_mj(b: P1Matrix, j: int, im_power: Optional[int] = None) -> Sheaf
         deg = deg K_j + (N - rk K_q) D + deg K_q.
     The same kernels give the Hilbert function of the graded module in
     every degree; ``hilbert`` holds it up to ``stable_from``, from where on
-    it is r (d + 1) + deg.  The splitting type is identified for fiber
-    rank <= 2 (rank 2 by two-chart section counts); larger ranks are
-    reported by rank and degree only."""
+    it is r (d + 1) + deg.  A splitting of rank >= 2 comes from the dual
+    count (``_sheaf_report``).  B^j B^q must vanish: for q = p - j it is
+    B^p, zero for a validated module, so a nonzero product is an
+    ``EngineInvariantError``; for a caller's ``im_power`` a ``ValueError``."""
     q = b.p - j if im_power is None else im_power
-    comp = ComponentModule(b, ker_power=j, im_power=q)
-    # B^j and B^q are formed once, by the component module
-    kj = _kernel_of_power(b, j, comp._kmat)
-    kq = kj if q == j else _kernel_of_power(b, q, comp._imat)
+    kmat = b.mat.power(j)
+    imat = kmat if q == j else b.mat.power(q)
+    if not (kmat * imat).is_zero():
+        msg = "image of power %d is not contained in kernel of power %d" % (q, j)
+        if im_power is None:
+            raise EngineInvariantError(msg + ": B^%d is not zero on the chart" % b.p)
+        raise ValueError(msg)
+    kj = _kernel_of_power(b, j, kmat)
+    kq = kj if q == j else _kernel_of_power(b, q, imat)
     D = q * b.entry_degree
     n = b.size
     stable = max(kj.stable_from, kq.stable_from + D)
     hilbert = {d: kj.free_dim(d) - _image_dim(n, kq, D, d) for d in range(stable + 1)}
-    return _sheaf_report(comp, k0_class(kj) - _image_class(n, kq, D), stable, hilbert)
-
-
-def _rank2_top_twist(comp: ComponentModule, b: P1Matrix, deg: int) -> Optional[int]:
-    """For a rank-2 sheaf O(a) + O(deg - a) with a >= deg - a, find a: walk
-    the twist downward from -ceil(deg/2) (where sections certainly exist)
-    until the two-chart section count hits zero."""
-    bound = max(abs(deg) + 2 * b.entry_degree + 2, 4)
-    d = -(deg // 2)
-    limit = abs(deg) + b.entry_degree * b.size + 4
-    prev_positive = None
-    steps = 0
-    while steps <= limit:
-        h0 = _twisted_sections_dim(comp, d, bound)
-        if h0 > 0:
-            if _twisted_sections_dim(comp, d, 2 * bound) != h0:
-                return None
-            prev_positive = d
-            d -= 1
-            steps += 1
-        else:
-            if _twisted_sections_dim(comp, d, 2 * bound) != 0:
-                return None
-            return -prev_positive if prev_positive is not None else None
-    return None
+    return _sheaf_report(k0_class(kj) - _image_class(n, kq, D), stable, hilbert,
+                         lambda: _subquotient_presentation(b, j, kmat, kj, q, imat))
 
 
 def image_sheaf_report(b: P1Matrix, j: int = 1) -> SheafReport:
-    """Rank/degree/splitting (rank <= 2) of the sheaf of the graded image
-    of the j-th power, from the kernel K_j: rk = N - rk K_j and
-    deg = -D (N - rk K_j) - deg K_j with D = j * entry_degree."""
-    comp = ComponentModule(b, ker_power=0, im_power=j)
-    kj = _kernel_of_power(b, j, comp._imat)
+    """Rank/degree/splitting of the sheaf of the graded image of the j-th
+    power, from the kernel K_j: rk = N - rk K_j and
+    deg = -D (N - rk K_j) - deg K_j with D = j * entry_degree.  The image
+    is a subsheaf of O^N, so torsion found by the dual count is an
+    ``EngineInvariantError``."""
+    kmat = b.mat.power(j)
+    kj = _kernel_of_power(b, j, kmat)
     D = j * b.entry_degree
     n = b.size
     stable = kj.stable_from + D
     hilbert = {d: _image_dim(n, kj, D, d) for d in range(stable + 1)}
-    return _sheaf_report(comp, _image_class(n, kj, D), stable, hilbert)
+    rpt = _sheaf_report(_image_class(n, kj, D), stable, hilbert,
+                        lambda: _image_presentation(b, j, kmat, kj))
+    if rpt.note:
+        raise EngineInvariantError("image sheaf of B^%d: %s" % (j, rpt.note))
+    return rpt
 
 
 # ---------------------------------------------------------------------------
@@ -671,10 +646,8 @@ __all__ = [
     "SheafReport",
     "BundleTestReport",
     "K0Class",
-    "ComponentModule",
     "restrict_p1",
     "kernel_graded",
-    "image_graded",
     "splitting_type",
     "subquotient_mj",
     "image_sheaf_report",

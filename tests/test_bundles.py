@@ -1,4 +1,8 @@
-"""Graded kernels/images on the projective line, splitting types, sections."""
+"""Graded kernels/images on the projective line, splitting types, sections.
+
+The graded components by direct elimination (``_Components``), the former
+kernel search and the two-chart section counter are frozen here as
+independent routes to the kernel counts and the dual count."""
 
 import random
 
@@ -7,13 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 import jordanbundles.bundles as bundles
 from jordanbundles.bundles import (
-    ComponentModule,
     EngineInvariantError,
     K0Class,
     P1Matrix,
     endotrivial_test,
     global_sections,
-    image_graded,
     image_sheaf_report,
     k0_class,
     kernel_graded,
@@ -23,8 +25,8 @@ from jordanbundles.bundles import (
     splitting_type,
     subquotient_mj,
 )
-from jordanbundles.field import (ext_field_build, in_span, mat_vec, prime_field, rank, span_basis,
-                                 transpose)
+from jordanbundles.field import (ext_field_build, kernel_basis, mat_mul, prime_field, rank,
+                                 reduce_vector, row_reduce, span_basis)
 from jordanbundles.modules import (
     construct_duals_example,
     construct_steinberg,
@@ -143,9 +145,8 @@ def test_kernel_rank_complements_generic_rank():
             gr = generic_jrank(th, j)
             assert gr is not None
             assert ker.rank + gr == rep.dim
-            # the image needs at least that many generators
-            im = image_graded(b, j)
-            assert im.rank >= gr
+            # and the image sheaf has the generic rank
+            assert image_sheaf_report(b, j).fiber_rank == gr
 
 
 def test_k0_additivity_of_kernel_and_image():
@@ -159,10 +160,11 @@ def test_k0_additivity_of_kernel_and_image():
         for j in (1, 2):
             n, D = b.size, j * b.entry_degree
             ker = kernel_graded(b, j)
-            im = image_graded(b, j)
-            comp = ComponentModule(b, 0, j)
-            assert sorted(im.hilbert) == list(range(D + n + 2))
-            for d, h in im.hilbert.items():
+            im = image_sheaf_report(b, j)
+            comp = _Components(b, 0, j)
+            assert sorted(im.hilbert) == list(range(im.stable_from + 1))
+            for d in range(D + n + 2):
+                h = im.hilbert.get(d, im.fiber_rank * (d + 1) + im.degree)
                 assert h == comp.dim(d)
                 if d >= D:
                     assert ker.free_dim(d - D) + h == n * (d - D + 1)
@@ -184,29 +186,6 @@ def test_syzygy_subquotients(n, p, twist):
     b = restrict_p1(theta_global(construct_syzygy_E2(n, p)))
     sub = subquotient_mj(b, 1)
     assert sub.splitting is not None and sub.splitting.twists == (twist,)
-
-
-def test_component_module_dim_and_zero_elements():
-    # ker(B)/im(B) of the syzygy module Omega^2 at p = 3 (image of B^2)
-    b = restrict_p1(theta_global(construct_syzygy_E2(2, 3)))
-    comp = ComponentModule(b, ker_power=1, im_power=2)
-    dims = [comp.dim(d) for d in range(8)]
-    subs = [comp.sub(d) for d in range(8)]
-    assert comp._cache == {}  # dim and sub build components without keeping them
-    fld = comp.fld
-    rng = random.Random(5)
-    for d in range(8):
-        basis, sub = comp.component(d)
-        assert comp.dim(d) == dims[d] == len(basis) - len(sub)
-        assert comp.sub(d) == subs[d] == sub
-        for _ in range(6):
-            # random combinations of the kernel rows, some inside the image
-            rows = sub if sub and rng.random() < 0.5 else basis
-            if not rows:
-                continue
-            v = mat_vec(fld, transpose(rows), [rng.randrange(fld.q) for _ in rows])
-            assert comp.is_zero_element(d, v) == (not any(v) or in_span(fld, sub, v))
-    assert sorted(comp._cache) == list(range(8))
 
 
 def test_image_sheaf_report_line_bundle():
@@ -317,6 +296,77 @@ def test_kernel_of_random_module_is_free_and_certified():
 # the routes they replaced
 
 
+class _Components:
+    """Frozen reference for graded components, by direct elimination in
+    each degree (the former ``ComponentModule``, minimal).  The degree-d
+    component of ker(B^j)/im(B^q) is the kernel of the degree-d map of B^j
+    (``basis``) modulo the span of the degree-(d - qE) map of B^q
+    (``sub``), both in RREF; j = 0 takes im(B^q) itself and q = None no
+    sub."""
+
+    def __init__(self, b, j=0, q=None):
+        self.fld, self.n = b.ring.fld, b.size
+        self.shift = (q or 0) * b.entry_degree
+        self.kcols = (bundles._toeplitz_columns(b.mat.power(j), self.n, j * b.entry_degree)
+                      if j else None)
+        self.icols = bundles._toeplitz_columns(b.mat.power(q), self.n, self.shift) if q else None
+
+    def image(self, d):
+        """(RREF rows, pivots) of im(B^q) in degree d."""
+        src = d - self.shift
+        if self.icols is None or src < 0:
+            return [], []
+        return row_reduce(self.fld, bundles._degree_map(self.icols, src))
+
+    def sub(self, d):
+        return self.image(d) if self.kcols else ([], [])
+
+    def basis(self, d):
+        if self.kcols is None:
+            return self.image(d)[0]
+        if d < 0:
+            return []
+        rows = zip(*bundles._degree_map(self.kcols, d))
+        return span_basis(self.fld, kernel_basis(self.fld, rows, self.n * (d + 1)))
+
+    def dim(self, d):
+        return len(self.basis(d)) - len(self.sub(d)[0])
+
+
+def _twisted_sections_dim(comp, d, bound):
+    """Frozen reference (the former rank-2 walk's counter): dim H^0 of the
+    sheaf of the module of ``comp`` twisted by O(d), by two-chart gluing
+    with denominator exponent ``bound``."""
+    fld, n = comp.fld, comp.n
+    dd = d + bound
+    basis = comp.basis(dd)
+    k = len(basis)
+    if k == 0:
+        return 0
+    E = bound
+    big_sub, big_piv = comp.sub(dd + bound + 2 * E)
+    # map (a, b) -> (st)^E ( t^bound a - s^bound b ) reduced mod the sub
+    cols = [reduce_vector(fld, big_sub, big_piv, bundles._shift(v, n, E, bound + E))
+            for v in basis]
+    cols += [reduce_vector(fld, big_sub, big_piv,
+                           [fld.neg(x) for x in bundles._shift(v, n, bound + E, E)])
+             for v in basis]
+    rows = [list(r) for r in zip(*cols)]
+    sols = kernel_basis(fld, rows, 2 * k) if rows else []
+    if not sols:
+        return 0
+    # quotient by pairs representing the zero section: s-power kills a and
+    # t-power kills b
+    sub_a, a_piv = comp.sub(dd + 2 * E)
+    vas = mat_mul(fld, [sol[:k] for sol in sols], basis)
+    vbs = mat_mul(fld, [sol[k:] for sol in sols], basis)
+    zero_rows = [reduce_vector(fld, sub_a, a_piv, bundles._shift(va, n, 2 * E, 0))
+                 + reduce_vector(fld, sub_a, a_piv, bundles._shift(vb, n, 0, 2 * E))
+                 for va, vb in zip(vas, vbs)]
+    # sections = compatible pairs modulo pairs vanishing on both charts
+    return len(row_reduce(fld, zero_rows)[1])
+
+
 def _stable_rank_degree(comp, max_degree):
     """Hilbert route (the former production code): the smallest d0 >= 1 with
     dim(d) = r*d + c exactly from d0 through max_degree (a window of at
@@ -338,7 +388,7 @@ def _frozen_kernel_search(b, j):
     Returns (degrees, generator component vectors)."""
     fld = b.ring.fld
     n = b.size
-    comp = ComponentModule(b, ker_power=j)
+    comp = _Components(b, j)
     gens = []
     hilbert = {}
     ceiling = b.entry_degree * n + 2 * j
@@ -346,7 +396,7 @@ def _frozen_kernel_search(b, j):
         for d in range(0, ceiling + 1):
             if d in hilbert:
                 continue
-            basis, _ = comp.component(d)
+            basis = comp.basis(d)
             hilbert[d] = len(basis)
             span_rows = [bundles._shift(gv, n, d - gd - k, k)
                          for gd, gv in gens for k in range(d - gd + 1)]
@@ -378,13 +428,13 @@ def test_kernel_search_matches_frozen_search_on_weyl_and_pim(p):
         # the count visits degrees 0 .. top generator degree and no more,
         # with the kernel dimensions the search found there
         top = max(sub.degrees)
-        comp = ComponentModule(b, ker_power=1)
+        comp = _Components(b, 1)
         assert sub.hilbert == {d: comp.dim(d) for d in range(top + 1)}
         assert sub.certified_free and sub.stable_from == top + 1
 
 
 def _assert_k0_matches_hilbert_route(b, j, q):
-    comp = ComponentModule(b, ker_power=j, im_power=q)
+    comp = _Components(b, j, q)
     r, deg, _, _ = _stable_rank_degree(comp, b.entry_degree * (b.size + j + q) + 6)
     assert r is not None
     rpt = subquotient_mj(b, j, im_power=q)
@@ -420,7 +470,7 @@ def test_image_sheaf_report_matches_hilbert_route():
     for rep in (construct_zigzag(2, 3), construct_syzygy_E2(2, 3), construct_weyl_sl2(4, 3)):
         b = restrict_p1(theta_global(rep))
         for j in (1, 2):
-            comp = ComponentModule(b, ker_power=0, im_power=j)
+            comp = _Components(b, 0, j)
             r, deg, _, _ = _stable_rank_degree(comp, b.entry_degree * (b.size + j) + 6)
             rpt = image_sheaf_report(b, j)
             assert (rpt.fiber_rank, rpt.degree) == (r, deg if r else 0)
@@ -567,10 +617,10 @@ def _assert_kernel_sections_match_splitting(b, j):
     against sum max(0, d - a_i + 1) for its generator degrees a_i, on a
     window of twists d around the a_i."""
     degrees = kernel_graded(b, j).degrees
-    comp = ComponentModule(b, ker_power=j)
+    comp = _Components(b, j)
     for d in range(min(degrees, default=0) - 2, max(degrees, default=0) + 2):
         expected = sum(max(0, d - a + 1) for a in degrees)
-        assert bundles._twisted_sections_dim(comp, d, 2) == expected, (j, d, degrees)
+        assert _twisted_sections_dim(comp, d, 2) == expected, (j, d, degrees)
 
 
 def test_kernel_splitting_matches_twisted_sections():
@@ -592,15 +642,25 @@ def test_kernel_splitting_matches_twisted_sections_random(dim, seed, j):
 
 
 def test_negative_k0_rank_raises():
-    b = restrict_p1(theta_global(construct_zigzag(1, 3)))
-    comp = ComponentModule(b, ker_power=1, im_power=1)
     with pytest.raises(EngineInvariantError, match="negative rank"):
-        bundles._sheaf_report(comp, K0Class(-2, 1), 0, {})
+        bundles._sheaf_report(K0Class(-2, 1), 0, {}, None)
+
+
+def test_dual_count_raises_past_forney_bound():
+    # ker theta^2 / im theta^3 on V_6 at p = 5 is O(-5) + O(-5); a K_0
+    # degree of -12 is below the sum of its dual generator degrees, so the
+    # dual count stops at its bound
+    b = restrict_p1(theta_global(construct_weyl_sl2(6, 5)))
+    kmat, imat = b.mat.power(2), b.mat.power(3)
+    kj = kernel_graded(b, 2)
+    with pytest.raises(EngineInvariantError, match="dual count"):
+        bundles._sheaf_report(K0Class(14, -12), 0, {}, lambda: bundles._subquotient_presentation(
+            b, 2, kmat, kj, 3, imat))
 
 
 def test_subquotient_forms_each_power_once(monkeypatch):
     # B^j and B^q are formed once and shared by both kernel counts and the
-    # component module (which still checks B^j B^q = 0)
+    # check that B^j B^q = 0
     b = restrict_p1(theta_global(construct_syzygy_E2(1, 3)))
     calls = []
     real = PolyMatrix.power
@@ -616,3 +676,141 @@ def test_subquotient_forms_each_power_once(monkeypatch):
     image_sheaf_report(b, 1)
     assert calls == [1]
     assert expected == "O(-2)"
+    # a rank-2 subquotient's dual count reuses them too
+    calls.clear()
+    rpt = subquotient_mj(restrict_p1(theta_global(construct_weyl_sl2(6, 5))), 2)
+    assert sorted(calls) == [2, 3] and str(rpt.splitting) == "O(-5) + O(-5)"
+
+
+# ---------------------------------------------------------------------------
+# splittings of every rank from the dual count, against the frozen two-chart
+# section counter
+
+
+def _assert_sections_match(comp, twists, torsion=0, stable_from=0):
+    """h^0 of the sheaf of ``comp`` twisted by O(d), by the frozen two-chart
+    counter, against h^0 of (+) O(delta_k) plus a torsion sheaf of length
+    ``torsion`` (on P^1 a coherent sheaf is its torsion-free part plus its
+    torsion), on a window of twists around the -delta_k.  The counter's
+    denominators reach the degree ``stable_from``, from where on the
+    module's components are the sections of its sheaf's twists."""
+    bound = max(4, stable_from + max(twists) + 2)
+    for d in range(-max(twists) - 2, -min(twists) + 2):
+        expected = sum(max(0, x + d + 1) for x in twists) + torsion
+        assert _twisted_sections_dim(comp, d, bound) == expected, (d, twists, torsion)
+
+
+def _dual_count_spy(monkeypatch):
+    """Record the generator degrees that each dual count returns."""
+    seen = []
+    real = bundles._dual_degrees
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(bundles, "_dual_degrees", spy)
+    return seen
+
+
+@pytest.mark.parametrize("family,p", [("weyl", 5), ("weyl", 7), ("zigzag", 3), ("zigzag", 5)])
+def test_splittings_of_every_rank_match_twisted_sections(family, p):
+    # Weyl modules V_0 .. V_{2p-1} and zig-zags Z_1 .. Z_4 with their duals:
+    # every subquotient and image sheaf of rank >= 2 is a bundle whose
+    # splitting gives the frozen section counts (images only for p <= 5:
+    # at p = 7 their denominators make the frozen counter slow)
+    if family == "weyl":
+        reps = [construct_weyl_sl2(m, p) for m in range(2 * p)]
+    else:
+        reps = [construct_zigzag(n, p) for n in range(1, 5)]
+        reps += [dual_module(rep) for rep in reps]
+    ranks = []
+    for rep in reps:
+        b = restrict_p1(theta_global(rep))
+        for j in range(1, p):
+            sheaves = [(subquotient_mj(b, j), _Components(b, j, p - j), False)]
+            if p <= 5:
+                sheaves.append((image_sheaf_report(b, j), _Components(b, 0, j), True))
+            for rpt, comp, image in sheaves:
+                if rpt.fiber_rank < 2:
+                    continue
+                assert rpt.splitting is not None and rpt.splitting.degree == rpt.degree
+                _assert_sections_match(comp, rpt.splitting.twists,
+                                       stable_from=rpt.stable_from if image else 0)
+                ranks.append(rpt.fiber_rank)
+    assert ranks and (max(ranks) > 2 or family == "weyl" and p == 5)
+
+
+def test_subquotients_of_rank_three_and_four():
+    # ker theta^3 / im theta^4 on V_9 at p = 7, ker theta / im theta^4 on Z_3
+    # at p = 5
+    b = restrict_p1(theta_global(construct_weyl_sl2(9, 7)))
+    assert subquotient_mj(b, 3).splitting.twists == (-7, -7, -7)
+    b = restrict_p1(theta_global(construct_zigzag(3, 5)))
+    assert subquotient_mj(b, 1).splitting.twists == (0, 0, 0, -3)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_random_subquotients_split_or_carry_torsion(p, monkeypatch):
+    # random (G_a)^2-modules of dimension 3 .. 6, seeds 0 .. 5: the torsion
+    # length and the generator degrees of the dual count give h^0 of every
+    # twist, with or without torsion
+    seen = _dual_count_spy(monkeypatch)
+    kinds = set()
+    for dim in range(3, 7):
+        for seed in range(6):
+            b = restrict_p1(theta_global(random_module(multi_additive(p, 2), dim,
+                                                       random.Random(seed))))
+            for j in range(1, p):
+                seen.clear()
+                rpt = subquotient_mj(b, j)
+                if rpt.fiber_rank < 2:
+                    continue
+                twists = sorted(seen[0], reverse=True)
+                torsion = rpt.degree - sum(twists)
+                if torsion:
+                    assert rpt.splitting is None
+                    assert rpt.note == "not locally free: torsion of length %d" % torsion
+                else:
+                    assert rpt.splitting.twists == tuple(twists) and rpt.note == ""
+                _assert_sections_match(_Components(b, j, p - j), twists, torsion)
+                kinds.add((rpt.fiber_rank > 2, torsion > 0))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+# (p, dim, seed, j, torsion length): random (G_a)^2-modules whose rank-2
+# subquotient the former section walk left as "section scan inconclusive"
+WALK_INCONCLUSIVE = [
+    (3, 3, 7, 2, 1), (3, 4, 0, 2, 2), (3, 5, 2, 1, 2), (3, 6, 6, 1, 1),
+    (5, 3, 0, 3, 2), (5, 4, 1, 4, 1), (5, 5, 0, 2, 3), (5, 5, 0, 3, 4),
+    (5, 6, 0, 4, 3), (5, 6, 11, 4, 2),
+]
+
+
+@pytest.mark.parametrize("p,dim,seed,j,torsion", WALK_INCONCLUSIVE)
+def test_torsion_where_the_section_walk_was_inconclusive(p, dim, seed, j, torsion, monkeypatch):
+    seen = _dual_count_spy(monkeypatch)
+    b = restrict_p1(theta_global(random_module(multi_additive(p, 2), dim, random.Random(seed))))
+    rpt = subquotient_mj(b, j)
+    assert rpt.fiber_rank == 2 and rpt.splitting is None
+    assert rpt.note == "not locally free: torsion of length %d" % torsion
+    assert rpt.degree - sum(seen[0]) == torsion
+    _assert_sections_match(_Components(b, j, p - j), seen[0], torsion)
+
+
+def test_im_power_outside_the_kernel_is_a_value_error():
+    # B^j B^q = 0 is a theorem for q = p - j; an im_power too small to land
+    # in the kernel is the caller's error
+    b = restrict_p1(theta_global(construct_weyl_sl2(4, 3)))
+    with pytest.raises(ValueError, match="not contained"):
+        subquotient_mj(b, 1, im_power=1)
+    assert not issubclass(EngineInvariantError, ValueError)
+
+
+def test_nonzero_p_th_power_is_an_engine_fault(monkeypatch):
+    # for q = p - j the product is B^p, zero on the chart of a validated
+    # module, so a nonzero product is an engine fault
+    b = restrict_p1(theta_global(construct_weyl_sl2(4, 3)))
+    monkeypatch.setattr(PolyMatrix, "is_zero", lambda self: False)
+    with pytest.raises(EngineInvariantError, match="not contained"):
+        subquotient_mj(b, 1)

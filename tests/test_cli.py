@@ -275,6 +275,21 @@ def test_engine_invariant_failure_exits_3(capsys, monkeypatch):
     assert err.startswith("error [E_INTERNAL]:")
 
 
+def test_nonzero_p_th_power_in_subquotient_exits_3(capsys, monkeypatch):
+    # ker theta^j / im theta^(p-j) needs theta^p = 0 on the chart, which
+    # holds for every validated module: a product check that fails is an
+    # engine fault
+    from jordanbundles.polyring import PolyMatrix
+
+    monkeypatch.setattr(PolyMatrix, "is_zero", lambda self: False)
+    code, out, err = run_cli(
+        ["analyze", "--group", "u_sl2", "--p", "5", "--builtin", "weyl:6",
+         "--op", "subquotient", "--j", "2", "--format", "json"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error [E_INTERNAL]:") and "not contained" in err
+
+
 def test_missing_projective_summand_exits_3(capsys, monkeypatch):
     # St (x) V_{p-1-lam} always has P_lam as a 2p-dimensional summand; a
     # splitter that returns none is an engine fault

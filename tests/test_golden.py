@@ -5,10 +5,13 @@ with ``--format json --seed 0``, against the report bytes kept in
 The requests build Theta for every group family, take a generic rank by
 each route (the kernel count on a P^1 chart, Bareiss on G_a(r) and on
 (G_a)^r with r != 2, none on the height-2 families), read sections on
-the sl2 chart, pull Theta back by a substitution (``ext-prod``), and walk
-a rank-2 splitting.  The files were written by the engine before Theta
-and its restrictions were built through their coefficient form; a change
-that means to alter a report rewrites its file and says why."""
+the sl2 chart, pull Theta back by a substitution (``ext-prod``), and split
+subquotient sheaves of rank 2 and 3 by the dual count, or report their
+torsion.  The files were written by the engine before Theta and its
+restrictions were built through their coefficient form, except the
+rank-3 and torsion subquotients, written when the dual count replaced the
+rank-2 section walk; a change that means to alter a report rewrites its
+file and says why."""
 
 import os
 
@@ -51,6 +54,10 @@ REQUESTS = {
         "analyze --group u_sl2 --p 3 --builtin steinberg --op projective",
     "u_sl2-weyl7-subquotient":
         "analyze --group u_sl2 --p 5 --builtin weyl:7 --op subquotient --j 2",
+    "u_sl2-weyl9-subquotient-rank3":
+        "analyze --group u_sl2 --p 7 --builtin weyl:9 --op subquotient --j 3",
+    "ga1xga1-random4-subquotient-torsion":
+        "analyze --group ga1xga1 --p 3 --builtin random:4 --op subquotient --j 2",
     "reproduce-rho-kappa-p3": "reproduce rho-kappa --p 3",
     "reproduce-ext-prod-p3": "reproduce ext-prod --p 3",
     "reproduce-twist-p2": "reproduce twist --p 2",
