@@ -426,14 +426,21 @@ def _dual_degrees(fld: Field, phi: List[List[Vector]], u: List[int], w: List[int
 def _sheaf_report(cls: K0Class, stable_from: int, hilbert: Dict[int, int],
                   presentation: Callable[[], Presentation]) -> SheafReport:
     """Report a sheaf F from its K_0 class: rank 0 and 1 are read off.  A
-    larger rank is split by the dual count on a presentation of its module
-    M: F/T = (+) O(delta_k) for the generator degrees delta_k of
-    Hom_S(M, S), so the torsion T of F has length deg F - sum delta_k, and
-    F is a bundle exactly when that is 0."""
+    rank-0 sheaf is torsion, its K_0 degree the length t of that torsion:
+    the zero bundle when t = 0, not locally free otherwise.  A larger rank
+    is split by the dual count on a presentation of its module M:
+    F/T = (+) O(delta_k) for the generator degrees delta_k of Hom_S(M, S),
+    so the torsion T of F has length deg F - sum delta_k, and F is a bundle
+    exactly when that is 0."""
     r, deg = cls.rank, cls.degree
     if r < 0:
         raise EngineInvariantError("negative rank %d in K_0 for %s" % (r, cls))
     if r == 0:
+        if deg < 0:
+            raise EngineInvariantError("rank-0 sheaf of negative degree %d in K_0" % deg)
+        if deg:
+            return SheafReport(0, deg, None, stable_from, hilbert,
+                               note="not locally free: torsion of length %d" % deg)
         return SheafReport(0, 0, SplittingType(()), stable_from, hilbert)
     if r == 1:
         # a line bundle is determined by its degree

@@ -778,6 +778,38 @@ def test_random_subquotients_split_or_carry_torsion(p, monkeypatch):
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_rank0_subquotients_keep_their_k0_degree(p):
+    # a rank-0 subquotient is a torsion sheaf, and its K_0 degree is its
+    # length: where its Hilbert function settles, and h^0 of every twist
+    lengths = []
+    for dim in range(3, 7):
+        for seed in range(6):
+            b = restrict_p1(theta_global(random_module(multi_additive(p, 2), dim,
+                                                       random.Random(seed))))
+            for j in range(1, p):
+                rpt = subquotient_mj(b, j)
+                if rpt.fiber_rank:
+                    continue
+                t = rpt.degree
+                assert t == rpt.hilbert[rpt.stable_from] >= 0
+                if t:
+                    assert rpt.splitting is None
+                    assert rpt.note == "not locally free: torsion of length %d" % t
+                else:
+                    assert rpt.splitting.twists == () and rpt.note == ""
+                comp = _Components(b, j, p - j)
+                bound = max(4, rpt.stable_from + 2)
+                assert [_twisted_sections_dim(comp, d, bound) for d in range(-2, 3)] == [t] * 5
+                lengths.append(t)
+    assert any(lengths)
+
+
+def test_rank0_k0_class_of_negative_degree_raises():
+    with pytest.raises(EngineInvariantError, match="rank-0 sheaf of negative degree"):
+        bundles._sheaf_report(K0Class(1, -1), 0, {}, None)
+
+
 # (p, dim, seed, j, torsion length): random (G_a)^2-modules whose rank-2
 # subquotient the former section walk left as "section scan inconclusive"
 WALK_INCONCLUSIVE = [

@@ -1,6 +1,7 @@
 """Exact finite-field arithmetic and dense linear algebra."""
 
 import random
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -403,3 +404,136 @@ def test_power_ranks_edge_cases(fld):
     # one Jordan block of size 4
     j4 = [[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)]
     assert power_ranks(fld, j4, 6) == [4, 3, 2, 1, 0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel of row_reduce (GF(p), p <= 13) against the per-entry
+# elimination it replaced, frozen here
+
+
+def _frozen_row_reduce(fld, a):
+    """``row_reduce`` before rows were packed: every pivot row clears the
+    others through its nonzero entries, on lists."""
+    work = [list(row) for row in a]
+    if not work:
+        return [], []
+    nrows, ncols = len(work), len(work[0])
+    add, neg, mul = fld._add_table, fld._neg_table, fld._mul_table
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if work[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        prow = work[r]
+        targets = [wi for wi in work if wi[col] and wi is not prow]
+        if targets or prow[col] != 1:
+            support = list(compress(range(col, ncols), prow[col:]))
+            if prow[col] != 1:
+                inv = fld.inv(prow[col])
+                for j in support:
+                    prow[j] = fld.mul(inv, prow[j])
+            nz = [(j, prow[j]) for j in support]
+        for wi in targets:
+            c = wi[col]
+            if add is None:
+                for j, y in nz:
+                    wi[j] = fld.sub(wi[j], fld.mul(c, y))
+            else:
+                m = mul[neg[c]]
+                for j, y in nz:
+                    wi[j] = add[wi[j]][m[y]]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return work[:r], pivots
+
+
+def _frozen_kernel_basis(fld, rref, pivots, ncols):
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [0] * ncols
+        v[j] = 1
+        for row, pc in zip(rref, pivots):
+            v[pc] = fld.neg(row[j])
+        basis.append(v)
+    return basis
+
+
+PACKED_SHAPES = ["0xn", "1xn", "nx1", "zero-rows", "dense", "low-rank", "sparse", "commutant"]
+
+
+def _packed_input(shape, p, rng):
+    """A matrix over GF(p) of the given shape, and its column count."""
+    def entry(density):
+        return rng.randrange(1, p) if rng.random() < density else 0
+
+    def rows(m, n, density):
+        return [[entry(density) for _ in range(n)] for _ in range(m)]
+
+    if shape == "0xn":
+        return [], rng.randint(1, 20)
+    if shape == "1xn":
+        n = rng.randint(1, 400)
+        return rows(1, n, rng.choice([0.02, 0.5, 1.0])), n
+    if shape == "nx1":
+        return rows(rng.randint(1, 30), 1, 0.5), 1
+    if shape == "zero-rows":
+        m, n = rng.randint(1, 30), rng.randint(1, 40)
+        return [[0] * n if rng.random() < 0.4 else row for row in rows(m, n, 0.8)], n
+    if shape == "dense":
+        m, n = rng.randint(1, 50), rng.randint(1, 50)
+        return rows(m, n, 1.0), n
+    if shape == "low-rank":
+        # combinations of a few dense rows: the later rows clear to zero
+        m, n = rng.randint(2, 50), rng.randint(2, 50)
+        base = rows(rng.randint(1, min(m, n) - 1), n, 1.0)
+        out = []
+        for _ in range(m):
+            acc = [0] * n
+            for row in rng.sample(base, min(2, len(base))):
+                c = rng.randrange(p)
+                acc = [(x + c * y) % p for x, y in zip(acc, row)]
+            out.append(acc)
+        return out, n
+    if shape == "sparse":
+        # 5% of the entries, as in a 200 x 400 system: fill-in packs it
+        m = rng.randint(30, 100)
+        return rows(m, 2 * m, 0.05), 2 * m
+    # commutant-like: 3 or 4 nonzeros a row, twice as many rows as columns
+    n = rng.randint(10, 80)
+    out = []
+    for _ in range(2 * n):
+        row = [0] * n
+        for j in rng.sample(range(n), rng.choice([3, 4])):
+            row[j] = rng.randrange(1, p)
+        out.append(row)
+    return out, n
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_packed_row_reduce_matches_frozen_elimination(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]), label="p")
+    fld = data.draw(st.sampled_from([prime_field(p), Field(p, 1, (0, 1))]), label="field")
+    shape = data.draw(st.sampled_from(PACKED_SHAPES), label="shape")
+    a, ncols = _packed_input(shape, p, random.Random(data.draw(st.integers(0, 10**6), label="seed")))
+    before = [row[:] for row in a]
+    expected = _frozen_row_reduce(fld, a)
+    got = row_reduce(fld, a)
+    assert got == expected
+    inputs = {id(row) for row in a}
+    assert all(type(row) is list and id(row) not in inputs for row in got[0])
+    assert row_reduce(fld, (row for row in a)) == expected
+    assert a == before
+    assert rank(fld, a) == len(expected[1])
+    assert kernel_basis(fld, a, ncols) == _frozen_kernel_basis(fld, *expected, ncols)
+    assert a == before

@@ -10,8 +10,10 @@ subquotient sheaves of rank 2 and 3 by the dual count, or report their
 torsion.  The files were written by the engine before Theta and its
 restrictions were built through their coefficient form, except the
 rank-3 and torsion subquotients, written when the dual count replaced the
-rank-2 section walk; a change that means to alter a report rewrites its
-file and says why."""
+rank-2 section walk, and the rank-0 torsion subquotient, written when
+rank-0 sheaves kept their K_0 degree; a change that means to alter a
+report rewrites its file and says why.  A request runs with ``--seed 0``
+unless it names its own seed."""
 
 import os
 
@@ -58,6 +60,8 @@ REQUESTS = {
         "analyze --group u_sl2 --p 7 --builtin weyl:9 --op subquotient --j 3",
     "ga1xga1-random4-subquotient-torsion":
         "analyze --group ga1xga1 --p 3 --builtin random:4 --op subquotient --j 2",
+    "ga1xga1-random3-subquotient-rank0-torsion":
+        "analyze --group ga1xga1 --p 3 --builtin random:3 --op subquotient --j 1 --seed 1",
     "reproduce-rho-kappa-p3": "reproduce rho-kappa --p 3",
     "reproduce-ext-prod-p3": "reproduce ext-prod --p 3",
     "reproduce-twist-p2": "reproduce twist --p 2",
@@ -66,7 +70,10 @@ REQUESTS = {
 
 @pytest.mark.parametrize("name", sorted(REQUESTS))
 def test_report_matches_golden_file(name, capsys):
-    main(REQUESTS[name].split() + ["--format", "json", "--seed", "0"])
+    args = REQUESTS[name].split()
+    if "--seed" not in args:
+        args += ["--seed", "0"]
+    main(args + ["--format", "json"])
     out = capsys.readouterr().out
     with open(os.path.join(GOLDEN, name + ".json")) as fh:
         assert out == fh.read()
