@@ -69,8 +69,9 @@ from .field import (
     span_basis,
     transpose,
 )
+from .modules import principal_indecomposable_sl2
 from .operators import (ThetaMatrix, EngineInvariantError, _on_variety, mj_fiber_dim,
-                        orbit_scan, constant_jrank_report, ConstancyReport)
+                        orbit_scan, constant_jrank_report, ConstancyReport, theta_global)
 from .polyring import PolyMatrix, Substitution, WeightedRing, generic_rank
 from .schemes import p1_chart
 
@@ -631,9 +632,6 @@ def rho_kappa_matrix(p: int) -> List[List[int]]:
     """Matrix with rows j = 1..p and columns lam = 0..p-1 whose entries are
     the dimensions of the spaces of global sections of ker(theta^j) on the
     projective cover of the weight-lam simple sl2-module."""
-    from .modules import principal_indecomposable_sl2
-    from .operators import theta_global
-
     out: List[List[int]] = []
     thetas = [theta_global(principal_indecomposable_sl2(lam, p)) for lam in range(p)]
     for j in range(1, p + 1):

@@ -1,7 +1,7 @@
 """Finite-dimensional module representations for the supported group scheme
 families, plus constructions: duals, tensor products, submodule closure,
-zigzag and syzygy modules, Weyl modules, Frobenius twists, and a
-Fitting-style direct sum decomposition over finite fields.
+zigzag, syzygy and Weyl modules, Frobenius twists, projective covers of
+u(sl2), and a Fitting-style direct sum decomposition over finite fields.
 
 A module stores one square action matrix per distribution-algebra generator
 (matrices act on column vectors).  Modules for gln_height2 are an exception:
@@ -259,7 +259,6 @@ def external_product(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
         raise ValueError("external_product requires multi_additive factors")
     if m1.desc.p != m2.desc.p or m1.fld.q != m2.fld.q:
         raise ValueError("factors must share the same base field")
-    from .schemes import multi_additive, generator_names
 
     fld = m1.fld
     r1, r2 = m1.desc.r, m2.desc.r
@@ -631,7 +630,7 @@ def _local_certificate(fld: Field, nil: Sequence[Matrix]) -> bool:
     return True
 
 
-def decompose_summands(rep: ModuleRep, rng=None) -> Tuple[List[ModuleRep], DecompositionReport]:
+def decompose_summands(rep: ModuleRep, rng) -> Tuple[List[ModuleRep], DecompositionReport]:
     """Split a module into indecomposable direct summands by Fitting
     decompositions of commuting endomorphisms.
 
@@ -644,10 +643,6 @@ def decompose_summands(rep: ModuleRep, rng=None) -> Tuple[List[ModuleRep], Decom
     random combinations of the basis are scanned.  If the commutant has an
     endomorphism with no eigenvalue in the base field the computation is
     retried over a degree-one-larger extension (reported in the result)."""
-    import random
-
-    if rng is None:
-        rng = random.Random(0)
 
     def split_all(m: ModuleRep, comm: List[Matrix]) -> Tuple[List[ModuleRep], bool]:
         """The summands of m, given a basis comm of End(m), and whether every
@@ -689,9 +684,15 @@ def decompose_summands(rep: ModuleRep, rng=None) -> Tuple[List[ModuleRep], Decom
 
 
 def principal_indecomposable_sl2(lam: int, p: int, fld: Optional[Field] = None) -> ModuleRep:
-    """Projective cover of the simple sl2-module of highest weight lam
-    (0 <= lam <= p-1), realized as a direct summand of St (x) V_{p-1-lam}.
-    For lam = p-1 this is the Steinberg module itself."""
+    """Projective cover P_lam of the simple sl2-module of highest weight lam
+    (0 <= lam <= p-1); for lam = p-1 the Steinberg module itself.  Otherwise
+    P_lam = ker (C - c_lam)^{2p} on St (x) V_{p-1-lam}, with the Casimir
+    C = h^2 + 2h + 4fe and c_lam = lam^2 + 2lam: the value of C tells the
+    blocks of u(sl2) apart, linking lam only with p-2-lam, and St (x)
+    V_{p-1-lam} holds P_lam once and P_{p-2-lam} never (Humphreys, J. Algebra
+    19 (1971); Jantzen, NATO ASI C 514 (1998)).  A kernel of dimension other
+    than 2p is an ``EngineInvariantError``.  At p = 2, h acts as 0 on
+    St (x) V_1, so C = 0 = c_0 and the kernel is all of it, P_0."""
     if not 0 <= lam <= p - 1:
         raise ValueError("lam must satisfy 0 <= lam <= p-1")
     if lam == p - 1:
@@ -699,19 +700,16 @@ def principal_indecomposable_sl2(lam: int, p: int, fld: Optional[Field] = None) 
         rep.label = "P_%d" % lam
         return rep
     big = tensor_module(construct_steinberg(p, fld), construct_weyl_sl2(p - 1 - lam, p, fld))
-    parts, report = decompose_summands(big)
-    for part in parts:
-        if part.dim != 2 * p:
-            continue
-        # the right summand has a highest-weight vector of weight lam
-        # generating a (lam+1)-dimensional (simple) socle
-        rows = part.action["e"] + mat_sub_scalar(part.fld, part.action["h"], lam % p)
-        for v in kernel_basis(part.fld, rows, part.dim):
-            sub, _ = submodule_generated(part, [v])
-            if sub.dim == lam + 1:
-                part.label = "P_%d" % lam
-                return part
-    raise EngineInvariantError("projective summand P_%d not found" % lam)
+    fld, e, f, h = big.fld, big.action["e"], big.action["f"], big.action["h"]
+    casimir = mat_add(fld, mat_add(fld, mat_mul(fld, h, h), mat_scale(fld, 2 % p, h)),
+                      mat_scale(fld, 4 % p, mat_mul(fld, f, e)))
+    shifted = mat_sub_scalar(fld, casimir, (lam * lam + 2 * lam) % p)
+    block = kernel_basis(fld, mat_pow(fld, shifted, 2 * p), big.dim)
+    if len(block) != 2 * p:
+        raise EngineInvariantError("projective summand P_%d not found" % lam)
+    rep = restrict_subspace(big, block)
+    rep.label = "P_%d" % lam
+    return rep
 
 
 # ---------------------------------------------------------------------------

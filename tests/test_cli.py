@@ -291,14 +291,16 @@ def test_nonzero_p_th_power_in_subquotient_exits_3(capsys, monkeypatch):
 
 
 def test_missing_projective_summand_exits_3(capsys, monkeypatch):
-    # St (x) V_{p-1-lam} always has P_lam as a 2p-dimensional summand; a
-    # splitter that returns none is an engine fault
+    # the Casimir block of St (x) V_{p-1-lam} is always P_lam, of dimension
+    # 2p; a kernel that loses a dimension is an engine fault
     import jordanbundles.modules as modules
 
-    def no_pim(rep, rng=None):
-        return [rep], modules.DecompositionReport(rep.fld, False, True)
+    real = modules.kernel_basis
 
-    monkeypatch.setattr(modules, "decompose_summands", no_pim)
+    def short_kernel(fld, a, ncols=None):
+        return real(fld, a, ncols)[1:]
+
+    monkeypatch.setattr(modules, "kernel_basis", short_kernel)
     code, out, err = run_cli(
         ["analyze", "--group", "u_sl2", "--p", "3", "--builtin", "pim:0",
          "--op", "bundle", "--format", "json"], capsys)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import jordanbundles.modules as modules
+from jordanbundles.bundles import kernel_graded, restrict_p1, splitting_type
 from jordanbundles.field import (
     commutant_basis,
     ext_field_build,
@@ -13,6 +14,7 @@ from jordanbundles.field import (
     inverse,
     is_zero_matrix,
     kernel_basis,
+    mat_combination,
     mat_mul,
     mat_pow,
     mat_sub_scalar,
@@ -56,6 +58,7 @@ from jordanbundles.modules import (
     trivial_module,
     validate_module,
 )
+from jordanbundles.operators import theta_global
 from jordanbundles.schemes import (
     additive_kernel,
     generator_names,
@@ -312,15 +315,62 @@ def test_local_certificate_accepts_zigzag(monkeypatch):
     assert rpt.certified and [m.dim for m in summands] == [5] and draws == []
 
 
-@pytest.mark.parametrize("lam,dim", [(0, 6), (1, 6), (2, 3)])
-def test_principal_indecomposable_dims(lam, dim):
-    p = 3
+def _generates_simple(rep, lam):
+    """Whether a highest-weight vector of weight lam generates a
+    (lam+1)-dimensional submodule of rep."""
+    rows = rep.action["e"] + mat_sub_scalar(rep.fld, rep.action["h"], lam % rep.desc.p)
+    return any(submodule_generated(rep, [v])[0].dim == lam + 1
+               for v in kernel_basis(rep.fld, rows, rep.dim))
+
+
+def _frozen_pim_by_splitter(lam, p):
+    # the route P_lam was built by before the Casimir kernel: split
+    # St (x) V_{p-1-lam} and keep the 2p-dimensional summand whose
+    # weight-lam highest-weight vector generates a simple submodule
+    if lam == p - 1:
+        return construct_steinberg(p)
+    big = tensor_module(construct_steinberg(p), construct_weyl_sl2(p - 1 - lam, p))
+    parts, _ = decompose_summands(big, random.Random(0))
+    for part in parts:
+        if part.dim == 2 * p and _generates_simple(part, lam):
+            return part
+    raise AssertionError("projective summand P_%d not found" % lam)
+
+
+def _intertwiner(a, b, rng):
+    """An invertible module map a -> b, read off the lower-left block of a
+    seeded element of End(a + b), or None if no draw gives one."""
+    n, fld = a.dim, a.fld
+    s = direct_sum(a, b)
+    comm = commutant_basis(fld, s.action.values(), s.dim)
+    for _ in range(20):
+        x = mat_combination(fld, s.dim, [rng.randrange(fld.q) for _ in comm], comm)
+        y = [row[:n] for row in x[n:]]
+        if rank(fld, y) == n:
+            return y
+    return None
+
+
+@pytest.mark.parametrize("p,lam", [(p, lam) for p in (2, 3, 5, 7) for lam in range(p)])
+def test_principal_indecomposable_dims(p, lam):
     rep = principal_indecomposable_sl2(lam, p)
-    assert rep.dim == dim
+    assert rep.dim == (2 * p if lam < p - 1 else p)
     assert validate_module(rep) == []
-    # highest-weight vector of weight lam generates a (lam+1)-dim submodule
     summands, rpt = decompose_summands(rep, rng=random.Random(3))
     assert rpt.certified and len(summands) == 1
+    assert _generates_simple(rep, lam)
+    # the Casimir block and the splitter's summand are isomorphic modules
+    old = _frozen_pim_by_splitter(lam, p)
+    assert old.dim == rep.dim
+    y = _intertwiner(rep, old, random.Random(lam))
+    assert y is not None
+    assert all(mat_mul(rep.fld, y, rep.action[nm]) == mat_mul(rep.fld, old.action[nm], y)
+               for nm in rep.action)
+    if p % 2:
+        new_b, old_b = (restrict_p1(theta_global(m)) for m in (rep, old))
+        for j in range(1, p):
+            assert (splitting_type(kernel_graded(new_b, j))
+                    == splitting_type(kernel_graded(old_b, j)))
 
 
 def test_duals_example_structure():
