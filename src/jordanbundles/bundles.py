@@ -511,32 +511,39 @@ def image_sheaf_report(b: P1Matrix, j: int = 1) -> SheafReport:
 # ---------------------------------------------------------------------------
 
 
-def global_sections(theta: ThetaMatrix, j: int = 1) -> Tuple[List[Vector], str]:
-    """Basis of {m in M : theta^j (m x 1) = 0 on V(G)} and a note recording
-    the route.  Supported when V(G) is an affine space (polynomial identity)
-    or for built-in sl2 with p odd (via the dominant conic chart)."""
+def _sections_operator(theta: ThetaMatrix) -> Tuple[PolyMatrix, str]:
+    """Theta where its global sections are read, and a note recording the
+    route: Theta itself when V(G) is an affine space (polynomial
+    identity), Theta on the dominant conic chart for built-in sl2 with p
+    odd."""
     desc = theta.desc
-    fld = theta.rep.fld
     if desc.family in ("multi_additive", "additive_kernel"):
-        power = theta.mat.power(j)
-        note = "polynomial identity over the affine variety"
-    elif desc.family == "restricted_lie" and desc.lie is None and desc.p != 2:
-        chart = p1_chart(desc, fld)
-        power = theta.mat.substitute(chart).power(j)
-        note = "via the dominant conic chart"
-    else:
-        raise NotImplementedError(
-            "global sections need an affine V(G) or the sl2 conic chart"
-        )
-    # theta^j (m x 1) vanishes iff every coefficient matrix A_m of it kills m
-    n = theta.dim
+        return theta.mat, "polynomial identity over the affine variety"
+    if desc.family == "restricted_lie" and desc.lie is None and desc.p != 2:
+        return theta.mat.substitute(p1_chart(desc, theta.rep.fld)), "via the dominant conic chart"
+    raise NotImplementedError(
+        "global sections need an affine V(G) or the sl2 conic chart"
+    )
+
+
+def _sections_of(fld: Field, power: PolyMatrix, n: int) -> List[Vector]:
+    """RREF basis of the m in k^n with power (m x 1) = 0: power vanishes on
+    m x 1 iff every coefficient matrix A_m of it kills m."""
     rows: List[Vector] = []
     for _, entries in power.coefficients()[0]:
         by_row: Dict[int, Vector] = {}
         for r, col, c in entries:
             by_row.setdefault(r, [0] * n)[col] = c
         rows.extend(by_row.values())
-    return span_basis(fld, kernel_basis(fld, rows, n)), note
+    return span_basis(fld, kernel_basis(fld, rows, n))
+
+
+def global_sections(theta: ThetaMatrix, j: int = 1) -> Tuple[List[Vector], str]:
+    """Basis of {m in M : theta^j (m x 1) = 0 on V(G)} and a note recording
+    the route.  Supported when V(G) is an affine space (polynomial identity)
+    or for built-in sl2 with p odd (via the dominant conic chart)."""
+    op, note = _sections_operator(theta)
+    return _sections_of(theta.rep.fld, op.power(j), theta.dim), note
 
 
 # ---------------------------------------------------------------------------
@@ -631,16 +638,19 @@ def k0_class(obj) -> K0Class:
 def rho_kappa_matrix(p: int) -> List[List[int]]:
     """Matrix with rows j = 1..p and columns lam = 0..p-1 whose entries are
     the dimensions of the spaces of global sections of ker(theta^j) on the
-    projective cover of the weight-lam simple sl2-module."""
-    out: List[List[int]] = []
-    thetas = [theta_global(principal_indecomposable_sl2(lam, p)) for lam in range(p)]
-    for j in range(1, p + 1):
-        row = []
-        for lam in range(p):
-            basis, _ = global_sections(thetas[lam], j)
-            row.append(len(basis))
-        out.append(row)
-    return out
+    projective cover of the weight-lam simple sl2-module.  Each cover's
+    Theta is put on the conic chart once, and Theta^j is Theta^(j-1) Theta."""
+    columns: List[List[int]] = []
+    for lam in range(p):
+        theta = theta_global(principal_indecomposable_sl2(lam, p))
+        op, _ = _sections_operator(theta)
+        power, column = op, []
+        for j in range(1, p + 1):
+            if j > 1:
+                power = power * op
+            column.append(len(_sections_of(theta.rep.fld, power, theta.dim)))
+        columns.append(column)
+    return [list(row) for row in zip(*columns)]
 
 
 __all__ = [

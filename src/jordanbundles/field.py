@@ -30,8 +30,16 @@ and p >= 17 run the per-entry elimination only.
 n^k] of a square matrix from iterated images, never forming a power: the
 row space of n^(i+1) is the row space of n^i times n, so each step
 eliminates the r_i rows kept from the step before and multiplies them by
-n.  Local Jordan types, ker/im fiber dimensions and the rank scans all
-read it.
+n.  Local Jordan types, ker/im fiber dimensions, the rank scans and the
+summand splitter's Fitting scans all read it.
+
+``commutant_basis`` solves AX = XA in a basis P where X' = P^-1 X P has
+few unknowns: the eigenblocks of an action matrix diagonalisable over
+F_q, else the Toeplitz diagonals of the block upper-triangular commutant
+of a nilpotent in its Jordan basis (``jordan_basis``, from the top-down
+chains of ``jordan_chains``, which the Jordan-chain oracle also reads),
+else all n^2 entries.  The images P E_u P^-1 of the unknowns, one
+product and one row reduction give the canonical basis of the commutant.
 """
 
 from __future__ import annotations
@@ -330,10 +338,17 @@ def mat_scale(fld: Field, c: int, a: Matrix) -> Matrix:
 
 
 def mat_mul(fld: Field, a: Matrix, b: Matrix) -> Matrix:
-    m = len(b[0])
+    return _mat_mul_nz(fld, a, _row_nonzeros(b), len(b[0]))
+
+
+def _row_nonzeros(b: Matrix) -> List[List[Tuple[int, int]]]:
+    """The nonzero entries (j, y) of each row of b."""
+    return [[(j, y) for j, y in enumerate(bt) if y] for bt in b]
+
+
+def _mat_mul_nz(fld: Field, a: Matrix, b_nz: List[List[Tuple[int, int]]], m: int) -> Matrix:
+    """a b for the m-column matrix b given by ``_row_nonzeros(b)``."""
     add, mul = fld._add_table, fld._mul_table
-    # the nonzero entries of each row of b, found once
-    b_nz = [[(j, y) for j, y in enumerate(bt) if y] for bt in b]
     out: Matrix = []
     for ai in a:
         oi = [0] * m
@@ -396,68 +411,208 @@ def kernel_form(fld: Field, mats: Iterable[Matrix], n: int) -> List[Matrix]:
     coordinate where the others vanish, so read backwards they are the RREF
     of the span with its rows in reverse order: the basis depends only on
     the span."""
-    rref, _ = row_reduce(fld, ([x for row in reversed(m) for x in reversed(row)] for m in mats))
+    flat = ([x for row in reversed(m) for x in reversed(row)] for m in mats)
+    return _kernel_form_flat(fld, flat, n)
+
+
+def _kernel_form_flat(fld: Field, flat: Iterable[Vector], n: int) -> List[Matrix]:
+    """``kernel_form`` of the matrices given flattened in its order: entry
+    (r, c) at coordinate n^2 - 1 - (r n + c)."""
+    rref, _ = row_reduce(fld, flat)
     return [[v[i * n:(i + 1) * n] for i in range(n)]
             for v in (row[::-1] for row in reversed(rref))]
+
+
+def jordan_chains(fld: Field, n: Matrix) -> List[List[Vector]]:
+    """Jordan chains of a nilpotent square matrix, longest first, each from
+    its bottom, a vector of ker n, up to its top t: [n^(h-1) t, ..., n t, t].
+
+    Built top-down: for h from the height of n down to 1, a vector t of a
+    basis of ker n^h starts a chain of length h when it is independent
+    modulo ker n^(h-1) and the vectors at height h of the chains begun
+    before it.  As n^(h-1) maps ker n^h onto a subspace of ker n with kernel
+    ker n^(h-1), and those vectors onto the bottoms of their chains, that
+    holds exactly when n^(h-1) t is independent of the bottoms so far.
+    Raises ``ValueError`` when n is not nilpotent."""
+    dim = len(n)
+    powers = [identity(fld, dim), n]
+    while not is_zero_matrix(powers[-1]):
+        if len(powers) > dim:
+            raise ValueError("matrix is not nilpotent")
+        powers.append(mat_mul(fld, powers[-1], n))
+    height = len(powers) - 1
+    bottoms = Echelon(fld)
+    tops: List[Tuple[int, Vector]] = []
+    for h in range(height, 0, -1):
+        # n^(h-1) t for each t: a row times (n^(h-1))^T, or for the unit
+        # vectors that span ker n^height a column of n^(h-1)
+        if h == height:
+            ker, images = powers[0], transpose(powers[h - 1])
+        else:
+            ker = kernel_basis(fld, powers[h], dim)
+            images = ker if h == 1 else mat_mul(fld, ker, transpose(powers[h - 1]))
+        tops += [(h, t) for t, b in zip(ker, images) if bottoms.insert(b) is not None]
+    chains = [[t] for _, t in tops]  # each from its top down while built
+    n_t = transpose(n)
+    for i in range(1, height):
+        live = [chain for chain, (h, _) in zip(chains, tops) if h > i]
+        for chain, v in zip(live, mat_mul(fld, [chain[-1] for chain in live], n_t)):
+            chain.append(v)
+    return [chain[::-1] for chain in chains]
+
+
+def jordan_basis(fld: Field, n: Matrix) -> Tuple[Matrix, Matrix, List[int]]:
+    """(P, P^-1, block sizes) for a nilpotent square matrix n: the columns
+    of P are the chains of ``jordan_chains``, so P^-1 n P is the Jordan
+    matrix with blocks of those sizes, longest first, each with 1 on its
+    superdiagonal.  A P that is singular, or that does not conjugate n to
+    that matrix, is an ``EngineInvariantError``."""
+    dim = len(n)
+    chains = jordan_chains(fld, n)
+    cols = [v for chain in chains for v in chain]
+    if len(cols) != dim:
+        raise EngineInvariantError("Jordan chains hold %d vectors in dimension %d"
+                                   % (len(cols), dim))
+    # n P = P J: n maps each chain vector to the one below it, a bottom to 0
+    if dim and mat_mul(fld, cols, transpose(n)) != [w for chain in chains
+                                                    for w in [[0] * dim] + chain[:-1]]:
+        raise EngineInvariantError("Jordan chains do not conjugate the matrix to its Jordan form")
+    p = transpose(cols)
+    try:
+        p_inv = inverse(fld, p)
+    except ValueError:
+        raise EngineInvariantError("Jordan chains do not form a basis") from None
+    return p, p_inv, [len(chain) for chain in chains]
+
+
+# The structures of commutant_basis: the positions of X' = P^-1 X P that
+# each unknown fills, every other entry of X' being 0.
+Cells = List[List[Tuple[int, int]]]
+
+
+def _block_cells(sizes: Sequence[int]) -> Cells:
+    """Every entry of each diagonal block its own unknown."""
+    cells: Cells = []
+    start = 0
+    for d in sizes:
+        cells += [[(i, j)] for i in range(start, start + d) for j in range(start, start + d)]
+        start += d
+    return cells
+
+
+def _toeplitz_cells(sizes: Sequence[int]) -> Cells:
+    """One unknown per diagonal j - i = d of block (a, b) with
+    max(0, m_b - m_a) <= d < m_b, for Jordan blocks of sizes m: the
+    commutant of a nilpotent Jordan matrix is block upper-triangular
+    Toeplitz (Gantmacher, The Theory of Matrices I, ch. VIII)."""
+    starts = [sum(sizes[:a]) for a in range(len(sizes))]
+    return [[(sa + t, sb + t + d) for t in range(mb - d)]
+            for sa, ma in zip(starts, sizes) for sb, mb in zip(starts, sizes)
+            for d in range(max(0, mb - ma), mb)]
+
+
+def _commutant_structure(fld: Field, mats: Sequence[Matrix],
+                         n: int) -> Tuple[Optional[int], Matrix, Matrix, Cells]:
+    """(k, P, P^-1, cells): a basis P in which the commutant of mats has few
+    unknowns, and their cells.  mats[k] commutes with every X' of that form,
+    so it adds no equations (k is None when no matrix is used).
+
+    The first matrix diagonalisable over F_q with more than one eigenvalue
+    gives its eigenblocks.  Else the nonzero nilpotent A with the smallest
+    commutant, sum_i (r_(i-1) - r_i)^2 from its rank sequence r, gives the
+    Toeplitz cells of its Jordan basis.  Else P = 1 and all n^2 entries
+    are unknowns."""
+    nilpotent = None  # (dim C(A), k, A)
+    for k, a in enumerate(mats):
+        ranks = power_ranks(fld, a, n)
+        if ranks[-1]:
+            eig = _eigenbasis(fld, a)
+            if eig:
+                p = transpose(eig[0])
+                return k, p, inverse(fld, p), _block_cells(eig[1])
+        elif ranks[1]:
+            dim = sum((r0 - r1) ** 2 for r0, r1 in zip(ranks, ranks[1:]))
+            if nilpotent is None or dim < nilpotent[0]:
+                nilpotent = (dim, k, a)
+    if nilpotent is not None:
+        p, p_inv, sizes = jordan_basis(fld, nilpotent[2])
+        return nilpotent[1], p, p_inv, _toeplitz_cells(sizes)
+    return None, identity(fld, n), identity(fld, n), _block_cells([n])
+
+
+def _cell_images(fld: Field, p: Matrix, p_inv: Matrix, cells: Cells) -> List[List[Tuple[int, int]]]:
+    """The nonzero entries of P E_u P^-1 for each unknown u, flattened in
+    ``kernel_form``'s order (entry (r, c) at n^2 - 1 - (r n + c)): the sum
+    over (i, j) in cells[u] of column i of P times row j of P^-1."""
+    n = len(p)
+    last = n * n - 1
+    cols = [[(last - r * n, x) for r, x in enumerate(col) if x] for col in transpose(p)]
+    rows = _row_nonzeros(p_inv)
+    add, mul = fld._add_table, fld._mul_table
+    images = []
+    for cell in cells:
+        image: dict = {}
+        for i, j in cell:
+            row = rows[j]
+            for base, x in cols[i]:
+                if add is None:
+                    for c, y in row:
+                        image[base - c] = fld.add(image.get(base - c, 0), fld.mul(x, y))
+                else:
+                    mx = mul[x]
+                    for c, y in row:
+                        image[base - c] = add[image.get(base - c, 0)][mx[y]]
+        images.append([(k, y) for k, y in image.items() if y])
+    return images
 
 
 def commutant_basis(fld: Field, mats: Iterable[Matrix], n: int) -> List[Matrix]:
     """A basis of the n x n matrices X with AX = XA for every A in mats: the
     one ``kernel_basis`` returns for the Kronecker system in the entries of X.
 
-    Eigenblocks: when some A in mats is diagonalisable over F_q with more
-    than one eigenvalue (h, in every u(sl2) module and any basis), every such
-    X keeps each eigenspace of A.  In an eigenbasis P the unknowns are only
-    the entries of the diagonal blocks of X' = P^-1 X P, and the equations
-    of A vanish.  The solutions go back by X = P X' P^-1 and are brought to
-    the basis ``kernel_form`` gives their span.  Without such an A the
-    system is the Kronecker one, as a single block."""
+    The system is solved in a basis P where X' = P^-1 X P has few unknowns
+    (``_commutant_structure``): eigenblocks of a matrix diagonalisable over
+    F_q (h, in every u(sl2) module and any basis), else the Toeplitz
+    diagonals of a nilpotent in its Jordan basis (any (G_a)^r module), else
+    all n^2 entries.  The matrix that gives P adds no equations; each other
+    B adds those of P^-1 B P.  Each unknown u, filling the positions
+    cells[u] of X', maps back to P E_u P^-1, a sum of outer products of
+    columns of P with rows of P^-1: the kernel basis times the stack of
+    these images, flattened in ``kernel_form``'s order, is reduced once to
+    the basis ``kernel_form`` gives the span."""
+    if not n:
+        return []
     mats = list(mats)
-    sizes, others, p = [n], mats, None
-    for k, a in enumerate(mats):
-        eig = _eigenbasis(fld, a)
-        if eig:
-            vectors, sizes = eig
-            p = transpose(vectors)
-            p_inv = inverse(fld, p)
-            others = [mat_mul(fld, p_inv, mat_mul(fld, b, p)) for b in mats[:k] + mats[k + 1:]]
-            break
-    # each index's block: its start, its size and the offset of its unknowns,
-    # X'[k][j] being unknown offset + (k - start) * size + (j - start)
-    blocks: List[Tuple[int, int, int]] = []
-    unknowns = 0
-    for d in sizes:
-        blocks += [(len(blocks), d, unknowns)] * d
-        unknowns += d * d
+    skip, p, p_inv, cells = _commutant_structure(fld, mats, n)
+    unknowns = len(cells)
+    # the unknowns in each column and in each row of X'
+    in_col: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    in_row: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for u, cell in enumerate(cells):
+        for i, j in cell:
+            in_col[j].append((i, u))
+            in_row[i].append((j, u))
     rows: List[Vector] = []
-    for a in others:
+    for b in (mat_mul(fld, p_inv, mat_mul(fld, b, p)) for k, b in enumerate(mats) if k != skip):
+        b_cols = transpose(b)
         for i in range(n):
-            si, di, oi = blocks[i]
+            bi = b[i]
             for j in range(n):
-                sj, dj, oj = blocks[j]
+                bj = b_cols[j]
                 row = [0] * unknowns
-                # (A X')_{ij} has coefficient A[i][k] on X'[k][j]
-                for k in range(sj, sj + dj):
-                    if a[i][k]:
-                        u = oj + (k - sj) * dj + j - sj
-                        row[u] = fld.add(row[u], a[i][k])
-                # (X' A)_{ij} has coefficient A[k][j] on X'[i][k]
-                for k in range(si, si + di):
-                    if a[k][j]:
-                        u = oi + (i - si) * di + k - si
-                        row[u] = fld.sub(row[u], a[k][j])
+                # (B X')_{ij} has coefficient B[i][k] on X'[k][j]
+                for k, u in in_col[j]:
+                    if bi[k]:
+                        row[u] = fld.add(row[u], bi[k])
+                # (X' B)_{ij} has coefficient B[k][j] on X'[i][k]
+                for k, u in in_row[i]:
+                    if bj[k]:
+                        row[u] = fld.sub(row[u], bj[k])
                 if any(row):
                     rows.append(row)
-    solutions = []
-    for v in kernel_basis(fld, rows, unknowns):
-        x = zeros(n, n)
-        for i in range(n):
-            si, di, oi = blocks[i]
-            x[i][si:si + di] = v[oi + (i - si) * di:oi + (i - si + 1) * di]
-        solutions.append(x)
-    if p is None:
-        return solutions
-    return kernel_form(fld, (mat_mul(fld, p, mat_mul(fld, x, p_inv)) for x in solutions), n)
+    solutions = kernel_basis(fld, rows, unknowns)
+    images = _cell_images(fld, p, p_inv, cells)
+    return _kernel_form_flat(fld, _mat_mul_nz(fld, solutions, images, n * n), n)
 
 
 def add_scaled_entries(fld: Field, out: Matrix, c: int,
@@ -491,16 +646,20 @@ def mat_vec(fld: Field, a: Matrix, v: Vector) -> Vector:
 
 def mat_pow(fld: Field, a: Matrix, n: int) -> Matrix:
     """a^n as a new matrix: starts from the first factor, not from a product
-    with the identity, and squares only while bits of n remain."""
+    with the identity, and squares only while bits of n remain.  The
+    nonzero entries of each factor are found once, for both the product
+    and the square that take it as their right factor."""
+    size = len(a)
     result = None
     base = [row[:] for row in a]
     while n:
+        nz = _row_nonzeros(base) if n > 1 or result is not None else None
         if n & 1:
-            result = base if result is None else mat_mul(fld, result, base)
+            result = base if result is None else _mat_mul_nz(fld, result, nz, size)
         n >>= 1
         if n:
-            base = mat_mul(fld, base, base)
-    return identity(fld, len(a)) if result is None else result
+            base = _mat_mul_nz(fld, base, nz, size)
+    return identity(fld, size) if result is None else result
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -805,6 +964,8 @@ __all__ = [
     "mat_sub_scalar",
     "mat_combination",
     "kernel_form",
+    "jordan_chains",
+    "jordan_basis",
     "commutant_basis",
     "add_scaled_entries",
     "mat_vec",

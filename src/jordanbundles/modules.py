@@ -34,6 +34,7 @@ from .field import (
     mat_scale,
     mat_sub,
     mat_sub_scalar,
+    power_ranks,
     prime_field,
     random_invertible,
     reduce_vector,
@@ -569,19 +570,22 @@ _COMMUTING_TRIES = 400
 def _fitting(fld: Field, c: Matrix) -> Union[None, int, Tuple[Matrix, Matrix]]:
     """Fitting scan of an n x n endomorphism c over lam in F_q, in order.
 
-    At the first lam with 0 < dim ker (c - lam)^n < n, returns that kernel
-    and the image of (c - lam)^n: two complementary c-invariant subspaces
-    (RREF row bases).  Returns lam itself at a lam with (c - lam)^n = 0:
-    c - lam is nilpotent, so c - lam' is invertible for every other lam' and
-    no split exists.  Returns None when no lam gives either."""
+    The rank of (c - lam)^n comes from ``power_ranks``, so an invertible or
+    nilpotent c - lam takes no power.  At the first lam with
+    0 < rank (c - lam)^n < n, returns the kernel and the image of
+    (c - lam)^n: two complementary c-invariant subspaces (RREF row bases).
+    Returns lam itself at a lam with (c - lam)^n = 0: c - lam is nilpotent,
+    so c - lam' is invertible for every other lam' and no split exists.
+    Returns None when no lam gives either."""
     n = len(c)
     for lam in range(fld.q):
-        power = mat_pow(fld, mat_sub_scalar(fld, c, lam), n)
-        ker = kernel_basis(fld, power, n)
-        if len(ker) == n:
+        shifted = mat_sub_scalar(fld, c, lam)
+        rank = power_ranks(fld, shifted, n)[n]
+        if not rank:
             return lam
-        if ker:
-            return span_basis(fld, ker), span_basis(fld, [list(col) for col in zip(*power)])
+        if rank < n:
+            power = mat_pow(fld, shifted, n)
+            return span_basis(fld, kernel_basis(fld, power, n)), span_basis(fld, transpose(power))
     return None
 
 
@@ -634,8 +638,8 @@ def decompose_summands(rep: ModuleRep, rng) -> Tuple[List[ModuleRep], Decomposit
     """Split a module into indecomposable direct summands by Fitting
     decompositions of commuting endomorphisms.
 
-    The commutant End(M) is computed once, by eigenblocks
-    (``commutant_basis``); the ring of each summand U of a split is the
+    The commutant End(M) is computed once, in eigenblocks or in a Jordan
+    basis (``commutant_basis``); the ring of each summand U of a split is the
     corner pi_U End(M) iota_U (``_corner_rings``), not a new system.  Each
     basis element is scanned; when none splits M and each is a scalar lam_i
     plus a nilpotent, the local certificate (``_local_certificate`` on the

@@ -10,18 +10,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .field import (
-    Echelon,
     EngineInvariantError,
     Field,
     Matrix,
-    Vector,
     ext_field_build,
-    identity,
-    is_zero_matrix,
+    jordan_basis,
     kernel_basis,
-    mat_mul,
     mat_pow,
-    mat_vec,
     power_ranks,
     span_basis,
 )
@@ -197,62 +192,14 @@ def jordan_type(fld: Field, n: Matrix, p: int) -> JordanType:
 
 
 def jordan_type_chain_oracle(fld: Field, n: Matrix, p: int) -> JordanType:
-    """Independent route to the Jordan type: explicitly build Jordan chains
-    top-down and count their lengths; a chain that fails its structural
-    checks raises ``EngineInvariantError``."""
-    dim = len(n)
-    powers = [identity(fld, dim)]
-    while not is_zero_matrix(powers[-1]):
-        powers.append(mat_mul(fld, powers[-1], n))
-        if len(powers) > dim + 1:
-            raise ValueError("matrix is not nilpotent")
-    height = len(powers) - 1  # smallest h with n^h = 0
-    if height > p:
+    """Independent route to the Jordan type: the lengths of explicit Jordan
+    chains, built top-down (``jordan_basis``); chains that do not form a
+    Jordan basis raise ``EngineInvariantError``."""
+    _, _, sizes = jordan_basis(fld, n)
+    if sizes and sizes[0] > p:
         raise ValueError("matrix is not p-nilpotent (p = %d)" % p)
-    kernels = [span_basis(fld, kernel_basis(fld, pw, dim)) if not is_zero_matrix(pw)
-               else [row[:] for row in identity(fld, dim)]
-               for pw in powers]
-    # kernels[i] = basis of ker(n^i); kernels[0] = empty
-    kernels[0] = []
-    chains: List[List[Vector]] = []
-    tops_by_len: Dict[int, List[Vector]] = {}
-    for h in range(height, 0, -1):
-        # vectors of height exactly h modulo previously started chains:
-        # complement of ker(n^{h-1}) + n * (tops of longer chains) in ker(n^h)
-        shadow = [v for v in kernels[h - 1]]
-        for length, tops in tops_by_len.items():
-            if length > h:
-                for v in tops:
-                    w = v
-                    for _ in range(length - h):
-                        w = mat_vec(fld, n, w)
-                    shadow.append(w)
-        current = Echelon(fld, shadow)
-        new_tops = [cand for cand in kernels[h] if current.insert(cand) is not None]
-        if new_tops:
-            tops_by_len.setdefault(h, []).extend(new_tops)
-        # demote the shadow vectors: n * tops of length h+1 become tops of
-        # chains of remaining length h -- their chains continue below
-    # build the chains explicitly and verify
-    all_vectors: List[Vector] = []
-    lengths: List[int] = []
-    for h, tops in tops_by_len.items():
-        for v in tops:
-            chain = [v]
-            for _ in range(h - 1):
-                chain.append(mat_vec(fld, n, chain[-1]))
-            if not all(any(x) for x in chain):
-                raise EngineInvariantError("Jordan chain broke early")
-            if any(mat_vec(fld, n, chain[-1])):
-                raise EngineInvariantError("Jordan chain bottom not killed")
-            lengths.append(h)
-            all_vectors.extend(chain)
-    if len(all_vectors) != dim:
-        raise EngineInvariantError("Jordan chain vectors do not fill the space")
-    if len(span_basis(fld, all_vectors)) != dim:
-        raise EngineInvariantError("Jordan chain vectors are dependent")
     counts = [0] * p
-    for h in lengths:
+    for h in sizes:
         counts[h - 1] += 1
     return JordanType(p, tuple(counts))
 

@@ -309,6 +309,35 @@ def test_missing_projective_summand_exits_3(capsys, monkeypatch):
     assert err.startswith("error [E_INTERNAL]:") and "P_0 not found" in err
 
 
+@pytest.mark.parametrize("fault", ["dependent", "reordered"])
+def test_broken_jordan_basis_exits_3(capsys, monkeypatch, fault):
+    # a random (G_a)^2 module draws its second matrix from the commutant of
+    # the first, solved in a Jordan basis of it; chains that are not a
+    # basis, or do not conjugate the matrix to its Jordan form, are an
+    # engine fault, not inverse's ValueError (exit 1)
+    import jordanbundles.field as field
+
+    real = field.jordan_chains
+
+    def broken(fld, n):
+        chains = real(fld, n)
+        if fault == "dependent":
+            # still chains of n, but the last repeats the start of the first
+            chains[-1] = [list(v) for v in chains[0][:len(chains[-1])]]
+        else:
+            chains[0].reverse()
+        return chains
+
+    monkeypatch.setattr(field, "jordan_chains", broken)
+    code, out, err = run_cli(
+        ["analyze", "--group", "ga1xga1", "--p", "3", "--builtin", "random:4",
+         "--op", "bundle", "--seed", "0", "--format", "json"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error [E_INTERNAL]:")
+    assert ("form a basis" if fault == "dependent" else "conjugate") in err
+
+
 def test_sampling_failure_exits_1(capsys, monkeypatch):
     # a scan over F_25 samples its points; draws that find too few are
     # reported with their own code, not as a traceback

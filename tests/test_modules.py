@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 import jordanbundles.modules as modules
 from jordanbundles.bundles import kernel_graded, restrict_p1, splitting_type
 from jordanbundles.field import (
+    Field,
     commutant_basis,
     ext_field_build,
     identity,
     inverse,
     is_zero_matrix,
+    jordan_basis,
     kernel_basis,
     mat_combination,
     mat_mul,
@@ -58,7 +60,7 @@ from jordanbundles.modules import (
     trivial_module,
     validate_module,
 )
-from jordanbundles.operators import theta_global
+from jordanbundles.operators import jordan_type, theta_global
 from jordanbundles.schemes import (
     additive_kernel,
     generator_names,
@@ -501,7 +503,9 @@ def _kronecker_commutant(fld, mats, n):
     return [[v[i * n:(i + 1) * n] for i in range(n)] for v in kernel_basis(fld, rows, n * n)]
 
 
-COMMUTANT_FIELDS = [prime_field(3), prime_field(5), ext_field_build(3, 2)]
+# the last is built without arithmetic tables (for an extension field
+# without them see test_commutant_basis_without_tables_over_gf625)
+COMMUTANT_FIELDS = [prime_field(3), prime_field(5), ext_field_build(3, 2), Field(5, 1, (0, 1))]
 
 
 def _dense(rep, rng):
@@ -512,32 +516,83 @@ def _dense(rep, rng):
                      {nm: mat_mul(fld, mat_mul(fld, s, m), si) for nm, m in rep.action.items()})
 
 
+def _check_jordan_basis(fld, a):
+    # P^-1 a P is the Jordan matrix with the block sizes of jordan_type(a)
+    # (a is len(a)-nilpotent)
+    p_mat, p_inv, sizes = jordan_basis(fld, a)
+    assert mat_mul(fld, p_inv, p_mat) == identity(fld, len(a))
+    assert tuple(sizes) == jordan_type(fld, a, len(a)).partition()
+    starts = {sum(sizes[:b]) for b in range(len(sizes))}
+    assert mat_mul(fld, p_inv, mat_mul(fld, a, p_mat)) == [
+        [1 if j == i + 1 and j not in starts else 0 for j in range(len(a))] for i in range(len(a))]
+
+
 @given(data=st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_commutant_basis_matches_kronecker_system(data):
-    # eigenblocks give the same basis, element for element, as the system
-    # in all n^2 unknowns: on u(sl2) Weyl sums and tensors in dense bases
-    # (h diagonalisable) and on random (G_a)^r modules (no such matrix)
+    # eigenblocks, Jordan-basis Toeplitz diagonals and the full system all
+    # give the basis of the system in all n^2 unknowns, element for
+    # element: on u(sl2) Weyl sums and tensors in dense bases (h
+    # diagonalisable), on random (G_a)^r and G_(a(r)) modules and one
+    # nilpotent in a dense basis (no such matrix), on zero matrices, and on
+    # a matrix with no eigenvalue over GF(3), with and without a nilpotent
     fld = data.draw(st.sampled_from(COMMUTANT_FIELDS), label="field")
     p = fld.p
     rng = random.Random(data.draw(st.integers(0, 10 ** 6), label="seed"))
-    kind = data.draw(st.sampled_from(["weyl-sum", "tensor", "multi_additive"]), label="kind")
+    kind = data.draw(st.sampled_from(["weyl-sum", "tensor", "multi_additive", "additive_kernel",
+                                      "nilpotent", "zero", "non-split"]), label="kind")
     if kind == "weyl-sum":
         weights = data.draw(st.lists(st.integers(0, 2 * p - 2), min_size=1, max_size=3)
                             .filter(lambda ws: sum(ws) + len(ws) <= 10))
         rep = construct_weyl_sl2(weights[0], p, fld)
         for m in weights[1:]:
             rep = direct_sum(rep, construct_weyl_sl2(m, p, fld))
-        rep = _dense(rep, rng)
+        mats, n = list(_dense(rep, rng).action.values()), rep.dim
     elif kind == "tensor":
         a = data.draw(st.integers(0, p - 1))
         b = data.draw(st.integers(0, 9 // (a + 1) - 1))
         rep = _dense(tensor_module(construct_weyl_sl2(a, p, fld), construct_weyl_sl2(b, p, fld)), rng)
+        mats, n = list(rep.action.values()), rep.dim
+    elif kind in ("multi_additive", "additive_kernel"):
+        desc = (multi_additive if kind == "multi_additive" else additive_kernel)(
+            p, data.draw(st.integers(1, 3)))
+        rep = random_module(desc, data.draw(st.integers(1, 6)), rng, fld)
+        mats, n = list(rep.action.values()), rep.dim
+    elif kind == "nilpotent":
+        n = data.draw(st.integers(1, 7))
+        mats = [modules.random_nilpotent(fld, n, p, rng)]
+    elif kind == "zero":
+        n = data.draw(st.integers(1, 4))
+        mats = [zeros(n, n)] * data.draw(st.integers(1, 2))
     else:
-        rep = random_module(multi_additive(p, data.draw(st.integers(1, 3))),
-                            data.draw(st.integers(1, 6)), rng, fld)
-    mats = list(rep.action.values())
-    assert commutant_basis(fld, mats, rep.dim) == _kronecker_commutant(fld, mats, rep.dim)
+        # x^2 - 2 has no root in GF(3): [[0, 2], [1, 0]] plus a scalar
+        # block, in a dense basis
+        fld = prime_field(3)
+        n = 2 + data.draw(st.integers(0, 3))
+        split = [[0, 2] + [0] * (n - 2), [1, 0] + [0] * (n - 2)] + [
+            [0] * i + [rng.randrange(3)] + [0] * (n - 1 - i) for i in range(2, n)]
+        s = random_invertible(fld, n, rng)
+        mats = [mat_mul(fld, mat_mul(fld, s, split), inverse(fld, s))]
+        if data.draw(st.booleans(), label="with nilpotent"):
+            mats.insert(data.draw(st.integers(0, 1)), modules.random_nilpotent(fld, n, 3, rng))
+    assert commutant_basis(fld, mats, n) == _kronecker_commutant(fld, mats, n)
+    for a in mats:
+        if any(map(any, a)) and is_zero_matrix(mat_pow(fld, a, n)):
+            _check_jordan_basis(fld, a)
+
+
+def test_commutant_basis_without_tables_over_gf625():
+    # GF(5^4) has no arithmetic tables: Jordan bases, Toeplitz diagonals and
+    # the back-map run on Field methods
+    fld = ext_field_build(5, 4)
+    assert fld._mul_table is None
+    rng = random.Random(3)
+    for dim in (2, 3, 4, 5):
+        a = modules.random_nilpotent(fld, dim, 5, rng)
+        mats = [a, mat_combination(fld, dim, [rng.randrange(fld.q) for _ in "ab"],
+                                   [a, mat_mul(fld, a, a)])]
+        assert commutant_basis(fld, mats, dim) == _kronecker_commutant(fld, mats, dim)
+        _check_jordan_basis(fld, a)
 
 
 def _check_corner_rings(m, rng):

@@ -246,11 +246,14 @@ def test_jordan_type_rank_reconstruction():
 def test_chain_oracle_raises_engine_fault_on_broken_chain(monkeypatch):
     # the oracle's structural checks are engine faults, not asserts that
     # vanish under python -O: chains built from a zero image break early
+    import jordanbundles.field as field
     import jordanbundles.operators as operators
 
     fld = prime_field(3)
     n = [[1 if j == i + 1 else 0 for j in range(3)] for i in range(3)]
-    monkeypatch.setattr(operators, "mat_vec", lambda fld, a, v: [0] * len(a))
+    real = field.jordan_chains
+    monkeypatch.setattr(field, "jordan_chains", lambda fld, a: [
+        [[0] * len(a) for _ in chain[1:]] + chain[-1:] for chain in real(fld, a)])
     with pytest.raises(operators.EngineInvariantError, match="chain"):
         jordan_type_chain_oracle(fld, n, 3)
 
