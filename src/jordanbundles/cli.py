@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from .checks import CHECKS
-from .field import Field, prime_field
+from .field import Field, is_prime, prime_field
 from .schemes import (
     GroupSchemeDesc,
     SamplingError,
@@ -32,6 +32,7 @@ from .schemes import (
     gln_height2,
     multi_additive,
     p1_chart,
+    point_dim,
     restricted_lie_sl2,
     sl2_height2,
 )
@@ -127,14 +128,21 @@ def build_module(desc: GroupSchemeDesc, spec: str, seed: int) -> ModuleRep:
             raise InputError(
                 "E_BUILTIN", "builtin %r takes %d parameter(s)" % (name, k))
 
-    if name == "trivial":
+    def need_count():
         need(1)
+        if params[0] < 1:
+            raise InputError(
+                "E_BUILTIN", "builtin %r needs a count of at least 1, got %d"
+                % (name, params[0]))
+
+    if name == "trivial":
+        need_count()
         m = trivial_module(desc)
         for _ in range(params[0] - 1):
             m = direct_sum(m, trivial_module(desc))
         return m
     if name == "random":
-        need(1)
+        need_count()
         return random_module(desc, params[0], random.Random(seed))
     if name == "weyl" and desc.family == "restricted_lie":
         need(1)
@@ -156,7 +164,7 @@ def build_module(desc: GroupSchemeDesc, spec: str, seed: int) -> ModuleRep:
             need(0)
             return regular_module_E(p)
         if name == "free":
-            need(1)
+            need_count()
             return free_module_E(p, params[0])
     if name == "duals" and desc.family == "additive_kernel" and desc.r == 2:
         need(0)
@@ -168,7 +176,7 @@ def build_module(desc: GroupSchemeDesc, spec: str, seed: int) -> ModuleRep:
         if desc.family == "gln_height2":
             return gln_natural(p, desc.n)
     if name == "tensor" and desc.family == "gln_height2":
-        need(1)
+        need_count()
         return gln_tensor_power(p, desc.n, params[0])
     raise InputError(
         "E_BUILTIN",
@@ -196,11 +204,18 @@ def load_module_file(desc: GroupSchemeDesc, path: str) -> ModuleRep:
     return rep
 
 
-def parse_point(text: str) -> Tuple[int, ...]:
+def parse_point(text: str, desc: GroupSchemeDesc, fld: Field) -> Tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
+        point = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise InputError("E_POINT", "point must be comma-separated integers")
+    if len(point) != point_dim(desc):
+        raise InputError("E_POINT", "point must have %d coordinates for %s, got %d"
+                         % (point_dim(desc), desc.label(), len(point)))
+    if not all(0 <= x < fld.q for x in point):
+        raise InputError("E_POINT", "point coordinates must lie in 0..%d over %s"
+                         % (fld.q - 1, fld))
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +271,8 @@ def run_analyze(args) -> Tuple[dict, int]:
     if args.op != "jtype" and not 1 <= j <= args.p - 1:
         raise InputError("E_ARGS", "--j must lie in 1..%d for p=%d, got %d"
                          % (args.p - 1, args.p, j))
+    if not 1 <= args.max_ext <= 4:
+        raise InputError("E_ARGS", "--max-ext must lie in 1..4, got %d" % args.max_ext)
     seed = args.seed
     if args.input:
         rep = load_module_file(desc, args.input)
@@ -278,7 +295,7 @@ def run_analyze(args) -> Tuple[dict, int]:
     if args.op == "jtype":
         if not args.point:
             raise InputError("E_ARGS", "--op jtype requires --point")
-        point = parse_point(args.point)
+        point = parse_point(args.point, desc, rep.fld)
         jt = local_jtype(theta, point)
         results = {"point": list(point), "jordan_type": str(jt),
                    "partition": list(jt.partition())}
@@ -356,6 +373,8 @@ def run_reproduce(args) -> Tuple[dict, int]:
     if not supports(args.p):
         raise InputError("E_ARGS", "preset %r does not support p=%d"
                          % (args.preset, args.p))
+    if args.n_max < 1:
+        raise InputError("E_ARGS", "--n-max must be at least 1, got %d" % args.n_max)
     rows = run(args.p, args.n_max, args.seed)
     all_pass = all(row["pass"] for row in rows)
     report = {
@@ -422,6 +441,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.seed is None:
             args.seed = _default_seed()
+        if not is_prime(args.p):
+            raise InputError("E_ARGS", "--p must be a prime, got %d" % args.p)
         if args.command == "analyze":
             report, code = run_analyze(args)
         else:

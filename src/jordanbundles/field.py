@@ -47,6 +47,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from itertools import compress
+from math import isqrt
 from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -231,14 +232,19 @@ def _is_irreducible(coeffs: Tuple[int, ...], p: int) -> bool:
     return True
 
 
+def is_prime(n: int) -> bool:
+    """Whether n is a prime, by trial division."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
 def ext_field_build(p: int, e: int) -> Field:
     """Build GF(p^e) with the lexicographically smallest monic irreducible
     modulus (smallest when the coefficient vector is read as a base-p
     integer, constant term least significant)."""
     if e < 1 or e > 4:
         raise ValueError("extension degree must be between 1 and 4")
-    if p < 2:
-        raise ValueError("p must be a prime >= 2")
+    if not is_prime(p):
+        raise ValueError("p must be a prime, got %d" % p)
     if e == 1:
         modulus: Optional[Tuple[int, ...]] = (0, 1)
     else:
@@ -952,6 +958,7 @@ __all__ = [
     "Field",
     "Matrix",
     "Vector",
+    "is_prime",
     "ext_field_build",
     "prime_field",
     "enumerate_elements",

@@ -26,7 +26,6 @@ from .field import (
     inverse,
     is_zero_matrix,
     kernel_basis,
-    kernel_form,
     mat_add,
     mat_combination,
     mat_mul,
@@ -589,22 +588,6 @@ def _fitting(fld: Field, c: Matrix) -> Union[None, int, Tuple[Matrix, Matrix]]:
     return None
 
 
-def _corner_rings(fld: Field, comm: Sequence[Matrix], u: Matrix,
-                  w: Matrix) -> Tuple[List[Matrix], List[Matrix]]:
-    """Bases of End(U) and End(W) for a split M = U + W into submodules
-    (RREF row bases), from a basis comm of End(M): End(U) = pi_U End(M)
-    iota_U, so End(U) is spanned by the U block of Q^-1 X Q, Q = [U; W]^T,
-    over X in comm, and End(W) by its W block.  Both come in the
-    coordinates ``restrict_subspace`` gives U and W, in the basis
-    ``kernel_form`` gives their span, the one ``commutant_basis`` returns."""
-    q = transpose(u + w)
-    q_inv = inverse(fld, q)
-    a = len(u)
-    xq = [mat_mul(fld, x, q) for x in comm]
-    return (kernel_form(fld, (mat_mul(fld, q_inv[:a], [row[:a] for row in y]) for y in xq), a),
-            kernel_form(fld, (mat_mul(fld, q_inv[a:], [row[a:] for row in y]) for y in xq), len(w)))
-
-
 def _local_certificate(fld: Field, nil: Sequence[Matrix]) -> bool:
     """Whether the span N of the matrices nil is a nilpotent ideal of
     k*1 + N: N*N lies in N and the chain N > N^2 > ... reaches 0 (each
@@ -638,25 +621,26 @@ def decompose_summands(rep: ModuleRep, rng) -> Tuple[List[ModuleRep], Decomposit
     """Split a module into indecomposable direct summands by Fitting
     decompositions of commuting endomorphisms.
 
-    The commutant End(M) is computed once, in eigenblocks or in a Jordan
-    basis (``commutant_basis``); the ring of each summand U of a split is the
-    corner pi_U End(M) iota_U (``_corner_rings``), not a new system.  Each
-    basis element is scanned; when none splits M and each is a scalar lam_i
-    plus a nilpotent, the local certificate (``_local_certificate`` on the
-    c_i - lam_i) proves M indecomposable.  Otherwise up to ``_SPLIT_TRIES``
-    random combinations of the basis are scanned.  If the commutant has an
-    endomorphism with no eigenvalue in the base field the computation is
-    retried over a degree-one-larger extension (reported in the result)."""
+    Each module met in the recursion, M and then every summand a split
+    gives, solves its own commutant End(M) in eigenblocks or in a Jordan
+    basis (``commutant_basis``).  Each basis element is scanned; when none
+    splits M and each is a scalar lam_i plus a nilpotent, the local
+    certificate (``_local_certificate`` on the c_i - lam_i) proves M
+    indecomposable.  Otherwise up to ``_SPLIT_TRIES`` random combinations of
+    the basis are scanned.  If the commutant has an endomorphism with no
+    eigenvalue in the base field the computation is retried over a
+    degree-one-larger extension (reported in the result)."""
 
-    def split_all(m: ModuleRep, comm: List[Matrix]) -> Tuple[List[ModuleRep], bool]:
-        """The summands of m, given a basis comm of End(m), and whether every
-        basis element of each summand's ring is a scalar plus a nilpotent."""
+    def split_all(m: ModuleRep) -> Tuple[List[ModuleRep], bool]:
+        """The summands of m, and whether every basis element of each
+        summand's ring is a scalar plus a nilpotent."""
         fld = m.fld
+        comm = commutant_basis(fld, m.action.values(), m.dim)
         lams = []
         for cand in comm:
             got = _fitting(fld, cand)
             if isinstance(got, tuple):
-                return split(m, comm, got)
+                return split(m, got)
             lams.append(got)
         certified = None not in lams
         if certified and _local_certificate(fld, [mat_sub_scalar(fld, c, lam)
@@ -665,25 +649,20 @@ def decompose_summands(rep: ModuleRep, rng) -> Tuple[List[ModuleRep], Decomposit
         for _ in range(_SPLIT_TRIES):
             got = _fitting(fld, mat_combination(fld, m.dim, [rng.randrange(fld.q) for _ in comm], comm))
             if isinstance(got, tuple):
-                return split(m, comm, got)
+                return split(m, got)
         return [m], certified
 
-    def split(m: ModuleRep, comm: List[Matrix],
-              got: Tuple[Matrix, Matrix]) -> Tuple[List[ModuleRep], bool]:
-        u_comm, w_comm = _corner_rings(m.fld, comm, *got)
-        ls, lc = split_all(restrict_subspace(m, got[0]), u_comm)
-        rs, rc = split_all(restrict_subspace(m, got[1]), w_comm)
+    def split(m: ModuleRep, got: Tuple[Matrix, Matrix]) -> Tuple[List[ModuleRep], bool]:
+        ls, lc = split_all(restrict_subspace(m, got[0]))
+        rs, rc = split_all(restrict_subspace(m, got[1]))
         return ls + rs, lc and rc
 
+    parts, certified = split_all(rep)
     fld = rep.fld
-    # the commutant of matrices over F_p has a basis over F_p, and the same
-    # canonical one over every extension
-    comm = commutant_basis(fld, rep.action.values(), rep.dim)
-    parts, certified = split_all(rep, comm)
     extended = not certified and fld.e == 1
     if extended:
         fld = ext_field_build(fld.p, 2)
-        parts, certified = split_all(replace(rep, fld=fld), comm)
+        parts, certified = split_all(replace(rep, fld=fld))
     return parts, DecompositionReport(fld, extended, certified)
 
 

@@ -254,6 +254,8 @@ class ConstancyReport:
 
 
 def _scan_fields(base: Field, max_ext: int) -> List[Field]:
+    if max_ext < 1:
+        raise ValueError("max_ext must be at least 1, got %d" % max_ext)
     flds = []
     for e in range(1, max_ext + 1):
         if base.e == 1:

@@ -25,13 +25,13 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-def run_cli_process(args, **env):
+def run_cli_process(args, timeout=None, **env):
     """The CLI in a fresh interpreter that imports the package under test."""
     src = os.path.dirname(os.path.dirname(jordanbundles.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "jordanbundles.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=timeout,
         env=dict(os.environ, PYTHONPATH=path, **env))
 
 
@@ -130,6 +130,43 @@ def test_input_errors_exit_1(capsys):
     assert code == 1 and "E_BUILTIN" in err
     code, _, err = run_cli(["reproduce", "nope"], capsys)
     assert code == 1 and "E_PRESET" in err
+
+
+ZIGZAG = ["analyze", "--group", "ga1xga1", "--builtin", "zigzag:1"]
+GA2_P3 = ["analyze", "--group", "ga1xga1", "--p", "3"]
+
+
+@pytest.mark.parametrize("argv,code", [
+    # a composite p has no field; building Z/4 once looped for ever
+    (ZIGZAG + ["--p", "4", "--op", "bundle"], "E_ARGS"),
+    (ZIGZAG + ["--p", "9", "--op", "bundle"], "E_ARGS"),
+    (["reproduce", "syzygy", "--p", "4"], "E_ARGS"),
+    (ZIGZAG + ["--p", "1", "--op", "bundle"], "E_ARGS"),
+    (ZIGZAG + ["--p", "0", "--op", "bundle"], "E_ARGS"),
+    (ZIGZAG + ["--p", "-3", "--op", "bundle"], "E_ARGS"),
+    # scans and tables with no entries give no verdict
+    (GA2_P3 + ["--builtin", "zigzag:1", "--op", "constant-rank", "--max-ext", "0"], "E_ARGS"),
+    (GA2_P3 + ["--builtin", "zigzag:1", "--op", "constant-rank", "--max-ext", "-1"], "E_ARGS"),
+    (GA2_P3 + ["--builtin", "zigzag:1", "--op", "projective", "--max-ext", "0"], "E_ARGS"),
+    (GA2_P3 + ["--builtin", "zigzag:1", "--op", "constant-rank", "--max-ext", "5"], "E_ARGS"),
+    (["reproduce", "zigzag", "--n-max", "0"], "E_ARGS"),
+    (["reproduce", "syzygy", "--n-max", "-2"], "E_ARGS"),
+    # built-in counts below 1 are not clamped
+    (GA2_P3 + ["--builtin", "trivial:0", "--op", "sections"], "E_BUILTIN"),
+    (GA2_P3 + ["--builtin", "trivial:-2", "--op", "sections"], "E_BUILTIN"),
+    (GA2_P3 + ["--builtin", "free:0", "--op", "sections"], "E_BUILTIN"),
+    (GA2_P3 + ["--builtin", "random:0", "--op", "sections"], "E_BUILTIN"),
+    (["analyze", "--group", "gl2_2", "--p", "3", "--builtin", "tensor:0", "--op", "sections"],
+     "E_BUILTIN"),
+    # a point outside GF(3), or of the wrong length
+    (GA2_P3 + ["--builtin", "zigzag:1", "--op", "jtype", "--point", "5,7"], "E_POINT"),
+    (GA2_P3 + ["--builtin", "zigzag:1", "--op", "jtype", "--point", "1"], "E_POINT"),
+])
+def test_bad_input_exits_1_with_its_code(argv, code):
+    proc = run_cli_process(argv + ["--format", "json"], timeout=10)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error [%s]:" % code)
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("j", [0, 3, 7])

@@ -62,6 +62,13 @@ def test_frozen_moduli(key):
     assert fld.modulus == FROZEN_MODULI[key]
 
 
+@pytest.mark.parametrize("p", [4, 9, 1, 0, -3])
+def test_ext_field_build_rejects_a_non_prime(p):
+    # Z/4 has no primitive element, so building its tables would never end
+    with pytest.raises(ValueError, match="prime"):
+        ext_field_build(p, 1)
+
+
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: "F%d" % f.q)
 def test_field_axioms_exhaustive_small(fld):
     if fld.q > 9:

@@ -16,6 +16,7 @@ from jordanbundles.field import (
     is_zero_matrix,
     jordan_basis,
     kernel_basis,
+    kernel_form,
     mat_combination,
     mat_mul,
     mat_pow,
@@ -25,11 +26,11 @@ from jordanbundles.field import (
     random_invertible,
     rank,
     row_reduce,
+    transpose,
     zeros,
 )
 from jordanbundles.modules import (
     ModuleRep,
-    _corner_rings,
     _fitting,
     _local_certificate,
     coords_in_basis,
@@ -161,8 +162,6 @@ def test_dual_is_involution_and_reverses_action():
     assert validate_module(d) == []
     dd = dual_module(d)
     assert dd.action == rep.action
-    from jordanbundles.field import transpose
-
     for nm in rep.action:
         neg = [[rep.fld.neg(c) for c in row] for row in transpose(rep.action[nm])]
         assert d.action[nm] == neg
@@ -593,6 +592,19 @@ def test_commutant_basis_without_tables_over_gf625():
                                    [a, mat_mul(fld, a, a)])]
         assert commutant_basis(fld, mats, dim) == _kronecker_commutant(fld, mats, dim)
         _check_jordan_basis(fld, a)
+
+
+def _corner_rings(fld, comm, u, w):
+    # frozen reference: the rings of the summands U and W of a split
+    # M = U + W as the corners pi_U End(M) iota_U and pi_W End(M) iota_W of
+    # a basis comm of End(M), in the coordinates restrict_subspace gives U
+    # and W, in the basis kernel_form gives their span
+    q = transpose(u + w)
+    q_inv = inverse(fld, q)
+    a = len(u)
+    xq = [mat_mul(fld, x, q) for x in comm]
+    return (kernel_form(fld, (mat_mul(fld, q_inv[:a], [row[:a] for row in y]) for y in xq), a),
+            kernel_form(fld, (mat_mul(fld, q_inv[a:], [row[a:] for row in y]) for y in xq), len(w)))
 
 
 def _check_corner_rings(m, rng):

@@ -411,6 +411,16 @@ def test_syzygy_constant_jordan_type():
     assert len(types) == 1
 
 
+@pytest.mark.parametrize("max_ext", [0, -1])
+def test_scans_reject_max_ext_below_1(max_ext):
+    # a scan of no field would give a verdict on no points
+    th = theta_global(construct_zigzag(1, 3))
+    with pytest.raises(ValueError, match="max_ext"):
+        constant_jrank_report(th, 1, max_ext=max_ext)
+    with pytest.raises(ValueError, match="max_ext"):
+        jtype_scan(th, max_ext=max_ext)
+
+
 def test_sl2_height2_natural_nonconstant():
     # the natural module of the height-2 sl2 has rank 0 at points with
     # vanishing second component and rank 1 elsewhere
