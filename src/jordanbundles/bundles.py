@@ -71,7 +71,7 @@ from .field import (
 )
 from .modules import principal_indecomposable_sl2
 from .operators import (ThetaMatrix, EngineInvariantError, _on_variety, mj_fiber_dim,
-                        orbit_scan, constant_jrank_report, ConstancyReport, theta_global)
+                        orbit_scan, theta_global)
 from .polyring import PolyMatrix, Substitution, WeightedRing, generic_rank
 from .schemes import p1_chart
 
@@ -555,13 +555,13 @@ def global_sections(theta: ThetaMatrix, j: int = 1) -> Tuple[List[Vector], str]:
 class BundleTestReport:
     verdict: bool
     fiber_dims: Dict[int, Tuple[Tuple[int, ...], int]]
-    rank_reports: List[ConstancyReport]
     note: str = ""
 
 
 def _fiber_scan(theta: ThetaMatrix, max_ext: int) -> Dict[int, Tuple[Tuple[int, ...], int]]:
-    """Fiber dimensions of ker/im at j = 1 over the scanned points, each
-    with the first point where it occurs."""
+    """Fiber dimensions of ker/im at j = 1, the numbers of Jordan blocks of
+    size < p, over the scanned points, each with the first point where it
+    occurs."""
     p = theta.desc.p
     fiber: Dict[int, Tuple[Tuple[int, ...], int]] = {}
     for fld, point, _, _ in orbit_scan(theta, max_ext):
@@ -571,24 +571,23 @@ def _fiber_scan(theta: ThetaMatrix, max_ext: int) -> Dict[int, Tuple[Tuple[int, 
 
 
 def projectivity_test(theta: ThetaMatrix, max_ext: int = 1) -> BundleTestReport:
-    """A module is projective iff the rank of every power of the local
-    operator is constant and the fiber of ker/im at j = 1 vanishes
-    everywhere."""
-    p = theta.desc.p
-    reports = [constant_jrank_report(theta, j, max_ext=max_ext) for j in (1, p - 1)]
+    """M is projective iff every Theta(x) has type (N/p)[p], i.e. fiber 0
+    (Suslin-Friedlander-Bendel 1997).  No j-rank needs a scan: (N/p)[p] has
+    the largest j-rank of any p-nilpotent N x N matrix, which bounds the
+    generic rank of Theta^j above, as the rank at each point bounds it below."""
     fiber = _fiber_scan(theta, max_ext)
-    verdict = all(r.constant for r in reports) and max(fiber, default=0) == 0
-    return BundleTestReport(verdict, fiber, reports)
+    return BundleTestReport(set(fiber) == {0}, fiber)
 
 
 def endotrivial_test(theta: ThetaMatrix, max_ext: int = 1) -> BundleTestReport:
-    """A module of constant Jordan type is endotrivial iff the fiber of the
-    j = 1 subquotient is one-dimensional at every point."""
-    p = theta.desc.p
-    reports = [constant_jrank_report(theta, j, max_ext=max_ext) for j in range(1, p)]
+    """M is endotrivial iff every Theta(x) has type m[p] + [1] or
+    m[p] + [p-1] (Carlson-Friedlander-Pevtsova 2008): fiber 1 and N mod p
+    in {1, p-1}.  No j-rank needs a scan, as in ``projectivity_test``:
+    m[p] + [a] has the largest j-rank m (p - j) + max(0, a - j) of any
+    p-nilpotent N x N matrix, since b -> max(0, b - j) is convex."""
     fiber = _fiber_scan(theta, max_ext)
-    verdict = all(r.constant for r in reports) and set(fiber) == {1}
-    return BundleTestReport(verdict, fiber, reports)
+    p = theta.desc.p
+    return BundleTestReport(set(fiber) == {1} and theta.dim % p in (1, p - 1), fiber)
 
 
 @dataclass(frozen=True)

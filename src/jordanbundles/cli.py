@@ -35,6 +35,7 @@ from .schemes import (
     point_dim,
     restricted_lie_sl2,
     sl2_height2,
+    validate_point,
 )
 from .modules import (
     ModuleRep,
@@ -128,44 +129,39 @@ def build_module(desc: GroupSchemeDesc, spec: str, seed: int) -> ModuleRep:
             raise InputError(
                 "E_BUILTIN", "builtin %r takes %d parameter(s)" % (name, k))
 
-    def need_count():
+    def need_in(what: str, lo: int, hi: Optional[int] = None) -> int:
         need(1)
-        if params[0] < 1:
+        if params[0] < lo or (hi is not None and params[0] > hi):
+            bound = "of at least %d" % lo if hi is None else "in %d..%d" % (lo, hi)
             raise InputError(
-                "E_BUILTIN", "builtin %r needs a count of at least 1, got %d"
-                % (name, params[0]))
+                "E_BUILTIN", "builtin %r needs a %s %s, got %d"
+                % (name, what, bound, params[0]))
+        return params[0]
 
     if name == "trivial":
-        need_count()
         m = trivial_module(desc)
-        for _ in range(params[0] - 1):
+        for _ in range(need_in("count", 1) - 1):
             m = direct_sum(m, trivial_module(desc))
         return m
     if name == "random":
-        need_count()
-        return random_module(desc, params[0], random.Random(seed))
+        return random_module(desc, need_in("count", 1), random.Random(seed))
     if name == "weyl" and desc.family == "restricted_lie":
-        need(1)
-        return construct_weyl_sl2(params[0], p)
+        return construct_weyl_sl2(need_in("weight", 0), p)
     if name == "steinberg" and desc.family == "restricted_lie":
         need(0)
         return construct_steinberg(p)
     if name == "pim" and desc.family == "restricted_lie":
-        need(1)
-        return principal_indecomposable_sl2(params[0], p)
+        return principal_indecomposable_sl2(need_in("weight", 0, p - 1), p)
     if desc.family == "multi_additive" and desc.r == 2:
         if name == "zigzag":
-            need(1)
-            return construct_zigzag(params[0], p)
+            return construct_zigzag(need_in("length", 0), p)
         if name == "syzygy":
-            need(1)
-            return construct_syzygy_E2(params[0], p)
+            return construct_syzygy_E2(need_in("degree", 0), p)
         if name == "regular":
             need(0)
             return regular_module_E(p)
         if name == "free":
-            need_count()
-            return free_module_E(p, params[0])
+            return free_module_E(p, need_in("count", 1))
     if name == "duals" and desc.family == "additive_kernel" and desc.r == 2:
         need(0)
         return construct_duals_example(p)
@@ -176,8 +172,7 @@ def build_module(desc: GroupSchemeDesc, spec: str, seed: int) -> ModuleRep:
         if desc.family == "gln_height2":
             return gln_natural(p, desc.n)
     if name == "tensor" and desc.family == "gln_height2":
-        need_count()
-        return gln_tensor_power(p, desc.n, params[0])
+        return gln_tensor_power(p, desc.n, need_in("count", 1))
     raise InputError(
         "E_BUILTIN",
         "builtin %r is not available for group family %r" % (name, desc.family))
@@ -215,6 +210,8 @@ def parse_point(text: str, desc: GroupSchemeDesc, fld: Field) -> Tuple[int, ...]
     if not all(0 <= x < fld.q for x in point):
         raise InputError("E_POINT", "point coordinates must lie in 0..%d over %s"
                          % (fld.q - 1, fld))
+    if not validate_point(desc, point, fld):
+        raise InputError("E_POINT", "point %r is not on V(%s)" % (point, desc.label()))
     return point
 
 

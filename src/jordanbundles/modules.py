@@ -1,5 +1,5 @@
 """Finite-dimensional module representations for the supported group scheme
-families, plus constructions: duals, tensor products, submodule closure,
+families, plus constructions: duals, tensor products, spun submodules,
 zigzag, syzygy and Weyl modules, Frobenius twists, projective covers of
 u(sl2), and a Fitting-style direct sum decomposition over finite fields.
 
@@ -16,10 +16,13 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .field import (
+    Echelon,
     EngineInvariantError,
     Field,
     Matrix,
     Vector,
+    _mat_mul_nz,
+    _row_nonzeros,
     commutant_basis,
     ext_field_build,
     identity,
@@ -337,25 +340,26 @@ def coords_in_basis(fld: Field, basis: Matrix, pivots: Sequence[int], v: Vector)
 
 
 def submodule_generated(rep: ModuleRep, vectors: Sequence[Vector]) -> Tuple[ModuleRep, Matrix]:
-    """Smallest subrepresentation containing the given vectors.  Returns the
+    """Smallest subrepresentation containing the given vectors, spun on one
+    echelon that takes the images of each new vector once.  Returns the
     induced module and its (RREF) basis as rows in ambient coordinates."""
     if rep.construction is not None:
         raise NotImplementedError("structural gln modules have no action matrices")
     fld = rep.fld
-    current = span_basis(fld, vectors)
-    while True:
-        new_vectors = list(current)
-        for m in rep.action.values():
-            # the images m b of the rows b of current: the rows of current m^T
-            new_vectors += mat_mul(fld, current, transpose(m))
-        nxt = span_basis(fld, new_vectors)
-        if len(nxt) == len(current):
-            current = nxt
-            break
-        current = nxt
-    sub = restrict_subspace(rep, current)
+    # the images m b of rows b are the rows of b m^T
+    mats_nz = [_row_nonzeros(transpose(m)) for m in rep.action.values()]
+    span = Echelon(fld)
+    batch = [list(v) for v in vectors if span.insert(v) is not None]
+    while batch:
+        images = [w for nz in mats_nz for w in _mat_mul_nz(fld, batch, nz, rep.dim)]
+        batch = [w for w in images if span.insert(w) is not None]
+    basis = span_basis(fld, span.rows)
+    try:
+        sub = restrict_subspace(rep, basis)
+    except ValueError as exc:
+        raise EngineInvariantError("spun submodule is not invariant: %s" % exc) from exc
     sub.label = "sub(%s)" % (rep.label or "M")
-    return sub, current
+    return sub, basis
 
 
 def restrict_subspace(rep: ModuleRep, basis_rows: Matrix) -> ModuleRep:

@@ -35,13 +35,17 @@ from jordanbundles.modules import (
     construct_zigzag,
     dual_module,
     free_module_E,
+    gln_natural,
     principal_indecomposable_sl2,
     random_module,
+    regular_module_E,
+    sl2_height2_natural,
+    tensor_module,
     trivial_module,
 )
-from jordanbundles.operators import theta_global
+from jordanbundles.operators import constant_jrank_report, jtype_scan, theta_global
 from jordanbundles.polyring import Poly, PolyMatrix, WeightedRing, poly_eval
-from jordanbundles.schemes import multi_additive, p1_chart
+from jordanbundles.schemes import additive_kernel, multi_additive, p1_chart, restricted_lie_sl2
 
 
 def test_restrict_p1_entry_degrees():
@@ -234,6 +238,97 @@ def test_endotrivial_verdicts():
     assert endotrivial_test(theta_global(construct_syzygy_E2(1, 3))).verdict
     assert endotrivial_test(theta_global(construct_syzygy_E2(2, 3))).verdict
     assert not endotrivial_test(theta_global(construct_zigzag(2, 3))).verdict
+    # one block of size < p at every point, but of size 2 or 5: V_1 (x) V_1
+    # = k + V_2 at p = 5, and dim M^2 = 1 mod p fails for V_11 at p = 7
+    assert endotrivial_test(theta_global(construct_weyl_sl2(3, 5))).verdict
+    assert not endotrivial_test(theta_global(construct_weyl_sl2(1, 5))).verdict
+    assert not endotrivial_test(theta_global(construct_weyl_sl2(11, 7))).verdict
+
+
+def _per_j_verdicts(theta, max_ext):
+    # frozen reference: the route the two tests took before they read the
+    # fiber scan alone, a constant_jrank_report for j in {1, p - 1}
+    # (projectivity) or every j (endotriviality) next to the fiber scan
+    p = theta.desc.p
+    fiber = bundles._fiber_scan(theta, max_ext)
+    constant = {j: constant_jrank_report(theta, j, max_ext=max_ext).constant for j in range(1, p)}
+    projective = constant[1] and constant[p - 1] and max(fiber, default=0) == 0
+    return projective, all(constant.values()) and set(fiber) == {1}
+
+
+def _check_against_per_j(rep, max_ext):
+    # projective verdicts agree; endotrivial ones agree except where the
+    # single small block has a size other than 1 or p - 1, which the per-j
+    # route did not look at.  Returns whether the verdict was corrected.
+    theta = theta_global(rep)
+    p = rep.desc.p
+    projective, endotrivial = _per_j_verdicts(theta, max_ext)
+    assert projectivity_test(theta, max_ext).verdict == projective
+    corrected = endotrivial and rep.dim % p not in (1, p - 1)
+    assert endotrivial_test(theta, max_ext).verdict == (endotrivial and not corrected)
+    return corrected
+
+
+def _verdict_zoo(p):
+    return ([construct_syzygy_E2(n, p) for n in (1, 2)]
+            + [construct_zigzag(n, p) for n in (1, 2)] + [regular_module_E(p)]
+            + [construct_weyl_sl2(m, p) for m in range(2 * p - 1)]
+            + [principal_indecomposable_sl2(lam, p) for lam in range(p)]
+            + ([sl2_height2_natural(p), gln_natural(p, 2)] if p == 3 else []))
+
+
+@pytest.mark.parametrize("p,corrected", [(3, set()), (5, {"V_1", "V_2", "V_6", "V_7"})])
+@pytest.mark.parametrize("max_ext", [1, 2])
+def test_fiber_scan_verdicts_match_per_j_route(p, corrected, max_ext):
+    assert {rep.label for rep in _verdict_zoo(p) if _check_against_per_j(rep, max_ext)} == corrected
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_fiber_scan_verdicts_match_per_j_route_random(data):
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    desc = data.draw(st.sampled_from([multi_additive(p, 2), additive_kernel(p, 2),
+                                      multi_additive(p, 3), restricted_lie_sl2(p)]), label="group")
+    rep = random_module(desc, data.draw(st.integers(1, 5), label="dim"),
+                        random.Random(data.draw(st.integers(0, 10 ** 6), label="seed")))
+    _check_against_per_j(rep, data.draw(st.sampled_from([1, 2]), label="max_ext"))
+
+
+def _end_is_k_plus_free(rep, max_ext):
+    # second route to endotriviality: End(M) = M (x) M* is k + projective,
+    # so its local Jordan type is [1] + free at every scanned point
+    p = rep.desc.p
+    types = jtype_scan(theta_global(tensor_module(rep, dual_module(rep))), max_ext)
+    return all(jt.counts[0] == 1 and not any(jt.counts[1:p - 1]) for jt in types)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_endotrivial_verdicts_match_end_of_m(p):
+    zoo = [rep for rep in _verdict_zoo(p)
+           if rep.desc.family in ("multi_additive", "restricted_lie") and rep.dim <= 10]
+    rng = random.Random(p)
+    zoo += [random_module(desc, rng.randint(1, 4), rng)
+            for desc in (multi_additive(p, 2), restricted_lie_sl2(p)) for _ in range(4)]
+    for rep in zoo:
+        assert endotrivial_test(theta_global(rep)).verdict == _end_is_k_plus_free(rep, 1), rep.label
+
+
+def test_bundle_tests_scan_no_rank_of_a_power(monkeypatch):
+    # one fiber scan decides both verdicts: no per-j constancy scan, no
+    # generic rank, no restriction to P^1
+    import jordanbundles.operators as operators
+
+    def boom(*args, **kwargs):
+        raise AssertionError("per-j route called")
+
+    for mod, name in ((operators, "constant_jrank_report"), (operators, "generic_jrank"),
+                      (bundles, "constant_jrank_report"), (bundles, "generic_jrank"),
+                      (bundles, "restrict_p1")):
+        monkeypatch.setattr(mod, name, boom, raising=False)
+    for rep in (construct_syzygy_E2(2, 5), construct_weyl_sl2(3, 5), free_module_E(3, 1)):
+        theta = theta_global(rep)
+        projectivity_test(theta, max_ext=2)
+        endotrivial_test(theta, max_ext=2)
 
 
 def test_k0_class_algebra():

@@ -134,6 +134,7 @@ def test_input_errors_exit_1(capsys):
 
 ZIGZAG = ["analyze", "--group", "ga1xga1", "--builtin", "zigzag:1"]
 GA2_P3 = ["analyze", "--group", "ga1xga1", "--p", "3"]
+U_SL2_P3 = ["analyze", "--group", "u_sl2", "--p", "3"]
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -161,6 +162,13 @@ GA2_P3 = ["analyze", "--group", "ga1xga1", "--p", "3"]
     # a point outside GF(3), or of the wrong length
     (GA2_P3 + ["--builtin", "zigzag:1", "--op", "jtype", "--point", "5,7"], "E_POINT"),
     (GA2_P3 + ["--builtin", "zigzag:1", "--op", "jtype", "--point", "1"], "E_POINT"),
+    # a point off V(G), and built-in parameters out of range, are input
+    # errors, not unsupported requests
+    (U_SL2_P3 + ["--builtin", "weyl:1", "--op", "jtype", "--point", "1,1,1"], "E_POINT"),
+    (U_SL2_P3 + ["--builtin", "weyl:-1", "--op", "bundle"], "E_BUILTIN"),
+    (GA2_P3 + ["--builtin", "zigzag:-2", "--op", "bundle"], "E_BUILTIN"),
+    (GA2_P3 + ["--builtin", "syzygy:-1", "--op", "bundle"], "E_BUILTIN"),
+    (U_SL2_P3 + ["--builtin", "pim:7", "--op", "bundle"], "E_BUILTIN"),
 ])
 def test_bad_input_exits_1_with_its_code(argv, code):
     proc = run_cli_process(argv + ["--format", "json"], timeout=10)
@@ -310,6 +318,19 @@ def test_engine_invariant_failure_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("error [E_INTERNAL]:")
+
+
+def test_non_invariant_spin_exits_3(capsys, monkeypatch):
+    # a syzygy is spun from its generators; a spin whose images all come
+    # out zero leaves a span that is not invariant, an engine fault
+    import jordanbundles.modules as modules
+
+    monkeypatch.setattr(modules, "_mat_mul_nz", lambda fld, a, b_nz, m: [[0] * m for _ in a])
+    code, out, err = run_cli(GA2_P3 + ["--builtin", "syzygy:2", "--op", "projective",
+                                       "--format", "json"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error [E_INTERNAL]:") and "not invariant" in err
 
 
 def test_nonzero_p_th_power_in_subquotient_exits_3(capsys, monkeypatch):

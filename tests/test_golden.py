@@ -11,8 +11,10 @@ torsion.  The files were written by the engine before Theta and its
 restrictions were built through their coefficient form, except the
 rank-3 and torsion subquotients, written when the dual count replaced the
 rank-2 section walk, and the rank-0 torsion subquotient, written when
-rank-0 sheaves kept their K_0 degree; a change that means to alter a
-report rewrites its file and says why.  A request runs with ``--seed 0``
+rank-0 sheaves kept their K_0 degree, and the endotriviality of V_1 at
+p = 5 (type [2] at every point, so not endotrivial), written when the
+test began to require N mod p in {1, p - 1}; a change that means to
+alter a report rewrites its file and says why.  A request runs with ``--seed 0``
 unless it names its own seed."""
 
 import os
@@ -52,6 +54,8 @@ REQUESTS = {
         "analyze --group ga2 --p 3 --builtin duals --op sections",
     "u_sl2-pim1-sections":
         "analyze --group u_sl2 --p 5 --builtin pim:1 --op sections --j 2",
+    "u_sl2-weyl1-endotrivial-p5":
+        "analyze --group u_sl2 --p 5 --builtin weyl:1 --op endotrivial",
     "u_sl2-steinberg-projective":
         "analyze --group u_sl2 --p 3 --builtin steinberg --op projective",
     "u_sl2-weyl7-subquotient":

@@ -1,6 +1,7 @@
 """Module constructors, functors, and summand decomposition."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from jordanbundles.field import (
     random_invertible,
     rank,
     row_reduce,
+    span_basis,
     transpose,
     zeros,
 )
@@ -148,6 +150,54 @@ def test_submodule_generated_augmentation_ideal():
     sub, basis = submodule_generated(reg, gens)
     assert sub.dim == 3
     assert validate_module(sub) == []
+
+
+def _closure_rounds(rep, vectors):
+    # frozen reference: the closure loop the spin replaced, the whole span
+    # times every m^T, round after round, until its dimension stops growing
+    fld = rep.fld
+    current = span_basis(fld, vectors)
+    while True:
+        images = [w for m in rep.action.values() for w in mat_mul(fld, current, transpose(m))]
+        nxt = span_basis(fld, current + images)
+        if len(nxt) == len(current):
+            return nxt
+        current = nxt
+
+
+SPIN_FIELDS = [prime_field(2), prime_field(3), prime_field(5), ext_field_build(5, 4)]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_spin_matches_closure_rounds(data):
+    # the same RREF basis and action matrices as the closure loop, on
+    # random modules and their direct sums over GF(p), extended to GF(5^4)
+    # (which has no tables) for random generators there, from 0-3
+    # generators among them zero and repeated vectors
+    fld = data.draw(st.sampled_from(SPIN_FIELDS), label="field")
+    p = fld.p
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6), label="seed"))
+    desc = data.draw(st.sampled_from([multi_additive(p, 2), additive_kernel(p, 2),
+                                      multi_additive(p, 3), restricted_lie_sl2(p)]), label="group")
+    rep = random_module(desc, data.draw(st.integers(1, 5), label="dim"), rng)
+    if data.draw(st.booleans(), label="direct sum"):
+        rep = direct_sum(rep, random_module(desc, data.draw(st.integers(1, 4)), rng))
+    rep = replace(rep, fld=fld)
+    vectors = []
+    for kind in rng.choices(["random", "unit", "zero", "repeat"], k=rng.randint(0, 3)):
+        if kind == "random":
+            vectors.append([rng.randrange(fld.q) for _ in range(rep.dim)])
+        elif kind == "unit":
+            vectors.append([int(i == rng.randrange(rep.dim)) for i in range(rep.dim)])
+        elif kind == "zero" or not vectors:
+            vectors.append([0] * rep.dim)
+        else:
+            vectors.append(list(rng.choice(vectors)))
+    sub, basis = submodule_generated(rep, vectors)
+    assert basis == _closure_rounds(rep, vectors)
+    assert sub.dim == len(basis)
+    assert sub.action == _restrict_by_vectors(rep, basis)
 
 
 def test_free_module_dimensions():
@@ -461,6 +511,8 @@ def test_restrict_subspace_closed():
     whole = identity(fld, rep.dim)
     r = restrict_subspace(rep, whole)
     assert r.dim == rep.dim
+    with pytest.raises(ValueError, match="not in span"):
+        restrict_subspace(rep, whole[:2])
 
 
 @pytest.mark.parametrize("family", ["multi_additive", "additive_kernel", "u_sl2"])
