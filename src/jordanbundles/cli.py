@@ -279,6 +279,9 @@ def run_analyze(args) -> Tuple[dict, int]:
         source = {"builtin": args.builtin}
     else:
         raise InputError("E_ARGS", "one of --builtin or --input is required")
+    if rep.fld.e > 1 and args.max_ext > 1:
+        raise InputError("E_ARGS", "--max-ext must be 1 for a module over %s, got %d"
+                         % (rep.fld, args.max_ext))
 
     theta = theta_global(rep)
     request = {

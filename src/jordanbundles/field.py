@@ -6,13 +6,13 @@ where g is a root of the chosen monic irreducible modulus.  For e == 1 an
 element is simply a residue mod p.  This keeps matrices as lists of ints and
 makes hashing/comparison trivial.
 
-Fields of order at most 512, prime fields included, are table-driven: the
-fields built by ``ext_field_build`` carry addition, negation,
-multiplication and inversion tables, and every elimination and product
-runs on table lookups.  Larger fields, and a ``Field`` constructed without
-tables, use residue arithmetic (e == 1) or digit arithmetic (e > 1)
-through the ``Field`` methods.  ``Field.pow`` (and so ``frobenius``)
-squares and multiplies on the multiplication table when there is one.
+All arithmetic is a lookup in a field's tables: add[a][b], neg[a],
+mul[a][b], inv[a].  The fields of order at most 512 built by
+``ext_field_build`` hold them as tuples.  A larger field, or a bare
+``Field``, computes them, holding nothing of size q: row a of add or mul is
+built at its first lookup and kept, holds a's residue or digits, and
+computes each entry when read; an entry of inv or neg is computed at its
+first lookup and kept.
 
 ``row_reduce`` over GF(p) with p <= 13 packs dense pivot rows, one entry
 per byte, after Dumas, Fousse & Salvy (J. Symbolic Comput. 46, 2011):
@@ -46,9 +46,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from itertools import compress
 from math import isqrt
-from operator import itemgetter
+from operator import itemgetter, mul as times
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Matrix = List[List[int]]
@@ -61,15 +62,6 @@ _TABLE_LIMIT = 512  # build arithmetic tables for fields up to this order
 class EngineInvariantError(RuntimeError):
     """A theorem the engine relies on failed to hold in a computation: a
     bug in the engine, never a fault of the input."""
-
-
-def _poly_mul_mod(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return out
 
 
 def _digits(n: int, p: int, width: int) -> Tuple[int, ...]:
@@ -87,14 +79,112 @@ def _undigits(coeffs: Sequence[int], p: int) -> int:
     return n
 
 
+class _Computed(dict):
+    """A computed table, indexed like a tuple table: the entry for a is
+    ``make(a)``, computed at the first lookup of a and then kept."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, a: int):
+        value = self[a] = self.make(a)
+        return value
+
+
+class _ResidueRow:
+    """Row a of the addition or multiplication table of GF(p): row[b] is
+    (offset + factor b) mod p, with (factor, offset) = (1, a) for a + b
+    and (a, 0) for a b."""
+
+    __slots__ = ("p", "factor", "offset")
+
+    def __init__(self, p: int, factor: int, offset: int = 0):
+        self.p, self.factor, self.offset = p, factor, offset
+
+    def __getitem__(self, b: int) -> int:
+        return (self.offset + self.factor * b) % self.p
+
+
+class _DigitRow:
+    """Row a of the addition or multiplication table of GF(p^e), e > 1: the
+    digits of an element are packed into one integer, a field of bits per
+    digit, and row[b] is offset + sum b_i cols[i] over the digits b_i of b,
+    read back field by field mod p, with (offset, cols[i]) = (a, g^i) for
+    a + b and (0, a g^i) for a b."""
+
+    __slots__ = ("p", "mask", "shifts", "offset", "cols")
+
+    def __init__(self, p: int, mask: int, shifts: Tuple[int, ...], offset: int,
+                 cols: Tuple[int, ...]):
+        self.p, self.mask, self.shifts, self.offset, self.cols = p, mask, shifts, offset, cols
+
+    def __getitem__(self, b: int) -> int:
+        p, mask = self.p, self.mask
+        acc = self.offset
+        for col in self.cols:
+            if not b:
+                break
+            acc += b % p * col
+            b //= p
+        n = 0
+        for shift in self.shifts:
+            n = n * p + (acc >> shift & mask) % p
+        return n
+
+
+def _power(mul, a: int, n: int) -> int:
+    """a^n by squaring and multiplying on the rows of a multiplication
+    table."""
+    result = 1
+    while n:
+        row = mul[a]
+        if n & 1:
+            result = row[result]
+        n >>= 1
+        a = row[a]
+    return result
+
+
+def _computed_tables(p: int, e: int, modulus: Tuple[int, ...]) -> Tuple[_Computed, ...]:
+    """(mul, inv, add, neg) of GF(p^e) as computed tables."""
+    if e == 1:
+        mul_row, add_row = partial(_ResidueRow, p), partial(_ResidueRow, p, 1)
+    else:
+        # powers[j] is g^j packed; a mul row's a g^i = sum_k a_k g^(i+k) is
+        # left unreduced, so a field of row[b] sums e^2 products (p - 1)^3
+        width = (e * e * (p - 1) ** 3).bit_length()
+        mask, shifts = (1 << width) - 1, tuple(k * width for k in reversed(range(e)))
+        powers, d = [], [1] + [0] * (e - 1)
+        for _ in range(2 * e - 1):
+            powers.append(sum(x << (k * width) for k, x in enumerate(d)))
+            # times g: shift the digits up and reduce g^e by the modulus
+            d = [(x - d[-1] * m) % p for x, m in zip([0] + d[:-1], modulus)]
+        units = tuple(powers[:e])  # g^i for i < e: one digit each
+
+        def mul_row(a: int) -> _DigitRow:
+            d = _digits(a, p, e)
+            return _DigitRow(p, mask, shifts, 0,
+                             tuple(sum(map(times, d, powers[i:i + e])) for i in range(e)))
+
+        def add_row(a: int) -> _DigitRow:
+            return _DigitRow(p, mask, shifts, sum(map(times, _digits(a, p, e), units)), units)
+
+    # the rows an inverse builds are dropped with it
+    return (_Computed(mul_row), _Computed(lambda a: _power(_Computed(mul_row), a, p ** e - 2)),
+            _Computed(add_row), _Computed(lambda a: _undigits([-x for x in _digits(a, p, e)], p)))
+
+
 @dataclass(frozen=True)
 class Field:
     """GF(p^e) with a fixed monic irreducible modulus.
 
     ``modulus`` holds the coefficients of the modulus from the constant term
     up, including the leading 1; for e == 1 it is (0, 1), i.e. the polynomial
-    g, which is never used.  The tables (see ``ext_field_build``) do not
-    take part in equality or hashing.
+    g, which is never used.  The tables (see ``ext_field_build`` and
+    ``__post_init__``) do not take part in equality or hashing.
     """
 
     p: int
@@ -105,68 +195,32 @@ class Field:
     _add_table: Optional[Table] = dc_field(default=None, repr=False, compare=False)
     _neg_table: Optional[Tuple[int, ...]] = dc_field(default=None, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        if not self._mul_table:
+            tables = _computed_tables(self.p, self.e, self.modulus)
+            for name, table in zip(("_mul_table", "_inv_table", "_add_table", "_neg_table"), tables):
+                object.__setattr__(self, name, table)
+
     @property
     def q(self) -> int:
         return self.p ** self.e
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
     def add(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        if self.e == 1:
-            return (a + b) % self.p
-        p = self.p
-        return _undigits(
-            [x + y for x, y in zip(_digits(a, p, self.e), _digits(b, p, self.e))], p
-        )
+        return self._add_table[a][b]
 
     def neg(self, a: int) -> int:
-        if self._neg_table is not None:
-            return self._neg_table[a]
-        if self.e == 1:
-            return (-a) % self.p
-        p = self.p
-        return _undigits([-x for x in _digits(a, p, self.e)], p)
+        return self._neg_table[a]
 
     def sub(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[a][self._neg_table[b]]
-        return self.add(a, self.neg(b))
+        return self._add_table[a][self._neg_table[b]]
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        if self.e == 1:
-            return (a * b) % self.p
-        return self._mul_slow(a, b)
-
-    def _mul_slow(self, a: int, b: int) -> int:
-        p, e = self.p, self.e
-        prod = _poly_mul_mod(_digits(a, p, e), _digits(b, p, e), p)
-        # reduce modulo the modulus (monic of degree e)
-        for deg in range(len(prod) - 1, e - 1, -1):
-            c = prod[deg]
-            if c:
-                prod[deg] = 0
-                for i in range(e):
-                    prod[deg - e + i] = (prod[deg - e + i] - c * self.modulus[i]) % p
-        return _undigits(prod[:e], p)
+        return self._mul_table[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in GF(%d^%d)" % (self.p, self.e))
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
+        return self._inv_table[a]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -176,17 +230,7 @@ class Field:
             raise ValueError("negative exponent")
         if a == 0:
             return 1 if n == 0 else 0
-        n %= self.q - 1
-        mul = self._mul_table
-        result = 1
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base) if mul is None else mul[result][base]
-            n >>= 1
-            if n:
-                base = self.mul(base, base) if mul is None else mul[base][base]
-        return result
+        return _power(self._mul_table, a, n % (self.q - 1))
 
     def frobenius(self, a: int, s: int = 1) -> int:
         """a^(p^s)."""
@@ -267,11 +311,11 @@ def _tables(fld: Field) -> Tuple[Table, Tuple[int, ...], Table, Tuple[int, ...]]
     p, e, q = fld.p, fld.e, fld.q
     n = q - 1  # order of the multiplicative group
     for g in range(1, q):
-        exp = [1]
+        exp, times_g = [1], fld._mul_table[g]
         x = g
         while x != 1:
             exp.append(x)
-            x = fld.mul(x, g)
+            x = times_g[x]
         if len(exp) == n:
             break
     log = [0] * q
@@ -324,21 +368,15 @@ def identity(fld: Field, n: int) -> Matrix:
 
 def mat_add(fld: Field, a: Matrix, b: Matrix) -> Matrix:
     add = fld._add_table
-    if add is None:
-        return [[fld.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
     return [[add[x][y] for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_sub(fld: Field, a: Matrix, b: Matrix) -> Matrix:
     add, neg = fld._add_table, fld._neg_table
-    if add is None:
-        return [[fld.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
     return [[add[x][neg[y]] for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(fld: Field, c: int, a: Matrix) -> Matrix:
-    if fld._mul_table is None:
-        return [[fld.mul(c, x) for x in row] for row in a]
     mc = fld._mul_table[c]
     return [[mc[x] for x in row] for row in a]
 
@@ -361,13 +399,9 @@ def _mat_mul_nz(fld: Field, a: Matrix, b_nz: List[List[Tuple[int, int]]], m: int
         for c, bt in zip(ai, b_nz):
             if not c:
                 continue
-            if add is None:
-                for j, y in bt:
-                    oi[j] = fld.add(oi[j], fld.mul(c, y))
-            else:
-                mc = mul[c]
-                for j, y in bt:
-                    oi[j] = add[oi[j]][mc[y]]
+            mc = mul[c]
+            for j, y in bt:
+                oi[j] = add[oi[j]][mc[y]]
         out.append(oi)
     return out
 
@@ -561,13 +595,9 @@ def _cell_images(fld: Field, p: Matrix, p_inv: Matrix, cells: Cells) -> List[Lis
         for i, j in cell:
             row = rows[j]
             for base, x in cols[i]:
-                if add is None:
-                    for c, y in row:
-                        image[base - c] = fld.add(image.get(base - c, 0), fld.mul(x, y))
-                else:
-                    mx = mul[x]
-                    for c, y in row:
-                        image[base - c] = add[image.get(base - c, 0)][mx[y]]
+                mx = mul[x]
+                for c, y in row:
+                    image[base - c] = add[image.get(base - c, 0)][mx[y]]
         images.append([(k, y) for k, y in image.items() if y])
     return images
 
@@ -624,30 +654,15 @@ def commutant_basis(fld: Field, mats: Iterable[Matrix], n: int) -> List[Matrix]:
 def add_scaled_entries(fld: Field, out: Matrix, c: int,
                        entries: Iterable[Tuple[int, int, int]]) -> None:
     """out += c * A in place, for a sparse A given by its entries (i, j, a)."""
-    add, mul = fld._add_table, fld._mul_table
-    if add is None:
-        for i, j, a in entries:
-            out[i][j] = fld.add(out[i][j], fld.mul(c, a))
-        return
-    mc = mul[c]
+    add, mc = fld._add_table, fld._mul_table[c]
     for i, j, a in entries:
         row = out[i]
         row[j] = add[row[j]][mc[a]]
 
 
 def mat_vec(fld: Field, a: Matrix, v: Vector) -> Vector:
-    add, mul = fld._add_table, fld._mul_table
-    out = [0] * len(a)
-    for i, row in enumerate(a):
-        acc = 0
-        for c, x in zip(row, v):
-            if c and x:
-                if add is None:
-                    acc = fld.add(acc, fld.mul(c, x))
-                else:
-                    acc = add[acc][mul[c][x]]
-        out[i] = acc
-    return out
+    """a v, as the product of a with the one-column matrix v."""
+    return [row[0] for row in _mat_mul_nz(fld, a, [[(0, x)] if x else [] for x in v], 1)]
 
 
 def mat_pow(fld: Field, a: Matrix, n: int) -> Matrix:
@@ -714,8 +729,7 @@ def row_reduce(fld: Field, a: Iterable[Sequence[int]]) -> Tuple[Matrix, List[int
     space.  The rows are copied, so ``a`` may be a generator.
 
     Each pivot row is cleared from the other rows through its nonzero
-    entries only (it is zero left of its pivot), by table lookups when the
-    field has tables and by ``Field`` methods otherwise.
+    entries only (it is zero left of its pivot), by table lookups.
 
     Over GF(p) with p <= 13, once a pivot row with k nonzeros in rows of
     length n has 4 k > n + 64, it and every later pivot row are packed:
@@ -759,19 +773,14 @@ def row_reduce(fld: Field, a: Iterable[Sequence[int]]) -> Tuple[Matrix, List[int
             if targets or prow[col] != 1:
                 support = list(compress(range(col, ncols), prow[col:]))
                 if prow[col] != 1:
-                    inv = fld.inv(prow[col])
+                    mc = mul[fld.inv(prow[col])]
                     for j in support:
-                        prow[j] = fld.mul(inv, prow[j])
+                        prow[j] = mc[prow[j]]
                 nz = [(j, prow[j]) for j in support]
             for wi in targets:
-                c = wi[col]
-                if add is None:
-                    for j, y in nz:
-                        wi[j] = fld.sub(wi[j], fld.mul(c, y))
-                else:
-                    m = mul[neg[c]]
-                    for j, y in nz:
-                        wi[j] = add[wi[j]][m[y]]
+                m = mul[neg[wi[col]]]
+                for j, y in nz:
+                    wi[j] = add[wi[j]][m[y]]
         pivots.append(col)
         r += 1
         if r == nrows:
@@ -792,11 +801,8 @@ def reduce_vector(fld: Field, rref: Matrix, pivots: Sequence[int], v: Vector) ->
         c = out[pc]
         if not c:
             continue
-        if add is None:
-            out[pc:] = [fld.sub(x, fld.mul(c, y)) for x, y in zip(out[pc:], row[pc:])]
-        else:
-            m = mul[neg[c]]
-            out[pc:] = [add[x][m[y]] for x, y in zip(out[pc:], row[pc:])]
+        m = mul[neg[c]]
+        out[pc:] = [add[x][m[y]] for x, y in zip(out[pc:], row[pc:])]
     return out
 
 
@@ -822,12 +828,8 @@ class Echelon:
         if pc is None:
             return None
         if w[pc] != 1:
-            c = fld.inv(w[pc])
-            if fld._mul_table is None:
-                w = [fld.mul(c, x) for x in w]
-            else:
-                mc = fld._mul_table[c]
-                w = [mc[x] for x in w]
+            mc = fld._mul_table[fld.inv(w[pc])]
+            w = [mc[x] for x in w]
         k = bisect_left(self.pivots, pc)
         self.rows.insert(k, w)
         self.pivots.insert(k, pc)
@@ -847,8 +849,7 @@ def power_ranks(fld: Field, n: Matrix, k: int) -> List[int]:
     entry of a kept row.  A rank that stops falling stays there (the row
     spaces of n^(i-1) and n^i are then equal, and so are their images
     under n), so the sequence is padded from the first rank equal to its
-    predecessor, zero included.  Table lookups when the field has tables,
-    ``Field`` methods otherwise."""
+    predecessor, zero included."""
     size = len(n)
     ranks = [size]
     add, neg, mul, inv = fld._add_table, fld._neg_table, fld._mul_table, fld._inv_table
@@ -861,15 +862,11 @@ def power_ranks(fld: Field, n: Matrix, k: int) -> List[int]:
                 c = v[pc]
                 if not c:
                     continue
-                if add is None:
-                    f = fld.mul(c, ninv)
-                    v = [fld.add(x, fld.mul(f, y)) for x, y in zip(v, e)]
-                else:
-                    m = mul[mul[c][ninv]]
-                    v = [add[x][m[y]] for x, y in zip(v, e)]
+                m = mul[mul[c][ninv]]
+                v = [add[x][m[y]] for x, y in zip(v, e)]
             pc = next(compress(range(size), v), None)
             if pc is not None:
-                ninv = fld.neg(fld.inv(v[pc])) if inv is None else neg[inv[v[pc]]]
+                ninv = neg[inv[v[pc]]]
                 kept.append((pc, v, ninv))
         ranks.append(len(kept))
         if not kept or len(kept) == ranks[-2]:
@@ -882,13 +879,9 @@ def power_ranks(fld: Field, n: Matrix, k: int) -> List[int]:
             for c, nrow in zip(e, n):
                 if not c:
                     continue
-                if add is None:
-                    term = [fld.mul(c, y) for y in nrow]
-                    out = term if out is None else [fld.add(x, y) for x, y in zip(out, term)]
-                else:
-                    mc = mul[c]
-                    out = ([mc[y] for y in nrow] if out is None
-                           else [add[x][mc[y]] for x, y in zip(out, nrow)])
+                mc = mul[c]
+                out = ([mc[y] for y in nrow] if out is None
+                       else [add[x][mc[y]] for x, y in zip(out, nrow)])
             rows.append(out)
     return ranks + ranks[-1:] * (k + 1 - len(ranks))
 

@@ -479,28 +479,25 @@ def construct_syzygy_E2(n: int, p: int, fld: Optional[Field] = None) -> ModuleRe
         v[(k - 1) * pp + i * p + j] = 1
         return v
 
-    def neg(v: Vector) -> Vector:
-        return [fld.neg(x) for x in v]
-
-    def add(u: Vector, v: Vector) -> Vector:
-        return [fld.add(a, b) for a, b in zip(u, v)]
+    def diff(u: Vector, v: Vector) -> Vector:
+        return mat_sub(fld, [u], [v])[0]
 
     gens: List[Vector] = []
     if n % 2 == 0:
         gens.append(unit(1, p - 1, 0))
         for k in range(1, n):
             if k % 2 == 1:
-                gens.append(add(unit(k, 0, 1), neg(unit(k + 1, 1, 0))))
+                gens.append(diff(unit(k, 0, 1), unit(k + 1, 1, 0)))
             else:
-                gens.append(add(unit(k, 0, p - 1), neg(unit(k + 1, p - 1, 0))))
+                gens.append(diff(unit(k, 0, p - 1), unit(k + 1, p - 1, 0)))
         gens.append(unit(n, 0, p - 1))
     else:
         gens.append(unit(1, 1, 0))
         for k in range(1, n):
             if k % 2 == 1:
-                gens.append(add(unit(k, 0, 1), neg(unit(k + 1, p - 1, 0))))
+                gens.append(diff(unit(k, 0, 1), unit(k + 1, p - 1, 0)))
             else:
-                gens.append(add(unit(k, 0, p - 1), neg(unit(k + 1, 1, 0))))
+                gens.append(diff(unit(k, 0, p - 1), unit(k + 1, 1, 0)))
         gens.append(unit(n, 0, 1))
     sub, _ = submodule_generated(amb, gens)
     sub.label = "Omega^%d(k)" % n
@@ -731,7 +728,8 @@ def random_commuting_nilpotents(fld: Field, dim: int, count: int, p: int, rng) -
     while len(out) < count:
         for _ in range(_COMMUTING_TRIES):
             cand = mat_combination(fld, dim, [rng.randrange(fld.q) for _ in comm], comm)
-            if is_zero_matrix(mat_pow(fld, cand, p)):
+            # N^p = 0 read from the rank sequence, which stops once it settles
+            if not power_ranks(fld, cand, p)[p]:
                 ok = all(is_zero_matrix(commutator(fld, cand, m)) for m in out)
                 if ok:
                     out.append(cand)

@@ -254,16 +254,16 @@ class ConstancyReport:
 
 
 def _scan_fields(base: Field, max_ext: int) -> List[Field]:
+    """GF(p^e) for e = 1 .. max_ext over a prime field, or the module's own
+    field alone; its extensions are not built, so a larger max_ext over
+    GF(p^e), e > 1, is a ``ValueError``."""
     if max_ext < 1:
         raise ValueError("max_ext must be at least 1, got %d" % max_ext)
-    flds = []
-    for e in range(1, max_ext + 1):
-        if base.e == 1:
-            flds.append(ext_field_build(base.p, e))
-        else:
-            if e == 1:
-                flds.append(base)
-    return flds
+    if base.e > 1:
+        if max_ext > 1:
+            raise ValueError("max_ext must be 1 for a module over %s, got %d" % (base, max_ext))
+        return [base]
+    return [ext_field_build(base.p, e) for e in range(1, max_ext + 1)]
 
 
 def iter_scan_points(desc: GroupSchemeDesc, base: Field, max_ext: int,

@@ -322,15 +322,12 @@ class PolyMatrix:
             acc: List[Dict[Expo, int]] = [{} for _ in range(other.ncols)]
             for a, entries in zip(row, nonzero):
                 for e1, c1 in a.terms.items():
-                    mc = None if mul is None else mul[c1]
+                    mc = mul[c1]
                     for j, terms in entries:
                         dj = acc[j]
                         for e2, c2 in terms:
                             e = tuple(map(operator.add, e1, e2))
-                            if add is None:
-                                c = fld.add(dj.get(e, 0), fld.mul(c1, c2))
-                            else:
-                                c = add[dj.get(e, 0)][mc[c2]]
+                            c = add[dj.get(e, 0)][mc[c2]]
                             if c:
                                 dj[e] = c
                             else:
@@ -408,7 +405,7 @@ class PolyMatrix:
         for mono, entries in form:
             val = 1
             for vk in mono:
-                val = fld.mul(val, powers[vk]) if mul is None else mul[val][powers[vk]]
+                val = mul[val][powers[vk]]
             if val:
                 add_scaled_entries(fld, out, val, entries)
         return out

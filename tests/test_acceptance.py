@@ -76,7 +76,7 @@ def test_criterion_01_weyl_kernel_splittings():
 
 def test_criterion_02_principal_indecomposable_splittings():
     t0 = time.time()
-    ok = _all_pass("pim", 3)  # P_lambda built by the splitter
+    ok = _all_pass("pim", 3)  # P_lambda as one Casimir kernel
     ok = ok and (time.time() - t0) < 30
     _report(2, "P_lambda kernel splittings, p=3", ok)
 

@@ -193,6 +193,26 @@ def test_out_of_range_j_exits_1(capsys, j):
     assert code == 0 and json.loads(out)["request"]["j"] == j
 
 
+def test_max_ext_over_an_extension_field_exits_1(tmp_path, capsys):
+    # a module over GF(9) is scanned over GF(9) alone, so --max-ext 3 is an
+    # input error, not a silent clamp to GF(9)
+    import random
+
+    from jordanbundles.field import ext_field_build
+    from jordanbundles.modules import module_to_dict, random_module
+
+    path = tmp_path / "m9.json"
+    rep = random_module(multi_additive(3, 2), 2, random.Random(1), ext_field_build(3, 2))
+    path.write_text(json.dumps(module_to_dict(rep)))
+    argv = ["analyze", "--group", "ga1xga1", "--p", "3", "--input", str(path),
+            "--op", "constant-rank", "--format", "json"]
+    code, out, err = run_cli(argv + ["--max-ext", "3"], capsys)
+    assert code == 1 and out == "" and err.startswith("error [E_ARGS]:")
+    assert "--max-ext" in err and "GF(3^2)" in err
+    code, out, _ = run_cli(argv + ["--max-ext", "1"], capsys)
+    assert json.loads(out)["results"]["fields_scanned"] == [[3, 2]]
+
+
 def test_module_file_roundtrip(tmp_path, capsys):
     from jordanbundles.modules import construct_zigzag, module_to_dict
 

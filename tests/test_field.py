@@ -216,8 +216,8 @@ def test_transpose_involution_and_zero():
 
 
 # ---------------------------------------------------------------------------
-# the table kernel: every field of order <= 512 built by ext_field_build
-# carries add/neg/mul/inv tables; larger fields use digit arithmetic
+# the tables: every field of order <= 512 built by ext_field_build holds
+# add/neg/mul/inv as tuples; a larger or bare field computes them
 
 
 def _primes(limit):
@@ -228,16 +228,32 @@ def _table_fields(qmax):
     return [(p, e) for p in _primes(qmax) for e in range(1, 5) if p ** e <= qmax]
 
 
+def _mul_slow(fld, a, b):
+    """The reference product: the digit polynomials of a and b multiplied
+    and reduced modulo the modulus, coefficients mod p."""
+    p, e = fld.p, fld.e
+    da, db = _digits(a, p, e), _digits(b, p, e)
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for deg in range(2 * e - 2, e - 1, -1):
+        c = prod[deg]
+        for i in range(e + 1):
+            prod[deg - e + i] = (prod[deg - e + i] - c * fld.modulus[i]) % p
+    return _undigits(prod[:e], p)
+
+
 def _check_tables(fld, pairs):
     p, e = fld.p, fld.e
     for a, b in pairs:
         da, db = _digits(a, p, e), _digits(b, p, e)
         assert fld._add_table[a][b] == _undigits([x + y for x, y in zip(da, db)], p)
-        assert fld._mul_table[a][b] == fld._mul_slow(a, b)
-    for a in range(fld.q):
+        assert fld._mul_table[a][b] == _mul_slow(fld, a, b)
+    for a in {a for a, _ in pairs}:
         assert fld._neg_table[a] == _undigits([-x for x in _digits(a, p, e)], p)
         if a:
-            assert fld._mul_slow(a, fld._inv_table[a]) == 1
+            assert _mul_slow(fld, a, fld._inv_table[a]) == 1
 
 
 @pytest.mark.parametrize("key", _table_fields(125), ids=lambda k: "F%d^%d" % k)
@@ -247,7 +263,9 @@ def test_tables_exhaustive_small(key):
     _check_tables(fld, [(a, b) for a in elems for b in elems])
 
 
-@pytest.mark.parametrize("key", [(127, 1), (13, 2), (17, 2), (7, 3), (19, 2), (509, 1)],
+# tuple tables up to GF(509), computed tables from GF(521) on
+@pytest.mark.parametrize("key", [(127, 1), (13, 2), (17, 2), (7, 3), (19, 2), (509, 1),
+                                 (521, 1), (5, 4), (7, 4), (11, 3), (101, 4)],
                          ids=lambda k: "F%d^%d" % k)
 def test_tables_sampled_large(key):
     fld = ext_field_build(*key)
@@ -255,18 +273,24 @@ def test_tables_sampled_large(key):
     _check_tables(fld, [(rng.randrange(fld.q), rng.randrange(fld.q)) for _ in range(3000)])
 
 
-def test_tables_only_up_to_512():
+def test_tuple_tables_only_up_to_512():
     for key in [(2, 4), (3, 4), (7, 3), (19, 2), (509, 1)]:
-        assert ext_field_build(*key)._add_table is not None
-    for key in [(5, 4), (7, 4), (23, 2), (521, 1)]:
         fld = ext_field_build(*key)
-        assert fld._add_table is None and fld._mul_table is None
+        assert type(fld._add_table) is tuple and type(fld._mul_table) is tuple
+    for key in [(5, 4), (7, 4), (23, 2), (521, 1), (101, 4)]:
+        fld = ext_field_build(*key)
+        tables = (fld._add_table, fld._neg_table, fld._mul_table, fld._inv_table)
+        assert not any(type(t) is tuple for t in tables)
+        # nothing is computed before it is looked up
+        assert not any(map(len, tables))
+        assert fld.mul(2, 3) == _mul_slow(fld, 2, 3)
+        assert len(fld._mul_table) == 1 and not fld._add_table
 
 
 def test_tables_do_not_change_equality():
     fld = ext_field_build(3, 2)
     bare = Field(fld.p, fld.e, fld.modulus)
-    assert bare._mul_table is None
+    assert type(fld._mul_table) is tuple and type(bare._mul_table) is not tuple
     assert fld == bare and hash(fld) == hash(bare)
 
 
@@ -277,8 +301,8 @@ DIFF_FIELDS = [prime_field(3), prime_field(5), ext_field_build(3, 2),
 @given(data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_table_kernel_matches_field_methods(data):
-    """The table path against a tableless Field of the same field (GF(5^4)
-    is past the table limit, so there both sides take the generic path)."""
+    """The tuple tables against the computed tables of a bare Field of the
+    same field (GF(5^4) is past the table limit, so both sides compute)."""
     fld = data.draw(st.sampled_from(DIFF_FIELDS), label="field")
     bare = Field(fld.p, fld.e, fld.modulus)
     rows = data.draw(st.integers(1, 9), label="rows")
@@ -368,16 +392,16 @@ def _planted(fld, dim, r, rng):
     return mat_mul(fld, b, c) if r else zeros(dim, dim)
 
 
-# (p, e): prime fields, GF(p^2), GF(p^3), and GF(11^3), which has no tables
+# (p, e): prime fields, GF(p^2), GF(p^3), and GF(11^3), which computes its tables
 POWER_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (11, 3)]
 
 
 @given(data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_power_ranks_matches_ranks_of_powers(data):
-    """power_ranks against rank(n^j) for every j <= k, with and without
-    the field's tables, on p-nilpotent matrices and on planted-rank ones
-    whose rank sequence settles above zero."""
+    """power_ranks against rank(n^j) for every j <= k, on the field's
+    tuple tables and on computed ones, on p-nilpotent matrices and on
+    planted-rank ones whose rank sequence settles above zero."""
     from jordanbundles.modules import random_nilpotent
 
     p, e = data.draw(st.sampled_from(POWER_FIELDS), label="field")
@@ -447,14 +471,9 @@ def _frozen_row_reduce(fld, a):
                     prow[j] = fld.mul(inv, prow[j])
             nz = [(j, prow[j]) for j in support]
         for wi in targets:
-            c = wi[col]
-            if add is None:
-                for j, y in nz:
-                    wi[j] = fld.sub(wi[j], fld.mul(c, y))
-            else:
-                m = mul[neg[c]]
-                for j, y in nz:
-                    wi[j] = add[wi[j]][m[y]]
+            m = mul[neg[wi[col]]]
+            for j, y in nz:
+                wi[j] = add[wi[j]][m[y]]
         pivots.append(col)
         r += 1
         if r == nrows:

@@ -326,14 +326,15 @@ def _frozen_mj_fiber_dim(fld, n, p, j):
     return ker_dim - rank(fld, npj)
 
 
-# GF(p), GF(p^2) and GF(p^3); GF(11^3) is past the table limit
+# GF(p), GF(p^2) and GF(p^3); GF(11^3) is past the table limit and computes its tables
 JORDAN_FIELDS = {pe: ext_field_build(*pe) for pe in [
     (2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (5, 3),
     (11, 3)]}
 
 
 def _jordan_field(p, e, tables):
-    """GF(p^e), with its tables or as a bare ``Field`` of the same modulus."""
+    """GF(p^e), with its tables or as a bare ``Field`` of the same modulus,
+    which computes them."""
     fld = JORDAN_FIELDS[p, e]
     return fld if tables else Field(p, e, fld.modulus)
 
@@ -342,7 +343,7 @@ def _jordan_field(p, e, tables):
        tables=st.booleans())
 @settings(max_examples=120, deadline=None)
 def test_jordan_type_matches_frozen_route_and_oracle(seed, pe, tables):
-    # the rank sequence on table lookups and on Field methods
+    # the rank sequence on tuple tables and on computed ones
     p, e = pe
     fld = _jordan_field(p, e, tables)
     rng = random.Random(seed)
@@ -419,6 +420,19 @@ def test_scans_reject_max_ext_below_1(max_ext):
         constant_jrank_report(th, 1, max_ext=max_ext)
     with pytest.raises(ValueError, match="max_ext"):
         jtype_scan(th, max_ext=max_ext)
+
+
+def test_scans_reject_max_ext_above_1_over_an_extension_field():
+    # the extensions of GF(9) are not built: a larger max_ext is refused,
+    # never clamped to the module's own field
+    rep = random_module(multi_additive(3, 2), 2, random.Random(1), ext_field_build(3, 2))
+    th = theta_global(rep)
+    assert constant_jrank_report(th, 1, max_ext=1).fields_scanned == [(3, 2)]
+    for max_ext in (2, 3):
+        with pytest.raises(ValueError, match="max_ext"):
+            constant_jrank_report(th, 1, max_ext=max_ext)
+        with pytest.raises(ValueError, match="max_ext"):
+            jtype_scan(th, max_ext=max_ext)
 
 
 def test_sl2_height2_natural_nonconstant():

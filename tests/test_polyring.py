@@ -209,7 +209,7 @@ def _triple_loop_product(x, y):
 @settings(max_examples=60, deadline=None)
 def test_sparse_product_matches_triple_loop(data):
     # mostly-zero matrices over weighted rings in 2-4 variables, over prime
-    # fields, GF(9) and the tableless GF(5^4); products of any shape and
+    # fields, GF(9) and GF(5^4) on computed tables; products of any shape and
     # powers up to the 4th
     fld = data.draw(st.sampled_from([F3, F5, F9, ext_field_build(5, 4)]), label="field")
     nvars = data.draw(st.integers(2, 4), label="nvars")
