@@ -3,7 +3,6 @@ local Jordan types at points of the one-parameter-subgroup variety."""
 
 from jordanbundles import (
     construct_zigzag,
-    enumerate_points,
     jtype_scan,
     local_jtype,
     theta_global,

@@ -7,7 +7,6 @@ from jordanbundles import (
     additive_kernel,
     constant_jrank_report,
     construct_zigzag,
-    enumerate_points,
     ext_field_build,
     external_product,
     frobenius_point_map,

@@ -11,8 +11,10 @@ of N coordinates, holds the coefficients of s^(d-m) t^m.  Multiplying by
 s^a t^b pads a vector with b blocks of zeros in front and a behind
 (``_shift``).  The degree-d map of B^j has as columns the N columns of
 sum_m A_m t^m (``_toeplitz_columns``), each shifted by s^(d-k) t^k for
-k = 0 .. d (``_degree_map``).  The sliding rank count and the kernel
-generators use this one layout.
+k = 0 .. d (``_degree_map``).  Every map of free graded modules is held
+in this layout as (bases, starts, block): source r, in degree starts[r],
+maps to bases[r], over t-exponent blocks of ``block`` target coordinates
+(whose degrees fix the powers of s); B^j is (Toeplitz columns, [0] * N, N).
 
 Every bundle here comes from kernels alone, by four facts:
 
@@ -28,10 +30,11 @@ Every bundle here comes from kernels alone, by four facts:
   r * D.  A count of N - r0 generators under r0 * D proves r0 = r.
 - Block-Toeplitz window (the rank recursion behind Van Dooren's staircase
   algorithm, Lin. Alg. Appl. 27, 1979): indexed by t-exponents, the
-  degree-d map is the leading block of one block-Toeplitz matrix, and the
-  degree-(d+1) map adds one block column that vanishes on the output
-  blocks <= d.  So one echelon, slid by a block per degree, gives every
-  rank, each degree paying only for what is new in it.
+  degree-d map of any map of free graded modules, its sources in any
+  degrees, is the leading block of one block-Toeplitz matrix, and the
+  degree-(d+1) map adds one column per source that vanishes on the output
+  blocks <= d - max(starts).  So one echelon, slid by a block per degree,
+  gives every rank, each degree paying only for what is new in it.
 
 Subquotients ker(B^j)/im(B^q) and images then follow from additivity in
 K_0(P^1): im(B^q) is O(-D)^N modulo K_q(-D), D = q * entry_degree, so
@@ -44,8 +47,8 @@ Their splitting types come from duality:
   F/T = (+) O(delta_k), so T has length deg F - sum delta_k and F is a
   bundle exactly when that is 0.  For K_j / im B^q, phi writes the
   columns of B^q in the generators of K_j; for im B^j it is the matrix of
-  those generators.  ker phi^T is counted by ranks like K_j, to rk F
-  generators under Forney's bound deg F.
+  those generators.  ker phi^T is counted by the sliding echelon of K_j
+  (``_hilbert_function``), to rk F generators under Forney's bound deg F.
 
 A failure of these facts in a computation is an engine fault and raises
 ``EngineInvariantError``.
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import count
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .field import (
@@ -184,28 +187,51 @@ def _point_rank(fld: Field, power: PolyMatrix) -> int:
     return max(rank(fld, power.evaluate(pt)) for pt in points)
 
 
-def _degree_ranks(fld: Field, power: PolyMatrix, n: int, D: int) -> Iterator[int]:
-    """The ranks of the degree-d maps of ``power`` (n x n, entries
-    homogeneous of degree D), for d = 0, 1, ..., from one sliding echelon.
+def _degree_ranks(fld: Field, bases: List[Vector], starts: List[int],
+                  block: int) -> Iterator[int]:
+    """The ranks of the degree-d maps of (bases, starts, block), for
+    d = min(starts), min(starts) + 1, ..., from one sliding echelon.
 
-    The degree-d map is the leading block of one block-Toeplitz matrix: its
-    columns are the Toeplitz columns c_i of ``power``, vectors over the
-    output blocks 0 .. D, shifted by k = 0 .. d blocks.  The shifts by
-    d + 1 that the degree-(d+1) map adds vanish on the blocks <= d, so a
-    row whose pivot lies in block d is never reduced against again: it is
-    counted as finished and dropped, and the window of D + 1 blocks moves
-    on by one."""
-    cols = _toeplitz_columns(power, n, D)
+    In degree d, source r spans s^(d-starts[r]-k) t^k e_r, k = 0 ..
+    d - starts[r], with images bases[r] shifted by k blocks.  The shifts by
+    d + 1 - starts[r] that degree d + 1 adds vanish on the blocks <= d - top,
+    top = max(starts), so a row whose pivot lies in block d - top is never
+    reduced against again: it is counted as finished and dropped, and the
+    window moves on by one block.  There each new column of source r is
+    bases[r] behind top - starts[r] zero blocks, entering every degree from
+    its own: a warm-up below top, and every column at once from there."""
+    top = max(starts)
+    cols = [[0] * (block * (top - a)) + v for a, v in zip(starts, bases)]
+    width = max(map(len, cols))
+    cols = [c + [0] * (width - len(c)) for c in cols]
     ech = Echelon(fld)
     finished = 0
-    while True:
-        for c in cols:
+    for d in count(min(starts)):
+        for c in cols if d >= top else [c for a, c in zip(starts, cols) if a <= d]:
             ech.insert(c)
         yield finished + len(ech.rows)
-        k = bisect_left(ech.pivots, n)
+        k = bisect_left(ech.pivots, block)
         finished += k
-        ech.rows = [row[n:] + [0] * n for row in ech.rows[k:]]
-        ech.pivots = [pc - n for pc in ech.pivots[k:]]
+        ech.rows = [row[block:] + [0] * block for row in ech.rows[k:]]
+        ech.pivots = [pc - block for pc in ech.pivots[k:]]
+
+
+def _hilbert_function(fld: Field, bases: List[Vector], starts: List[int],
+                      block: int) -> Callable[[int], int]:
+    """The Hilbert function of the kernel of (bases, starts, block): the
+    columns inserted so far minus the rank, memoised and filled in degree
+    order from min(starts) by one ``_degree_ranks``."""
+    lo = min(starts)
+    ranks = _degree_ranks(fld, bases, starts, block)
+    values: List[int] = []
+
+    def h(d: int) -> int:
+        while len(values) <= d - lo:
+            e = lo + len(values)
+            values.append(sum(e - a + 1 for a in starts if a <= e) - next(ranks))
+        return values[d - lo] if d >= lo else 0
+
+    return h
 
 
 def kernel_graded(b: P1Matrix, j: int = 1) -> GradedSubmodule:
@@ -213,14 +239,14 @@ def kernel_graded(b: P1Matrix, j: int = 1) -> GradedSubmodule:
     by its generator degrees, read off ranks (the module docstring gives
     the theorems).  K is free with Hilbert function h(d) = N (d + 1) - rank
     of the degree-d map, so it has h(d) - sum_{a_i < d} (d - a_i + 1)
-    generators in degree d.  The ranks come in degree order from one
-    sliding block-Toeplitz echelon (``_degree_ranks``), shared by both
-    passes of the count.  The count runs to N - r0 generators, r0 the
-    largest rank of B^j at the points of P^1(F_q).  If it passes Forney's
-    bound r0 * D, D = j * entry_degree, then r0 is below the generic rank
-    and the count runs once more with r = ``generic_rank(B^j)`` (Bareiss);
-    a second stop raises ``EngineInvariantError``.  ``hilbert`` holds h on
-    the degrees 0 .. max a_i; ``certified_free`` is always True."""
+    generators in degree d.  h comes from one sliding block-Toeplitz
+    echelon (``_hilbert_function``), shared by both passes of the count,
+    which runs to N - r0 generators, r0 the largest rank of B^j at the
+    points of P^1(F_q).  If it passes Forney's bound r0 * D,
+    D = j * entry_degree, then r0 is below the generic rank and the count
+    runs once more with r = ``generic_rank(B^j)`` (Bareiss); a second stop
+    raises ``EngineInvariantError``.  ``hilbert`` holds h on the degrees
+    0 .. max a_i; ``certified_free`` is always True."""
     return _kernel_of_power(b, j, b.mat.power(j))
 
 
@@ -243,18 +269,8 @@ def _generator_degrees(h: Callable[[int], int], start: int, target: int,
 
 def _kernel_of_power(b: P1Matrix, j: int, power: PolyMatrix) -> GradedSubmodule:
     """``kernel_graded`` with B^j = ``power`` already formed."""
-    fld = b.ring.fld
-    n = b.size
-    D = j * b.entry_degree
-    ranks = _degree_ranks(fld, power, n, D)
-    hilbert: Dict[int, int] = {}
-
-    def h(d: int) -> int:
-        if d not in hilbert:
-            # both passes visit d = 0, 1, ..., so the next rank is degree d's
-            hilbert[d] = n * (d + 1) - next(ranks)
-        return hilbert[d]
-
+    fld, n, D = b.ring.fld, b.size, j * b.entry_degree
+    h = _hilbert_function(fld, _toeplitz_columns(power, n, D), [0] * n, n)
     for r in (_point_rank(fld, power), None):
         if r is None:
             r = generic_rank(power)
@@ -271,7 +287,7 @@ def _kernel_of_power(b: P1Matrix, j: int, power: PolyMatrix) -> GradedSubmodule:
         ring=b.ring,
         ambient_rank=n,
         degrees=degrees,
-        hilbert={d: hilbert[d] for d in range(top + 1)},
+        hilbert={d: h(d) for d in range(top + 1)},
         certified_free=True,
         stable_from=max(top, 0) + 1,
         label="ker(theta^%d)" % j,
@@ -335,11 +351,8 @@ def _image_dim(n: int, kernel: GradedSubmodule, shift: int, d: int) -> int:
     return n * max(0, d - shift + 1) - kernel.free_dim(d - shift)
 
 
-# A presentation of a graded module M = coker phi, phi mapping
-# (+)_c S(-w_c) to (+)_r S(-u_r): (field, phi, u, w), where phi[r][c] lists
-# the t-coefficients of an entry homogeneous of degree w_c - u_r (empty
-# when that is negative).
-Presentation = Tuple[Field, List[List[Vector]], List[int], List[int]]
+# M = coker phi, as the field and phi^T in the form (bases, starts, block)
+Presentation = Tuple[Field, List[Vector], List[int], int]
 
 
 def _kernel_generators(b: P1Matrix, j: int, power: PolyMatrix,
@@ -366,7 +379,8 @@ def _subquotient_presentation(b: P1Matrix, j: int, kmat: PolyMatrix, kj: GradedS
     """K_j / im B^q as coker phi: with generators k_i of K_j in degrees
     a_i, column c of B^q is sum_i k_i phi_ic, phi_ic of degree
     E - a_i, E = q * entry_degree.  One ``solve`` per column in degree E,
-    where K_j has the shifts of the k_i as a basis."""
+    where K_j has the shifts of the k_i as a basis.  phi^T sends source i,
+    in degree -a_i, to (phi_i1 ... phi_iN) in blocks of N."""
     fld, n = b.ring.fld, b.size
     E = q * b.entry_degree
     gens = _kernel_generators(b, j, kmat, kj.degrees)
@@ -374,49 +388,37 @@ def _subquotient_presentation(b: P1Matrix, j: int, kmat: PolyMatrix, kj: GradedS
     sols = [solve(fld, shifts, col) for col in _toeplitz_columns(imat, n, E)]
     if None in sols:
         raise EngineInvariantError("a column of B^%d lies outside ker(B^%d)" % (q, j))
-    phi, off = [], 0
+    bases, off = [], 0
     for a, _ in gens:
         width = max(0, E - a + 1)
-        phi.append([x[off:off + width] for x in sols])
+        bases.append([x[off + k] for k in range(width) for x in sols])
         off += width
-    return fld, phi, [a for a, _ in gens], [E] * n
+    return fld, bases, [-a for a, _ in gens], n
 
 
 def _image_presentation(b: P1Matrix, j: int, kmat: PolyMatrix,
                         kj: GradedSubmodule) -> Presentation:
     """im B^j = S(-D)^N / K_j(-D), D = j * entry_degree, as coker phi with
-    phi = [k_1 ... k_m], the generators of K_j: entry (c, i) is entry c of
-    k_i, read off its component vector at coordinates c, c + N, ..."""
+    phi = [k_1 ... k_m], the generators of K_j.  phi^T sends source c, in
+    degree -D, to row c of phi in blocks of m: entry c of k_i is read off
+    its component vector, padded to degree max a_i, at c, c + N, ..."""
     n, D = b.size, j * b.entry_degree
     gens = _kernel_generators(b, j, kmat, kj.degrees)
-    phi = [[v[c::n] for _, v in gens] for c in range(n)]
-    return b.ring.fld, phi, [D] * n, [a + D for a, _ in gens]
+    top = max((a for a, _ in gens), default=0)
+    padded = [v + [0] * (n * (top - a)) for a, v in gens]
+    bases = [[v[m * n + c] for m in range(top + 1) for v in padded] for c in range(n)]
+    return b.ring.fld, bases, [-D] * n, len(gens)
 
 
-def _dual_degrees(fld: Field, phi: List[List[Vector]], u: List[int], w: List[int],
+def _dual_degrees(fld: Field, bases: List[Vector], starts: List[int], block: int,
                   rk: int, deg: int) -> List[int]:
-    """Generator degrees of Hom_S(M, S) = ker phi^T for M = coker phi (see
-    ``Presentation``), a free module of rank ``rk``.  phi^T maps
-    (+)_r S(u_r) to (+)_c S(w_c); its degree-delta map sends
-    s^(delta+u_r-k) t^k e_r to sum_c phi_rc t^k (times a power of s), with
-    one block of t-exponents per target c (the targets need not share a
-    degree).  The kernel count of ``_generator_degrees`` runs on its
-    ranks, from delta = -max u_r, with Forney's bound ``deg``: the
-    generators sum to the degree of F/T, F the sheaf of M of degree
-    ``deg`` and T its torsion."""
-
-    def h(delta: int) -> int:
-        offsets = list(accumulate((max(0, delta + x + 1) for x in w), initial=0))
-        cols = []
-        for r, ur in enumerate(u):
-            for k in range(delta + ur + 1):
-                col = [0] * offsets[-1]
-                for off, f in zip(offsets, phi[r]):
-                    col[off + k:off + k + len(f)] = f
-                cols.append(col)
-        return len(cols) - rank(fld, cols)
-
-    degrees, d = _generator_degrees(h, -max(u), rk, deg)
+    """Generator degrees of Hom_S(M, S) = ker phi^T, M = coker phi as in
+    ``Presentation``, a free module of rank ``rk``: the count of
+    ``_generator_degrees`` on K_j's counter ``_hilbert_function``, from
+    degree min(starts), with Forney's bound ``deg``: the generators sum to
+    the degree of F/T, F the sheaf of M of degree ``deg`` and T its torsion."""
+    degrees, d = _generator_degrees(_hilbert_function(fld, bases, starts, block),
+                                    min(starts), rk, deg)
     if len(degrees) < rk:
         raise EngineInvariantError(
             "dual count stopped at degree %d with %d of %d generators (Forney's bound %d)"
@@ -479,8 +481,7 @@ def subquotient_mj(b: P1Matrix, j: int, im_power: Optional[int] = None) -> Sheaf
         raise ValueError(msg)
     kj = _kernel_of_power(b, j, kmat)
     kq = kj if q == j else _kernel_of_power(b, q, imat)
-    D = q * b.entry_degree
-    n = b.size
+    D, n = q * b.entry_degree, b.size
     stable = max(kj.stable_from, kq.stable_from + D)
     hilbert = {d: kj.free_dim(d) - _image_dim(n, kq, D, d) for d in range(stable + 1)}
     return _sheaf_report(k0_class(kj) - _image_class(n, kq, D), stable, hilbert,
@@ -495,8 +496,7 @@ def image_sheaf_report(b: P1Matrix, j: int = 1) -> SheafReport:
     ``EngineInvariantError``."""
     kmat = b.mat.power(j)
     kj = _kernel_of_power(b, j, kmat)
-    D = j * b.entry_degree
-    n = b.size
+    D, n = j * b.entry_degree, b.size
     stable = kj.stable_from + D
     hilbert = {d: _image_dim(n, kj, D, d) for d in range(stable + 1)}
     rpt = _sheaf_report(_image_class(n, kj, D), stable, hilbert,

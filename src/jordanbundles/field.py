@@ -518,11 +518,16 @@ def jordan_basis(fld: Field, n: Matrix) -> Tuple[Matrix, Matrix, List[int]]:
                                                     for w in [[0] * dim] + chain[:-1]]:
         raise EngineInvariantError("Jordan chains do not conjugate the matrix to its Jordan form")
     p = transpose(cols)
+    return p, _basis_inverse(fld, p, "Jordan chains"), [len(chain) for chain in chains]
+
+
+def _basis_inverse(fld: Field, p: Matrix, what: str) -> Matrix:
+    """P^-1 for a P whose columns a theorem makes a basis: a singular P is
+    an ``EngineInvariantError``, not ``inverse``'s ``ValueError``."""
     try:
-        p_inv = inverse(fld, p)
+        return inverse(fld, p)
     except ValueError:
-        raise EngineInvariantError("Jordan chains do not form a basis") from None
-    return p, p_inv, [len(chain) for chain in chains]
+        raise EngineInvariantError("%s do not form a basis" % what) from None
 
 
 # The structures of commutant_basis: the positions of X' = P^-1 X P that
@@ -569,7 +574,7 @@ def _commutant_structure(fld: Field, mats: Sequence[Matrix],
             eig = _eigenbasis(fld, a)
             if eig:
                 p = transpose(eig[0])
-                return k, p, inverse(fld, p), _block_cells(eig[1])
+                return k, p, _basis_inverse(fld, p, "eigenvectors"), _block_cells(eig[1])
         elif ranks[1]:
             dim = sum((r0 - r1) ** 2 for r0, r1 in zip(ranks, ranks[1:]))
             if nilpotent is None or dim < nilpotent[0]:

@@ -354,10 +354,7 @@ def submodule_generated(rep: ModuleRep, vectors: Sequence[Vector]) -> Tuple[Modu
         images = [w for nz in mats_nz for w in _mat_mul_nz(fld, batch, nz, rep.dim)]
         batch = [w for w in images if span.insert(w) is not None]
     basis = span_basis(fld, span.rows)
-    try:
-        sub = restrict_subspace(rep, basis)
-    except ValueError as exc:
-        raise EngineInvariantError("spun submodule is not invariant: %s" % exc) from exc
+    sub = _restrict_invariant(rep, basis, "spun submodule")
     sub.label = "sub(%s)" % (rep.label or "M")
     return sub, basis
 
@@ -374,6 +371,16 @@ def restrict_subspace(rep: ModuleRep, basis_rows: Matrix) -> ModuleRep:
         images = mat_mul(fld, basis, transpose(m)) if dim else []
         action[nm] = transpose([coords_in_basis(fld, basis, pivots, img) for img in images])
     return ModuleRep(rep.desc, fld, dim, action, label=rep.label)
+
+
+def _restrict_invariant(rep: ModuleRep, basis_rows: Matrix, what: str) -> ModuleRep:
+    """``restrict_subspace`` on a subspace that a theorem makes invariant:
+    one found not invariant is an ``EngineInvariantError``, not the
+    ``ValueError`` kept for a subspace a caller supplies."""
+    try:
+        return restrict_subspace(rep, basis_rows)
+    except ValueError as exc:
+        raise EngineInvariantError("%s is not invariant: %s" % (what, exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +661,8 @@ def decompose_summands(rep: ModuleRep, rng) -> Tuple[List[ModuleRep], Decomposit
         return [m], certified
 
     def split(m: ModuleRep, got: Tuple[Matrix, Matrix]) -> Tuple[List[ModuleRep], bool]:
-        ls, lc = split_all(restrict_subspace(m, got[0]))
-        rs, rc = split_all(restrict_subspace(m, got[1]))
+        ls, lc = split_all(_restrict_invariant(m, got[0], "Fitting kernel"))
+        rs, rc = split_all(_restrict_invariant(m, got[1], "Fitting image"))
         return ls + rs, lc and rc
 
     parts, certified = split_all(rep)
@@ -675,8 +682,9 @@ def principal_indecomposable_sl2(lam: int, p: int, fld: Optional[Field] = None) 
     blocks of u(sl2) apart, linking lam only with p-2-lam, and St (x)
     V_{p-1-lam} holds P_lam once and P_{p-2-lam} never (Humphreys, J. Algebra
     19 (1971); Jantzen, NATO ASI C 514 (1998)).  A kernel of dimension other
-    than 2p is an ``EngineInvariantError``.  At p = 2, h acts as 0 on
-    St (x) V_1, so C = 0 = c_0 and the kernel is all of it, P_0."""
+    than 2p, or one that is not invariant, is an ``EngineInvariantError``.
+    At p = 2, h acts as 0 on St (x) V_1, so C = 0 = c_0 and the kernel is
+    all of it, P_0."""
     if not 0 <= lam <= p - 1:
         raise ValueError("lam must satisfy 0 <= lam <= p-1")
     if lam == p - 1:
@@ -691,7 +699,7 @@ def principal_indecomposable_sl2(lam: int, p: int, fld: Optional[Field] = None) 
     block = kernel_basis(fld, mat_pow(fld, shifted, 2 * p), big.dim)
     if len(block) != 2 * p:
         raise EngineInvariantError("projective summand P_%d not found" % lam)
-    rep = restrict_subspace(big, block)
+    rep = _restrict_invariant(big, block, "Casimir block of P_%d" % lam)
     rep.label = "P_%d" % lam
     return rep
 

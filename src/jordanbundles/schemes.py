@@ -344,11 +344,8 @@ def validate_point(desc: GroupSchemeDesc, point: Sequence[int], fld: Optional[Fi
         # (and then M^p = 0) exactly when z^2 + xy = 0
         x, y, z = point
         return fld.add(fld.mul(z, z), fld.mul(x, y)) == 0
-    if desc.family == "restricted_lie":
-        ring, rels = coord_ring(desc)
-        return all(poly_eval(f, point, fld) == 0 for f in rels)
-    if desc.family == "sl2_height2":
-        ring, rels = coord_ring(desc)
+    if desc.family in ("restricted_lie", "sl2_height2"):
+        _, rels = coord_ring(desc)
         return all(poly_eval(f, point, fld) == 0 for f in rels)
     # gln_height2
     n = desc.n

@@ -1,10 +1,12 @@
 """Graded kernels/images on the projective line, splitting types, sections.
 
 The graded components by direct elimination (``_Components``), the former
-kernel search and the two-chart section counter are frozen here as
-independent routes to the kernel counts and the dual count."""
+kernel search, the two-chart section counter and the former per-degree
+dual count on phi-list presentations are frozen here as independent
+routes to the kernel counts and the dual count."""
 
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +28,7 @@ from jordanbundles.bundles import (
     subquotient_mj,
 )
 from jordanbundles.field import (ext_field_build, kernel_basis, mat_mul, prime_field, rank,
-                                 reduce_vector, row_reduce, span_basis)
+                                 reduce_vector, row_reduce, solve, span_basis, transpose)
 from jordanbundles.modules import (
     construct_duals_example,
     construct_steinberg,
@@ -640,18 +642,31 @@ def test_kernel_count_matches_frozen_search_random(dim, seed, j):
 
 
 @given(data=st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_degree_ranks_match_direct_elimination(data):
     # the sliding block-Toeplitz echelon against one elimination of the
-    # whole degree-d map, d = 0 .. 8, on random P^1 matrices with zero
-    # columns, the zero matrix, products through fewer columns and powers
-    # of strictly upper triangular matrices
+    # whole degree-d map, d = min(starts) .. min(starts) + 8: on the
+    # Toeplitz columns of random P^1 matrices with zero columns, the zero
+    # matrix, products through fewer columns and powers of strictly upper
+    # triangular matrices, and on random maps whose sources start in
+    # different degrees, as the duals of subquotients do
     fld = data.draw(st.sampled_from([prime_field(3), prime_field(5), ext_field_build(3, 2)]),
                     label="field")
     D = data.draw(st.sampled_from([1, 2, 3]), label="D")
     n = data.draw(st.integers(1, 5), label="n")
-    kind = data.draw(st.sampled_from(["random", "zero", "low rank", "power"]), label="kind")
+    kind = data.draw(st.sampled_from(["random", "zero", "low rank", "power", "unequal starts"]),
+                     label="kind")
     rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    if kind == "unequal starts":
+        # source r in degree starts[r] maps to D + 1 + starts[r] blocks of
+        # n targets (none when that is not positive), some of them zero
+        starts = [rng.randint(-3, 3) for _ in range(rng.randint(1, 5))]
+        bases = [[rng.randrange(fld.q) if rng.random() < 0.6 else 0
+                  for _ in range(n * max(0, D + 1 + a))] for a in starts]
+        ranks = bundles._degree_ranks(fld, bases, starts, n)
+        for d in range(min(starts), min(starts) + 9):
+            assert next(ranks) == rank(fld, _explicit_degree_map(bases, starts, n, d))
+        return
     ring = WeightedRing(fld, ("s", "t"), (1, 1))
 
     def entry(deg):
@@ -679,13 +694,22 @@ def test_degree_ranks_match_direct_elimination(data):
     else:
         mat = random_matrix(n, n, 1, upper=True).power(D)
     b = P1Matrix(ring, mat, D, fld.p)
-    ranks = bundles._degree_ranks(fld, mat, n, D)
     cols = bundles._toeplitz_columns(mat, n, D)
+    ranks = bundles._degree_ranks(fld, cols, [0] * n, n)
     for d in range(9):
         expected = rank(fld, _matrix_component_rows(b, mat, d, D))
         assert next(ranks) == expected
         # the degree-d map from the shifted Toeplitz columns, too
         assert rank(fld, list(bundles._degree_map(cols, d))) == expected
+
+
+def _explicit_degree_map(bases, starts, block, d):
+    """The columns of the degree-d map of (bases, starts, block), built
+    whole: bases[r] shifted by k blocks for each source monomial
+    s^(d - starts[r] - k) t^k e_r, padded to one length."""
+    cols = [[0] * (block * k) + v for a, v in zip(starts, bases) for k in range(d - a + 1)]
+    width = max(map(len, cols), default=0)
+    return [c + [0] * (width - len(c)) for c in cols]
 
 
 def _matrix_component_rows(b: P1Matrix, power_mat: PolyMatrix, deg_in: int, D: int):
@@ -806,6 +830,130 @@ def _dual_count_spy(monkeypatch):
 
     monkeypatch.setattr(bundles, "_dual_degrees", spy)
     return seen
+
+
+# The dual count as it stood before it moved onto the kernels' sliding
+# echelon, frozen as a reference: presentations as phi-lists and one
+# elimination of the whole degree-delta map of phi^T per degree.
+
+
+def _frozen_subquotient_presentation(b, j, kmat, kj, q, imat):
+    """K_j / im B^q as coker phi, (field, phi, u, w): phi maps
+    (+)_c S(-w_c) to (+)_r S(-u_r), and phi[r][c] lists the t-coefficients
+    of an entry of degree w_c - u_r (empty when that is negative)."""
+    fld, n = b.ring.fld, b.size
+    E = q * b.entry_degree
+    gens = bundles._kernel_generators(b, j, kmat, kj.degrees)
+    shifts = transpose([bundles._shift(v, n, E - a - k, k)
+                        for a, v in gens for k in range(E - a + 1)])
+    sols = [solve(fld, shifts, col) for col in bundles._toeplitz_columns(imat, n, E)]
+    phi, off = [], 0
+    for a, _ in gens:
+        width = max(0, E - a + 1)
+        phi.append([x[off:off + width] for x in sols])
+        off += width
+    return fld, phi, [a for a, _ in gens], [E] * n
+
+
+def _frozen_image_presentation(b, j, kmat, kj):
+    """im B^j as coker [k_1 ... k_m], in the form above."""
+    n, D = b.size, j * b.entry_degree
+    gens = bundles._kernel_generators(b, j, kmat, kj.degrees)
+    phi = [[v[c::n] for _, v in gens] for c in range(n)]
+    return b.ring.fld, phi, [D] * n, [a + D for a, _ in gens]
+
+
+def _frozen_dual_hilbert(fld, phi, u, w):
+    """The Hilbert function of ker phi^T, phi^T mapping (+)_r S(u_r) to
+    (+)_c S(w_c): its degree-delta map sends s^(delta+u_r-k) t^k e_r to
+    sum_c phi_rc t^k, one block of t-exponents per target c, and is ranked
+    whole in each degree."""
+
+    def h(delta):
+        offsets = list(accumulate((max(0, delta + x + 1) for x in w), initial=0))
+        cols = []
+        for r, ur in enumerate(u):
+            for k in range(delta + ur + 1):
+                col = [0] * offsets[-1]
+                for off, f in zip(offsets, phi[r]):
+                    col[off + k:off + k + len(f)] = f
+                cols.append(col)
+        return len(cols) - rank(fld, cols)
+
+    return h
+
+
+def _frozen_dual_degrees(fld, phi, u, w, rk, deg):
+    """Generator degrees of ker phi^T from delta = -max u_r, until rk
+    generators or Forney's bound deg."""
+    h = _frozen_dual_hilbert(fld, phi, u, w)
+    degrees, d = [], -max(u)
+    while len(degrees) < rk and sum(degrees) + (rk - len(degrees)) * d <= deg:
+        degrees += [d] * (h(d) - sum(d - a + 1 for a in degrees))
+        d += 1
+    assert len(degrees) == rk
+    return degrees
+
+
+def _assert_dual_count_matches_frozen(b):
+    """The dual count of every subquotient and image sheaf of rank >= 2 of
+    b against the frozen one, and their Hilbert functions from the first
+    source's degree to two past the last (where a count may stop before
+    some sources enter); returns the starts of each dual map."""
+    p, starts = b.p, []
+    for j in range(1, p):
+        kmat, imat = b.mat.power(j), b.mat.power(p - j)
+        kj = kernel_graded(b, j)
+        for rpt, args, new, old in [
+                (subquotient_mj(b, j), (b, j, kmat, kj, p - j, imat),
+                 bundles._subquotient_presentation, _frozen_subquotient_presentation),
+                (image_sheaf_report(b, j), (b, j, kmat, kj),
+                 bundles._image_presentation, _frozen_image_presentation)]:
+            if rpt.fiber_rank < 2:
+                continue
+            rk, deg = rpt.fiber_rank, rpt.degree
+            presentation, frozen = new(*args), old(*args)
+            assert (bundles._dual_degrees(*presentation, rk, deg)
+                    == _frozen_dual_degrees(*frozen, rk, deg))
+            h, frozen_h = bundles._hilbert_function(*presentation), _frozen_dual_hilbert(*frozen)
+            window = range(min(presentation[2]), max(presentation[2]) + 3)
+            assert [h(d) for d in window] == [frozen_h(d) for d in window]
+            starts.append(presentation[2])
+    return starts
+
+
+def _dual_count_zoo(p):
+    """The modules of the splitting tests here at p: Weyl modules, P_lambda,
+    zig-zags and their duals, syzygies, and the random (G_a)^2-modules of
+    the torsion tests, at p = 5 with the mixed-twist report's module."""
+    yield from (construct_weyl_sl2(m, p) for m in range(2 * p))
+    yield from (principal_indecomposable_sl2(lam, p) for lam in range(p))
+    if p == 7:
+        return
+    zigzags = [construct_zigzag(n, p) for n in range(1, 5)]
+    yield from zigzags + [dual_module(rep) for rep in zigzags]
+    yield from (construct_syzygy_E2(k, p) for k in range(1, 5 if p == 3 else 3))
+    cases = [(dim, seed) for dim in range(3, 7) for seed in range(6)]
+    cases += [(dim, seed) for q, dim, seed, _, _ in WALK_INCONCLUSIVE if q == p]
+    cases += [(9, 0)] if p == 5 else []
+    yield from (random_module(multi_additive(p, 2), dim, random.Random(seed))
+                for dim, seed in cases)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_dual_count_matches_frozen_count(p):
+    # every rank >= 2 subquotient and image sheaf of the zoo, among them
+    # duals whose sources start in different degrees
+    starts = [s for rep in _dual_count_zoo(p)
+              for s in _assert_dual_count_matches_frozen(restrict_p1(theta_global(rep)))]
+    assert len(starts) > 90 and sum(len(set(s)) > 1 for s in starts) > 10
+
+
+@given(p=st.sampled_from([3, 5]), dim=st.integers(3, 8), seed=st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_dual_count_matches_frozen_count_random(p, dim, seed):
+    rep = random_module(multi_additive(p, 2), dim, random.Random(seed))
+    _assert_dual_count_matches_frozen(restrict_p1(theta_global(rep)))
 
 
 @pytest.mark.parametrize("family,p", [("weyl", 5), ("weyl", 7), ("zigzag", 3), ("zigzag", 5)])

@@ -387,6 +387,33 @@ def test_missing_projective_summand_exits_3(capsys, monkeypatch):
     assert err.startswith("error [E_INTERNAL]:") and "P_0 not found" in err
 
 
+@pytest.mark.parametrize("p,lam", [(3, 0), (5, 2)])
+def test_non_invariant_casimir_block_exits_3(capsys, monkeypatch, p, lam):
+    # the Casimir block of St (x) V_{p-1-lam} is invariant; one of the right
+    # dimension that is not is an engine fault, not restrict_subspace's
+    # ValueError (exit 1)
+    import jordanbundles.modules as modules
+    from jordanbundles.field import identity, reduce_vector, row_reduce
+
+    real = modules.kernel_basis
+
+    def off_block(fld, a, ncols=None):
+        rows = real(fld, a, ncols)
+        basis, pivots = row_reduce(fld, rows)
+        unit = next(e for e in identity(fld, ncols)
+                    if any(reduce_vector(fld, basis, pivots, e)))
+        return [unit] + rows[1:]
+
+    monkeypatch.setattr(modules, "kernel_basis", off_block)
+    code, out, err = run_cli(
+        ["analyze", "--group", "u_sl2", "--p", str(p), "--builtin", "pim:%d" % lam,
+         "--op", "bundle", "--format", "json"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error [E_INTERNAL]:")
+    assert "Casimir block of P_%d is not invariant" % lam in err
+
+
 @pytest.mark.parametrize("fault", ["dependent", "reordered"])
 def test_broken_jordan_basis_exits_3(capsys, monkeypatch, fault):
     # a random (G_a)^2 module draws its second matrix from the commutant of

@@ -13,9 +13,12 @@ rank-3 and torsion subquotients, written when the dual count replaced the
 rank-2 section walk, and the rank-0 torsion subquotient, written when
 rank-0 sheaves kept their K_0 degree, and the endotriviality of V_1 at
 p = 5 (type [2] at every point, so not endotrivial), written when the
-test began to require N mod p in {1, p - 1}; a change that means to
-alter a report rewrites its file and says why.  A request runs with ``--seed 0``
-unless it names its own seed."""
+test began to require N mod p in {1, p - 1}, and the rank-3 subquotient
+with distinct twists O(3) + O(0) + O(-2), whose dual sources start in
+different degrees, written before the dual count moved onto the kernels'
+sliding echelon.  A change that means to alter a report rewrites its file
+and says why.  A request runs with ``--seed 0`` unless it names its own
+seed."""
 
 import os
 
@@ -66,6 +69,8 @@ REQUESTS = {
         "analyze --group ga1xga1 --p 3 --builtin random:4 --op subquotient --j 2",
     "ga1xga1-random3-subquotient-rank0-torsion":
         "analyze --group ga1xga1 --p 3 --builtin random:3 --op subquotient --j 1 --seed 1",
+    "ga1xga1-random9-subquotient-mixed-twists":
+        "analyze --group ga1xga1 --p 5 --builtin random:9 --op subquotient --j 2",
     "reproduce-rho-kappa-p3": "reproduce rho-kappa --p 3",
     "reproduce-ext-prod-p3": "reproduce ext-prod --p 3",
     "reproduce-twist-p2": "reproduce twist --p 2",

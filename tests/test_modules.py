@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import jordanbundles.modules as modules
 from jordanbundles.bundles import kernel_graded, restrict_p1, splitting_type
+import jordanbundles.field as field
 from jordanbundles.field import (
+    EngineInvariantError,
     Field,
     commutant_basis,
     ext_field_build,
@@ -26,6 +28,7 @@ from jordanbundles.field import (
     prime_field,
     random_invertible,
     rank,
+    reduce_vector,
     row_reduce,
     span_basis,
     transpose,
@@ -513,6 +516,46 @@ def test_restrict_subspace_closed():
     assert r.dim == rep.dim
     with pytest.raises(ValueError, match="not in span"):
         restrict_subspace(rep, whole[:2])
+
+
+def _off_block(fld, rows):
+    """The span of ``rows`` with its first row swapped for the first unit
+    vector outside it: as large, but in general no longer invariant."""
+    basis, pivots = row_reduce(fld, rows)
+    n = len(rows[0])
+    i = next(i for i in range(n) if any(reduce_vector(fld, basis, pivots, identity(fld, n)[i])))
+    return [identity(fld, n)[i]] + [list(r) for r in rows[1:]]
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_non_invariant_fitting_subspace_is_an_engine_fault(side, monkeypatch):
+    # the kernel and image of (c - lam)^n are invariant for c in End(M); a
+    # split that finds one not invariant is an engine fault, while
+    # restrict_subspace keeps its ValueError for a caller's subspace
+    real = modules._fitting
+
+    def fitting(fld, c):
+        got = real(fld, c)
+        if isinstance(got, tuple):
+            got = list(got)
+            got[side] = _off_block(fld, got[side])
+            got = tuple(got)
+        return got
+
+    monkeypatch.setattr(modules, "_fitting", fitting)
+    rep = direct_sum(construct_weyl_sl2(1, 3), construct_weyl_sl2(2, 3))
+    what = ["Fitting kernel", "Fitting image"][side]
+    with pytest.raises(EngineInvariantError, match=what + " is not invariant"):
+        decompose_summands(rep, rng=random.Random(1))
+
+
+def test_singular_eigenbasis_is_an_engine_fault(monkeypatch):
+    # eigenvectors of distinct eigenvalues are independent, so a singular
+    # eigenbasis is an engine fault, not inverse's ValueError
+    fld = prime_field(3)
+    monkeypatch.setattr(field, "_eigenbasis", lambda fld, a: ([[1, 0], [1, 0]], [1, 1]))
+    with pytest.raises(EngineInvariantError, match="eigenvectors do not form a basis"):
+        commutant_basis(fld, [[[0, 0], [0, 1]]], 2)
 
 
 @pytest.mark.parametrize("family", ["multi_additive", "additive_kernel", "u_sl2"])

@@ -22,7 +22,6 @@ from jordanbundles.modules import (
     construct_syzygy_E2,
     construct_weyl_sl2,
     construct_zigzag,
-    dual_module,
     frobenius_twist_gar,
     gln_natural,
     gln_tensor_power,
@@ -60,7 +59,6 @@ from jordanbundles.schemes import (
     p1_chart,
     restricted_lie,
     restricted_lie_sl2,
-    sl2_height2,
     sl2_lie_data,
 )
 

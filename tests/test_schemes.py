@@ -16,7 +16,6 @@ from jordanbundles.field import (
 )
 from jordanbundles.polyring import poly_eval, substitute
 from jordanbundles.schemes import (
-    GroupSchemeDesc,
     LieData,
     additive_kernel,
     conic_chart_sl2,
@@ -24,7 +23,6 @@ from jordanbundles.schemes import (
     enumerate_points,
     frobenius_point_map,
     generator_names,
-    generic_p_power,
     gln_height2,
     multi_additive,
     orbit,
