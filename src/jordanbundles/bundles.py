@@ -378,15 +378,15 @@ def _subquotient_presentation(b: P1Matrix, j: int, kmat: PolyMatrix, kj: GradedS
                               q: int, imat: PolyMatrix) -> Presentation:
     """K_j / im B^q as coker phi: with generators k_i of K_j in degrees
     a_i, column c of B^q is sum_i k_i phi_ic, phi_ic of degree
-    E - a_i, E = q * entry_degree.  One ``solve`` per column in degree E,
-    where K_j has the shifts of the k_i as a basis.  phi^T sends source i,
-    in degree -a_i, to (phi_i1 ... phi_iN) in blocks of N."""
+    E - a_i, E = q * entry_degree.  One ``solve`` for all N columns in
+    degree E, where K_j has the shifts of the k_i as a basis.  phi^T
+    sends source i, in degree -a_i, to (phi_i1 ... phi_iN) in blocks of N."""
     fld, n = b.ring.fld, b.size
     E = q * b.entry_degree
     gens = _kernel_generators(b, j, kmat, kj.degrees)
     shifts = transpose([_shift(v, n, E - a - k, k) for a, v in gens for k in range(E - a + 1)])
-    sols = [solve(fld, shifts, col) for col in _toeplitz_columns(imat, n, E)]
-    if None in sols:
+    sols = solve(fld, shifts, _toeplitz_columns(imat, n, E))
+    if sols is None:
         raise EngineInvariantError("a column of B^%d lies outside ker(B^%d)" % (q, j))
     bases, off = [], 0
     for a, _ in gens:

@@ -21,10 +21,17 @@ big-int add w + (p - c) v with no carry between bytes, and one
 ``bytes.translate`` reduces every entry mod p.  Elimination switches to
 packed rows at the first pivot row dense enough for a measured rule (see
 ``row_reduce``); sparse systems, such as the commutant systems of the
-summand splitter, keep the per-entry update throughout.  The packed
-kernel's tables are two kinds of 256-byte ``translate`` table per prime,
-x -> x mod p and x -> x / c mod p, built on first use.  Extension fields
-and p >= 17 run the per-entry elimination only.
+summand splitter, keep the per-entry update throughout.  Reduction is
+delayed, after Dumas, Gautier & Pernet (ISSAC 2002): a byte holding an
+entry of at most p - 1 has headroom for h(p) = (255 - (p - 1)) // (p - 1)^2
+more terms (p - c) v, 254, 63, 15, 6, 2 and 1 for p = 2 ... 13, so in a
+system of 32 rows or more up to min(h(p), 16) packed pivot rows wait in a
+block and clear each other row at once, with one ``translate``.  A column
+with no pivot flushes the block, so that a rank-deficient system does not
+read every row through it in each later column.  The packed kernel's
+tables are 256-byte ``translate`` tables per prime, x -> x mod p and
+x -> x / c mod p, built on first use.  Extension fields and p >= 17 run
+the per-entry elimination only.
 
 ``power_ranks(fld, n, k)`` gives the rank sequence [rank n^0, ..., rank
 n^k] of a square matrix from iterated images, never forming a power: the
@@ -49,7 +56,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import partial
 from itertools import compress
 from math import isqrt
-from operator import itemgetter, mul as times
+from operator import getitem, itemgetter, mul as times
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Matrix = List[List[int]]
@@ -714,18 +721,54 @@ _PACKED_MAX_P = 13
 # systems of P_lambda at p = 11 never pack: their pivot rows stay under 80
 # nonzeros, and packing starts at 349.
 _PACKED_RATIO, _PACKED_OFFSET = 4, 64
-# p -> (x -> x mod p, [x -> x / c mod p for c in 0..p-1]), 256-byte tables
-# (the one for c = 0 is unused)
+# Blocks of packed pivot rows (see row_reduce), measured on Python 3.11,
+# against blocks of 16 over GF(2) and GF(3): dense 300 x 300 eliminations
+# took 1.9x with blocks of 4, 1.3-1.4x with 8, 1.1x with 12 and 0.86-1.03x
+# with 24-63; dense 120 x 250 and 60 x 60 ones 1.3-1.6x with 4, 1.0-1.05x
+# with 12 and 24 and 1.1-1.55x with 32-63, as keeping a block reduced costs
+# about d^2 / 2 row operations.  A flush gains on the rows outside the
+# block only: with blocks at every row count, 100-column systems over
+# GF(3) to GF(11) took 0.92-1.21x the per-pivot clearing at 16 rows,
+# 0.77-1.23x at 24, 0.70-0.95x at 32 and 0.59-0.93x at 48, and the
+# 19-39-row commutant systems of the summand splitter, whose blocks
+# pivotless columns cut short, 1.26x; so smaller systems keep it.
+_PACKED_DEPTH, _PACKED_BLOCK_ROWS = 16, 32
+# p -> (x -> x mod p, [x -> x / c mod p for c in 0..p-1], x -> -x mod p),
+# 256-byte translate tables (the one for c = 0 is unused) and p negatives
 _PACKED_TABLES: dict = {}
 
 
-def _packed_tables(p: int) -> Tuple[bytes, List[bytes]]:
+def _packed_tables(p: int) -> Tuple[bytes, List[bytes], bytes]:
     tables = _PACKED_TABLES.get(p)
     if tables is None:
         inverses = [0] + [pow(c, p - 2, p) for c in range(1, p)]
         tables = _PACKED_TABLES[p] = (bytes(x % p for x in range(256)),
-                                      [bytes(c * x % p for x in range(256)) for c in inverses])
+                                      [bytes(c * x % p for x in range(256)) for c in inverses],
+                                      bytes(-x % p for x in range(p)))
     return tables
+
+
+def _flush(work: list, block: List[int], ints: List[int], end: int, p: int, mod: bytes) -> list:
+    """``work`` with the pending block, the packed pivot rows
+    work[end - len(block):end] with pivot columns ``block`` and integers
+    ``ints``, cleared from every other row, each by the coefficients in its
+    own bytes."""
+    start = end - len(block)
+    ncols = len(work[start])
+    if len(block) == 1:
+        # as row_reduce clears by a pivot row when blocks hold one row
+        c, u, v = block[0], work[start], ints[0]
+        return [(int.from_bytes(wi, "big") + (p - wi[c]) * v).to_bytes(ncols, "big").translate(mod)
+                if wi[c] and wi is not u else wi for wi in work]
+    coeffs = itemgetter(*block)
+    # multiples[i][x] = (p - x) V_i for block row V_i, 0 for x = 0
+    multiples = [[0] + [(p - x) * v for x in range(1, p)] for v in ints]
+
+    def clear(rows: list) -> list:
+        return [sum(map(getitem, multiples, cs), int.from_bytes(wi, "big"))
+                .to_bytes(ncols, "big").translate(mod) if any(cs := coeffs(wi)) else wi
+                for wi in rows]
+    return clear(work[:start]) + work[start:end] + clear(work[end:])
 
 
 def row_reduce(fld: Field, a: Iterable[Sequence[int]]) -> Tuple[Matrix, List[int]]:
@@ -741,7 +784,18 @@ def row_reduce(fld: Field, a: Iterable[Sequence[int]]) -> Tuple[Matrix, List[int
     the pivot row becomes bytes, one entry per byte, is normalised by one
     ``bytes.translate``, and clears each row w with w[col] = c as
     (w + (p - c) v) mod p on their integers, after which w stays packed.
-    Before that, the per-entry update runs on lists."""
+    Before that, the per-entry update runs on lists.
+
+    With 32 rows or more, packed pivot rows v_1, v_2, ... wait in a block
+    of up to min(h(p), 16), h(p) the headroom of a byte (see the module
+    docstring): each is 1 at its own pivot c_i and 0 at the others'.  Every
+    other row w keeps its bytes from before the block, its entry at col
+    read as (w[col] + sum (p - w[c_i]) v_i[col]) mod p.  A new pivot row is
+    w + sum (p - w[c_i]) v_i, normalised by one ``translate``, and then
+    clears col from the earlier block rows.  A full block, or one pending
+    at a column with no pivot, is flushed: each other row w becomes
+    (w + sum (p - w[c_i]) v_i) mod p, one ``translate``.  The RREF is
+    canonical, so the output is the same as clearing pivot by pivot."""
     work: list = [list(row) for row in a]
     if not work:
         return [], []
@@ -753,26 +807,71 @@ def row_reduce(fld: Field, a: Iterable[Sequence[int]]) -> Tuple[Matrix, List[int
     if _PACKED_RATIO * ncols > ncols + _PACKED_OFFSET and fld.e == 1 and fld.p <= _PACKED_MAX_P:
         dense_at = (ncols + _PACKED_OFFSET) // _PACKED_RATIO
         p = fld.p
-        mod, divide = _packed_tables(p)
+        mod, divide, minus = _packed_tables(p)
+        headroom = (255 - (p - 1)) // (p - 1) ** 2  # h(p), see the module docstring
+        depth = min(headroom, _PACKED_DEPTH) if nrows >= _PACKED_BLOCK_ROWS else 1
+        ints: List[int] = []
+    # the pending block: the pivot columns and integers (ints) of the packed
+    # pivot rows work[r - len(block):r], each 1 at its own pivot and 0 at
+    # the others'; every other row still holds its bytes from before the
+    # block
+    block: List[int] = []
     pivots: List[int] = []
     r = 0
     for col in range(ncols):
         piv = None
-        for i in range(r, nrows):
-            if work[i][col]:
-                piv = i
-                break
+        # the block rows' entries x in col: until the block is flushed, a
+        # row w has (w[col] + sum (p - x) w[c]) mod p there
+        if block and any(xs := [u[col] for u in work[r - len(block):r]]):
+            entries = itemgetter(col, *block)
+            weights = [1, *map(minus.__getitem__, xs)]
+            for i in range(r, nrows):
+                ws = entries(work[i])
+                if any(ws):
+                    lead = sum(map(times, ws, weights)) % p
+                    if lead:
+                        piv = i
+                        break
+        else:
+            for i in range(r, nrows):
+                if work[i][col]:
+                    piv = i
+                    break
         if piv is None:
+            if block:
+                # later columns would pay for the pending block row by row
+                work, block, ints = _flush(work, block, ints, r, p, mod), [], []
             continue
         work[r], work[piv] = work[piv], work[r]
         prow = work[r]
         # prow is zero left of col, so ncols - count(0) is its support size
-        if dense_at < ncols and ncols - prow.count(0) > dense_at:
-            prow = work[r] = bytes(prow).translate(divide[prow[col]])
-            v = int.from_bytes(prow, "big")
-            work = [(int.from_bytes(wi, "big") + (p - wi[col]) * v).to_bytes(ncols, "big").translate(mod)
-                    if wi[col] and wi is not prow else wi for wi in work]
+        if dense_at < ncols and (dense_at < 0 or ncols - prow.count(0) > dense_at):
             dense_at = -1
+            pending = block and any(xs)
+            if block:
+                prow = sum(map(times, map(minus.__getitem__, map(prow.__getitem__, block)), ints),
+                           int.from_bytes(prow, "big")).to_bytes(ncols, "big")
+            if not pending:
+                lead = prow[col]
+            prow = work[r] = bytes(prow).translate(divide[lead])
+            v = int.from_bytes(prow, "big")
+            if depth == 1:
+                # no block: the pivot row clears the others at once
+                work = [(int.from_bytes(wi, "big") + (p - wi[col]) * v).to_bytes(ncols, "big")
+                        .translate(mod) if wi[col] and wi is not prow else wi for wi in work]
+            else:
+                if pending:
+                    # clear col from the earlier block rows
+                    start = r - len(block)
+                    for k, x in enumerate(xs):
+                        if x:
+                            u = work[start + k] = ((ints[k] + minus[x] * v).to_bytes(ncols, "big")
+                                                   .translate(mod))
+                            ints[k] = int.from_bytes(u, "big")
+                block.append(col)
+                ints.append(v)
+                if len(block) == depth:
+                    work, block, ints = _flush(work, block, ints, r + 1, p, mod), [], []
         else:
             targets = [wi for wi in work if wi[col] and wi is not prow]
             if targets or prow[col] != 1:
@@ -790,6 +889,9 @@ def row_reduce(fld: Field, a: Iterable[Sequence[int]]) -> Tuple[Matrix, List[int
         r += 1
         if r == nrows:
             break
+    if block:
+        # the rows from r on are zero, and are dropped
+        work = _flush(work[:r], block, ints, r, p, mod)
     if dense_at < 0:
         work = [row if type(row) is list else list(row) for row in work[:r]]
     return work[:r], pivots
@@ -922,17 +1024,21 @@ def in_span(fld: Field, vectors: Sequence[Vector], v: Vector) -> bool:
     return len(row_reduce(fld, base + [list(v)])[1]) == len(base)
 
 
-def solve(fld: Field, a: Matrix, b: Vector) -> Optional[Vector]:
-    """One solution of a x = b, or None."""
+def solve(fld: Field, a: Matrix, rhs: Sequence[Vector]) -> Optional[List[Vector]]:
+    """One solution x of a x = b for each right-hand side b in ``rhs``, its
+    free unknowns 0, or None when one of them has none: [a | b_1 ... b_k]
+    is reduced once, and a pivot among the b columns is such a b."""
     nc = len(a[0]) if a else 0
-    aug = [row + [bv] for row, bv in zip(a, b)]
-    rref, pivots = row_reduce(fld, aug)
-    if nc in pivots:
+    if not rhs:
+        return []
+    rref, pivots = row_reduce(fld, [row + list(bs) for row, bs in zip(a, zip(*rhs))])
+    if pivots and pivots[-1] >= nc:
         return None
-    x = [0] * nc
-    for i, pc in enumerate(pivots):
-        x[pc] = rref[i][nc]
-    return x
+    sols = [[0] * nc for _ in rhs]
+    for row, pc in zip(rref, pivots):
+        for x, y in zip(sols, row[nc:]):
+            x[pc] = y
+    return sols
 
 
 def inverse(fld: Field, a: Matrix) -> Matrix:

@@ -31,8 +31,8 @@ from .field import (
     is_zero_matrix,
     mat_combination,
     mat_mul,
-    mat_pow,
     mat_sub,
+    power_ranks,
     prime_field,
 )
 from .polyring import Poly, PolyMatrix, Substitution, WeightedRing, poly_eval
@@ -353,7 +353,7 @@ def validate_point(desc: GroupSchemeDesc, point: Sequence[int], fld: Optional[Fi
     a1 = [list(point[n * n + i * n:n * n + (i + 1) * n]) for i in range(n)]
     if not is_zero_matrix(mat_sub(fld, mat_mul(fld, a0, a1), mat_mul(fld, a1, a0))):
         return False
-    return all(is_zero_matrix(mat_pow(fld, m, p)) for m in (a0, a1))
+    return all(not power_ranks(fld, m, p)[p] for m in (a0, a1))
 
 
 def sl2_height2_check_disagreements(desc: GroupSchemeDesc, fld: Field) -> List[Point]:
@@ -369,8 +369,8 @@ def sl2_height2_check_disagreements(desc: GroupSchemeDesc, fld: Field) -> List[P
         m0 = _trace_free_matrix(fld, point[0], point[1], point[2])
         m1 = _trace_free_matrix(fld, point[3], point[4], point[5])
         naive_ok = (
-            is_zero_matrix(mat_pow(fld, m0, desc.p))
-            and is_zero_matrix(mat_pow(fld, m1, desc.p))
+            not power_ranks(fld, m0, desc.p)[desc.p]
+            and not power_ranks(fld, m1, desc.p)[desc.p]
             and is_zero_matrix(mat_sub(fld, mat_mul(fld, m0, m1), mat_mul(fld, m1, m0)))
         )
         if rel_ok != naive_ok:
@@ -467,7 +467,7 @@ def _gln_draws(desc: GroupSchemeDesc, fld: Field, rng) -> Iterator[Optional[Poin
     n, p = desc.n, desc.p
 
     def nilpotent(m: Matrix) -> bool:
-        return is_zero_matrix(mat_pow(fld, m, p))
+        return not power_ranks(fld, m, p)[p]
 
     while True:
         a0 = [[rng.randrange(fld.q) for _ in range(n)] for _ in range(n)]

@@ -846,7 +846,7 @@ def _frozen_subquotient_presentation(b, j, kmat, kj, q, imat):
     gens = bundles._kernel_generators(b, j, kmat, kj.degrees)
     shifts = transpose([bundles._shift(v, n, E - a - k, k)
                         for a, v in gens for k in range(E - a + 1)])
-    sols = [solve(fld, shifts, col) for col in bundles._toeplitz_columns(imat, n, E)]
+    sols = [solve(fld, shifts, [col])[0] for col in bundles._toeplitz_columns(imat, n, E)]
     phi, off = [], 0
     for a, _ in gens:
         width = max(0, E - a + 1)

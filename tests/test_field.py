@@ -177,9 +177,15 @@ def test_solve_and_inverse(data):
     a = _random_matrix(fld, n, n, rng)
     v = [rng.randrange(fld.q) for _ in range(n)]
     b = mat_vec(fld, a, v)
-    x = solve(fld, a, b)
-    assert x is not None
+    [x] = solve(fld, a, [b])
     assert mat_vec(fld, a, x) == b
+    # several right-hand sides at once: each the solution it has alone, or
+    # None when one of them (here c, unless rank [a | c] = rank a) has none
+    c = [rng.randrange(fld.q) for _ in range(n)]
+    alone = [solve(fld, a, [rhs]) for rhs in (b, c, b)]
+    assert (alone[1] is None) == (rank(fld, [row + [y] for row, y in zip(a, c)]) > rank(fld, a))
+    assert solve(fld, a, [b, c, b]) == (None if None in alone else [sol for sol, in alone])
+    assert solve(fld, a, []) == []
     if rank(fld, a) == n:
         ai = inverse(fld, a)
         assert mat_mul(fld, a, ai) == identity(fld, n)
@@ -333,7 +339,8 @@ def test_table_kernel_matches_field_methods(data):
     assert fld.frobenius(c, 2) == bare.frobenius(c, 2)
     sq = sparse(cols, cols)
     assert power_ranks(fld, sq, cols + 1) == power_ranks(bare, sq, cols + 1)
-    assert solve(fld, a, rhs) == solve(bare, a, rhs)
+    av = mat_vec(fld, a, v)
+    assert solve(fld, a, [av, rhs]) == solve(bare, a, [av, rhs])
     residual = reduce_vector(fld, red[0], red[1], v)
     assert residual == reduce_vector(bare, red[0], red[1], v)
     assert all(residual[pc] == 0 for pc in red[1])
@@ -494,7 +501,8 @@ def _frozen_kernel_basis(fld, rref, pivots, ncols):
     return basis
 
 
-PACKED_SHAPES = ["0xn", "1xn", "nx1", "zero-rows", "dense", "low-rank", "sparse", "commutant"]
+PACKED_SHAPES = ["0xn", "1xn", "nx1", "zero-rows", "dense", "low-rank", "sparse", "commutant",
+                 "wide", "rank-one", "pending"]
 
 
 def _packed_input(shape, p, rng):
@@ -504,6 +512,9 @@ def _packed_input(shape, p, rng):
 
     def rows(m, n, density):
         return [[entry(density) for _ in range(n)] for _ in range(m)]
+
+    def uniform(m, n):
+        return [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
 
     if shape == "0xn":
         return [], rng.randint(1, 20)
@@ -527,6 +538,35 @@ def _packed_input(shape, p, rng):
             acc = [0] * n
             for row in rng.sample(base, min(2, len(base))):
                 c = rng.randrange(p)
+                acc = [(x + c * y) % p for x, y in zip(acc, row)]
+            out.append(acc)
+        return out, n
+    # wide, rank-one and pending have at least 32 rows: smaller systems clear
+    # by each pivot row at once, with no block
+    if shape == "wide":
+        # 17 unit rows over p - 1 then a row of ones over p - 1: a flush of
+        # the most block rows the headroom allows takes its largest sums
+        # (p - 1) + depth (p - 1)^2 there; then dense rows, so that blocks
+        # of 16 flush at least twice
+        n = rng.randint(40, 250)
+        m = rng.randint(40, min(n, 120))
+        head = [[int(i == j) for j in range(17)] + [p - 1] * (n - 17) for i in range(17)]
+        return head + [[1] * 17 + [p - 1] * (n - 17)] + uniform(m - 18, n), n
+    if shape == "rank-one":
+        # every column after the first pivot is pivotless while its block
+        # is pending
+        n = rng.randint(30, 150)
+        return [row[:] for row in rows(1, n, 1.0) * rng.randint(32, 70)], n
+    if shape == "pending":
+        # a few dense rows and their combinations: entries as stored differ
+        # from those after the pending block's updates
+        n = rng.randint(30, 120)
+        base = uniform(rng.randint(2, 20), n)
+        out = []
+        for _ in range(rng.randint(32, 70)):
+            acc = [0] * n
+            for row in base:
+                c = rng.randrange(p) if rng.random() < 0.5 else 0
                 acc = [(x + c * y) % p for x, y in zip(acc, row)]
             out.append(acc)
         return out, n
