@@ -36,9 +36,10 @@ from .modules import (
     principal_indecomposable_sl2,
     random_module,
 )
-from .operators import ThetaMatrix, homogeneous_degree, local_jtype, theta_global
+from .operators import JordanType, ThetaMatrix, homogeneous_degree, local_jtype, theta_global
 from .polyring import Substitution
 from .schemes import (
+    Point,
     additive_kernel,
     frobenius_point_map,
     generator_names,
@@ -156,7 +157,9 @@ def twist(p: int, n_max: int, seed: int) -> Rows:
     seeded random modules over G_a(2) and G_a(3) at every nonzero F_{p^2}
     point.  Frobenius commutes with the weighted G_m action and both sides
     are constant on G_m-orbits, so each orbit is checked once, at its
-    representative, and counts for its q - 1 points."""
+    representative, and counts for its q - 1 points.  Frobenius sends many
+    representatives to one moved point, whose type is computed once per
+    twist; each side still comes from its own Theta."""
     fld2 = ext_field_build(p, 2)
     orbit_size = fld2.q - 1
     rng = random.Random(seed)
@@ -171,10 +174,13 @@ def twist(p: int, n_max: int, seed: int) -> Rows:
         for s in range(1, r):
             theta_s = theta_global(frobenius_twist_gar(rep, s))
             homogeneous_degree(theta_s)
+            moved_types: Dict[Point, JordanType] = {}
             for point in orbit_representatives(desc, fld2):
                 jt1 = local_jtype(theta_s, point, fld2)
                 moved = frobenius_point_map(desc, point, s, fld2)
-                jt2 = local_jtype(theta, moved, fld2)
+                jt2 = moved_types.get(moved)
+                if jt2 is None:
+                    jt2 = moved_types[moved] = local_jtype(theta, moved, fld2)
                 checked += orbit_size
                 if jt1 != jt2:
                     failures += orbit_size

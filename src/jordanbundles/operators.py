@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .field import (
@@ -180,9 +181,30 @@ class JordanType:
         return " + ".join(bits) if bits else "0"
 
 
+_JORDAN_TYPE_MEMO = 256
+
+
 def jordan_type(fld: Field, n: Matrix, p: int) -> JordanType:
     """Jordan type of a p-nilpotent matrix from the rank sequence of its
-    powers (``power_ranks``): a_i = r_{i-1} - 2 r_i + r_{i+1}."""
+    powers (``power_ranks``): a_i = r_{i-1} - 2 r_i + r_{i+1}.
+
+    Results are memoised by value, least recently used first out, keyed
+    by ``(fld, n as a tuple of row tuples, p)`` and bounded by
+    ``_JORDAN_TYPE_MEMO`` entries: a scan meets the same Theta(x) at many
+    points (the twist identity at p = 13 asks about 400 times per distinct
+    matrix).  Sharing is safe: a ``Field`` compares by (p, e, modulus), so
+    two fields never share an entry; the key is a copy, so a caller may
+    change ``n`` afterwards; ``JordanType`` is frozen; and a matrix that is
+    not p-nilpotent raises on every call, as exceptions are not stored.
+    The memo holds at most bound x N^2 matrix entries.  At N = 122, the
+    largest operator a scan of the checks or tests ranks (the fiber scan of
+    Omega^2 at p = 11), that is 256 x 14,884: about 3.8 million references,
+    or 30 MB."""
+    return _jordan_type_of(fld, tuple(map(tuple, n)), p)
+
+
+@lru_cache(maxsize=_JORDAN_TYPE_MEMO)
+def _jordan_type_of(fld: Field, n: Tuple[Tuple[int, ...], ...], p: int) -> JordanType:
     ranks = power_ranks(fld, n, p)
     if ranks[p]:
         raise ValueError("matrix is not p-nilpotent (p = %d)" % p)
@@ -221,13 +243,15 @@ def local_jtype(theta: ThetaMatrix, point: Sequence[int], fld: Optional[Field] =
 
 def mj_fiber_dim(fld: Field, n: Matrix, p: int, j: int) -> int:
     """dim ker(n^j) / im(n^(p-j)) for a p-nilpotent matrix (the image is
-    contained in the kernel, so this is a plain dimension difference):
-    (N - r_j) - r_(p-j) from the rank sequence of the powers."""
-    ranks = power_ranks(fld, n, p)
-    # the image lies in the kernel exactly when n^j n^(p-j) = n^p = 0
-    if ranks[p]:
-        raise ValueError("image not contained in kernel; matrix not p-nilpotent")
-    return (len(n) - ranks[j]) - ranks[p - j]
+    contained in the kernel, so this is a plain dimension difference),
+    read from the memoised ``jordan_type``: a block of size i adds
+    min(i, j) to dim ker n^j and max(0, i + j - p) to rank n^(p-j)."""
+    if not 0 <= j <= p:
+        raise ValueError("j must be between 0 and p = %d, got %d" % (p, j))
+    # the image lies in the kernel exactly when n^j n^(p-j) = n^p = 0,
+    # which jordan_type checks
+    jt = jordan_type(fld, n, p)
+    return sum((min(i, j) - max(0, i + j - p)) * a for i, a in enumerate(jt.counts, start=1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Global/local operators, Jordan types, and rank-constancy scanning."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jordanbundles import operators
 from jordanbundles.field import (
     Field,
     ext_field_build,
@@ -346,6 +348,9 @@ def test_jordan_type_matches_frozen_route_and_oracle(seed, pe, tables):
     fld = _jordan_field(p, e, tables)
     rng = random.Random(seed)
     n = random_nilpotent(fld, rng.randint(1, 7), p, rng)
+    # a bare field equals its tabled twin, so an entry from one would
+    # answer for the other
+    operators._jordan_type_of.cache_clear()
     jt = jordan_type(fld, n, p)
     assert jt == _frozen_jordan_type(fld, n, p)
     assert jt == jordan_type_chain_oracle(fld, n, p)
@@ -357,6 +362,8 @@ def test_jordan_type_matches_frozen_route_and_oracle(seed, pe, tables):
 def test_mj_fiber_dim_matches_frozen_formula(p, e, tables):
     fld = _jordan_field(p, e, tables)
     rng = random.Random(p * 10 + e)
+    # F9 and F9-bare draw the same matrices: rank them afresh on each
+    operators._jordan_type_of.cache_clear()
     for _ in range(25):
         n = random_nilpotent(fld, rng.randint(1, 8), p, rng)
         for j in range(p + 1):
@@ -372,6 +379,86 @@ def test_jordan_type_rejects_rank_settling_above_zero(tables):
             jordan_type(fld, n, 3)
         with pytest.raises(ValueError, match="not p-nilpotent"):
             mj_fiber_dim(fld, n, 3, 1)
+
+
+def test_mj_fiber_dim_rejects_j_outside_zero_to_p():
+    n = [[0, 1], [0, 0]]
+    for j in (-1, 4):
+        with pytest.raises(ValueError, match="j must be between 0 and p"):
+            mj_fiber_dim(prime_field(3), n, 3, j)
+
+
+# ---------------------------------------------------------------------------
+# the memo behind jordan_type
+
+
+def test_jordan_type_memo_keeps_fields_with_other_moduli_apart():
+    # N = [[0, A], [0, 0]] squares to 0 over any field, and its rank is that
+    # of A = [[g, 1], [1, 2g]], whose determinant 2g^2 - 1 vanishes when
+    # g^2 = -1 (modulus x^2 + 1) but is g + 1 when g^2 = -g - 2 (x^2 + x + 2)
+    n = [[0, 0, 3, 1], [0, 0, 1, 6], [0, 0, 0, 0], [0, 0, 0, 0]]
+    f1 = ext_field_build(3, 2)
+    f2 = Field(3, 2, (2, 1, 1))
+    assert f1.modulus == (1, 0, 1) and f1 != f2
+    operators._jordan_type_of.cache_clear()
+    for _ in range(2):
+        assert jordan_type(f1, n, 3) == JordanType(3, (2, 1, 0)) == _frozen_jordan_type(f1, n, 3)
+        assert jordan_type(f2, n, 3) == JordanType(3, (0, 2, 0)) == _frozen_jordan_type(f2, n, 3)
+    assert operators._jordan_type_of.cache_info().misses == 2
+
+
+def test_jordan_type_memo_keeps_no_reference_to_the_matrix():
+    fld = prime_field(3)
+    block = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    n = [row[:] for row in block]
+    assert jordan_type(fld, n, 3) == JordanType(3, (0, 0, 1))
+    for row in n:
+        row[:] = [0, 0, 0]
+    assert jordan_type(fld, n, 3) == JordanType(3, (3, 0, 0))
+    assert jordan_type(fld, block, 3) == JordanType(3, (0, 0, 1))
+
+
+def test_jordan_type_memo_stores_no_failure():
+    fld = prime_field(3)
+    n = [[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)]
+    operators._jordan_type_of.cache_clear()
+    for calls in range(1, 4):
+        with pytest.raises(ValueError, match="not p-nilpotent"):
+            jordan_type(fld, n, 3)
+        info = operators._jordan_type_of.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, calls, 0)
+
+
+def test_jordan_type_memo_stays_within_its_bound():
+    # more distinct strictly upper triangular 4 x 4 matrices over GF(5)
+    # than the memo holds
+    bound = operators._JORDAN_TYPE_MEMO
+    fld = prime_field(5)
+    for entries in itertools.islice(itertools.product(range(5), repeat=6), bound + 200):
+        it = iter(entries)
+        n = [[next(it) if j > i else 0 for j in range(4)] for i in range(4)]
+        jt = jordan_type(fld, n, 5)
+        assert jt == _frozen_jordan_type(fld, n, 5)
+    info = operators._jordan_type_of.cache_info()
+    assert info.maxsize == bound
+    assert info.currsize == bound
+
+
+@given(seed=st.integers(0, 10**6), pe=st.sampled_from(sorted(JORDAN_FIELDS)))
+@settings(max_examples=60, deadline=None)
+def test_warm_jordan_type_matches_frozen_route_and_oracle(seed, pe):
+    # a second call, and a call on an equal copy, are answered by the memo
+    p, e = pe
+    fld = JORDAN_FIELDS[p, e]
+    rng = random.Random(seed)
+    n = random_nilpotent(fld, rng.randint(1, 7), p, rng)
+    jordan_type(fld, n, p)
+    hits = operators._jordan_type_of.cache_info().hits
+    for m in (n, [list(row) for row in n]):
+        jt = jordan_type(fld, m, p)
+        assert jt == _frozen_jordan_type(fld, m, p)
+        assert jt == jordan_type_chain_oracle(fld, m, p)
+    assert operators._jordan_type_of.cache_info().hits == hits + 2
 
 
 def test_zigzag_local_jordan_type():
