@@ -191,7 +191,10 @@ class Field:
     ``modulus`` holds the coefficients of the modulus from the constant term
     up, including the leading 1; for e == 1 it is (0, 1), i.e. the polynomial
     g, which is never used.  The tables (see ``ext_field_build`` and
-    ``__post_init__``) do not take part in equality or hashing.
+    ``__post_init__``) do not take part in equality or hashing.  The order
+    ``q`` and the hash of (p, e, modulus) are computed once, at
+    construction: fields key every memo of evaluated matrices and Jordan
+    types, and ``q`` is read by every ``pow`` and point enumeration.
     """
 
     p: int
@@ -201,16 +204,19 @@ class Field:
     _inv_table: Optional[Tuple[int, ...]] = dc_field(default=None, repr=False, compare=False)
     _add_table: Optional[Table] = dc_field(default=None, repr=False, compare=False)
     _neg_table: Optional[Tuple[int, ...]] = dc_field(default=None, repr=False, compare=False)
+    q: int = dc_field(init=False, repr=False, compare=False)
+    _hash: int = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "q", self.p ** self.e)
+        object.__setattr__(self, "_hash", hash((self.p, self.e, self.modulus)))
         if not self._mul_table:
             tables = _computed_tables(self.p, self.e, self.modulus)
             for name, table in zip(("_mul_table", "_inv_table", "_add_table", "_neg_table"), tables):
                 object.__setattr__(self, name, table)
 
-    @property
-    def q(self) -> int:
-        return self.p ** self.e
+    def __hash__(self) -> int:
+        return self._hash
 
     def add(self, a: int, b: int) -> int:
         return self._add_table[a][b]

@@ -392,10 +392,11 @@ def enumerate_points(
         raise ValueError(
             "refusing to enumerate %d candidate points; use sample_points" % fld.q ** dim
         )
+    affine = desc.family in ("multi_additive", "additive_kernel")
     for point in itertools.product(range(fld.q), repeat=dim):
         if not include_zero and not any(point):
             continue
-        if validate_point(desc, point, fld):
+        if affine or validate_point(desc, point, fld):
             yield point
 
 
@@ -467,7 +468,11 @@ def _gln_draws(desc: GroupSchemeDesc, fld: Field, rng) -> Iterator[Optional[Poin
     n, p = desc.n, desc.p
 
     def nilpotent(m: Matrix) -> bool:
-        return not power_ranks(fld, m, p)[p]
+        # a nilpotent matrix has trace 0: most draws fail this first
+        trace = 0
+        for i in range(n):
+            trace = fld.add(trace, m[i][i])
+        return not trace and not power_ranks(fld, m, p)[p]
 
     while True:
         a0 = [[rng.randrange(fld.q) for _ in range(n)] for _ in range(n)]

@@ -294,10 +294,14 @@ def test_tuple_tables_only_up_to_512():
 
 
 def test_tables_do_not_change_equality():
-    fld = ext_field_build(3, 2)
-    bare = Field(fld.p, fld.e, fld.modulus)
-    assert type(fld._mul_table) is tuple and type(bare._mul_table) is not tuple
-    assert fld == bare and hash(fld) == hash(bare)
+    # nor the stored order and hash: a bare Field's match its tabled twin's
+    for p, e in [(2, 1), (3, 2), (5, 2), (7, 3)]:
+        fld = ext_field_build(p, e)
+        bare = Field(fld.p, fld.e, fld.modulus)
+        assert type(fld._mul_table) is tuple and type(bare._mul_table) is not tuple
+        assert fld == bare and hash(fld) == hash(bare)
+        assert fld.q == bare.q == p ** e
+        assert repr(fld) == repr(bare) == "Field(p=%d, e=%d, modulus=%r)" % (p, e, fld.modulus)
 
 
 DIFF_FIELDS = [prime_field(3), prime_field(5), ext_field_build(3, 2),

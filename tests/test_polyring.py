@@ -1,11 +1,13 @@
 """Weighted graded polynomial rings, substitution, and generic rank."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jordanbundles.field import ext_field_build, prime_field, rank
+from jordanbundles import polyring
+from jordanbundles.field import Field, ext_field_build, prime_field, rank
 from jordanbundles.polyring import (
     Poly,
     PolyMatrix,
@@ -164,12 +166,14 @@ def test_polymatrix_power_and_substitute():
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_evaluate_matches_entrywise_poly_eval(data):
-    # the coefficient form Theta = sum_m A_m x^m against one poly_eval per
-    # entry: prime-field matrices at prime and extension points, extension
-    # matrices at their own points, with coordinates that are often zero
+    # the coefficient form Theta = sum_m A_m x^m, memoised by projection,
+    # against one poly_eval per entry: prime-field matrices at prime and
+    # extension points, extension matrices at their own points, and GF(5^4)
+    # on computed tables, at points whose coordinates are often zero and
+    # often repeat, so that the memo answers some of the calls
     p = data.draw(st.sampled_from([2, 3, 5]), label="p")
-    ring_e = data.draw(st.sampled_from([1, 2]), label="ring degree")
-    point_e = data.draw(st.sampled_from([ring_e, 2]), label="point degree")
+    ring_e = data.draw(st.sampled_from([1, 2] + [4] * (p == 5)), label="ring degree")
+    point_e = data.draw(st.sampled_from([ring_e, max(ring_e, 2)]), label="point degree")
     ring_fld = ext_field_build(p, ring_e)
     fld = ext_field_build(p, point_e)
     nvars = data.draw(st.integers(1, 3), label="nvars")
@@ -179,13 +183,68 @@ def test_evaluate_matches_entrywise_poly_eval(data):
     nrows, ncols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     mat = PolyMatrix(ring, [[_random_poly(ring, rng, nterms=4, maxexp=6) for _ in range(ncols)]
                             for _ in range(nrows)])
-    point = tuple(data.draw(st.one_of(st.just(0), st.integers(0, fld.q - 1)))
-                  for _ in range(nvars))
-    expected = [[poly_eval(a, point, fld) for a in r] for r in mat.rows]
-    assert mat.evaluate(point, fld) == expected
-    assert mat.evaluate(point, fld) == expected  # the kept form gives it again
-    if point_e == ring_e:
-        assert mat.evaluate(point) == expected
+    coord = st.one_of(st.just(0), st.just(1), st.integers(0, fld.q - 1))
+    points = data.draw(st.lists(st.tuples(*[coord] * nvars), min_size=1, max_size=8), label="points")
+    for point in points + points[::-1]:
+        expected = [[poly_eval(a, point, fld) for a in r] for r in mat.rows]
+        assert mat.evaluate(point, fld) == expected
+        if point_e == ring_e:
+            assert mat.evaluate(point) == expected
+
+
+def test_evaluate_memo_keys_the_field():
+    # a prime-field matrix at one integer point over GF(3) and GF(9) stores
+    # two entries; over two GF(9)s with different moduli g = 3 squares to
+    # different elements, and each field keeps its own entry
+    ring = WeightedRing(F3, ("x",), (1,))
+    x = ring.var(0)
+    mat = PolyMatrix(ring, [[x * x, x], [ring.zero(), x + ring.const(1)]])
+    assert mat.evaluate((2,), F3) == mat.evaluate((2,), F9) == [[1, 2], [0, 0]]
+    assert sorted(str(fld) for fld, _ in mat._memo) == ["GF(3)", "GF(3^2)"]
+    other = Field(3, 2, (2, 1, 1))
+    assert other.q == F9.q and other.modulus != F9.modulus
+    for _ in range(2):
+        for fld in (F9, other):
+            assert mat.evaluate((3,), fld) == [[poly_eval(a, (3,), fld) for a in r] for r in mat.rows]
+    assert mat.evaluate((3,), F9)[0][0] != mat.evaluate((3,), other)[0][0]
+
+
+def test_evaluate_returns_a_fresh_matrix():
+    ring = WeightedRing(F5, ("x", "y"), (1, 1))
+    x, y = ring.var(0), ring.var(1)
+    mat = PolyMatrix(ring, [[x, y], [x * y, ring.const(1)]])
+    first = mat.evaluate((2, 3))
+    first[0][0] = 4
+    first[1].append(0)
+    assert mat.evaluate((2, 3)) == [[2, 3], [1, 1]]
+
+
+def test_evaluate_memo_reads_only_the_coordinates_in_the_matrix():
+    # the matrix reads x and z: points that differ only in y share an entry
+    ring = WeightedRing(F5, ("x", "y", "z"), (1, 1, 1))
+    x, z = ring.var(0), ring.var(2)
+    mat = PolyMatrix(ring, [[x, z ** 2], [x * z, ring.zero()]])
+    for y in range(5):
+        assert mat.evaluate((2, y, 3)) == [[2, 4], [1, 0]]
+    assert list(mat._memo) == [(F5, (2, 3))]
+
+
+def test_evaluate_memo_stays_within_its_budget(monkeypatch):
+    # 2 x 3 matrices under a budget of 40 elements hold at most 6 entries;
+    # points past the budget are evaluated afresh and still correct
+    monkeypatch.setattr(polyring, "_EVALUATE_MEMO", 40)
+    ring = WeightedRing(F9, ("x", "y"), (1, 1))
+    rng = random.Random(7)
+    mat = PolyMatrix(ring, [[_random_poly(ring, rng) for _ in range(3)] for _ in range(2)])
+    for _ in range(2):
+        for point in itertools.product(range(0, 9, 2), repeat=2):
+            assert mat.evaluate(point) == [[poly_eval(a, point) for a in r] for r in mat.rows]
+            assert len(mat._memo) * 6 <= 40
+    assert len(mat._memo) == 6
+    # a matrix with more entries than the budget stores nothing
+    wide = PolyMatrix(ring, [[ring.var(0)] * 41])
+    assert wide.evaluate((1, 0)) == [[1] * 41]
+    assert not wide._memo
 
 
 def _triple_loop_product(x, y):
