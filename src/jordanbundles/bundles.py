@@ -131,12 +131,12 @@ def _toeplitz_columns(power: PolyMatrix, n: int, D: int) -> List[Vector]:
     """The n columns of sum_m A_m t^m for ``power`` (n x n, entries
     homogeneous of degree D), as component vectors of degree D: the
     coefficient of s^(D-m) t^m in entry (r, i) sits at m n + r of column
-    i.  A homogeneous entry has one term per exponent of t."""
+    i.  The coefficient matrix of s^(D-m) t^m fills block m."""
     cols = [[0] * (n * (D + 1)) for _ in range(n)]
-    for r, row in enumerate(power.rows):
-        for i, f in enumerate(row):
-            for e, c in f.terms.items():
-                cols[i][e[1] * n + r] = c
+    for e, entries in power.terms.items():
+        off = e[1] * n
+        for r, i, c in entries:
+            cols[i][off + r] = c
     return cols
 
 
@@ -180,11 +180,24 @@ class GradedSubmodule:
         return sum(max(0, d - g + 1) for g in self.degrees)
 
 
-def _point_rank(fld: Field, power: PolyMatrix) -> int:
+def _point_rank(fld: Field, power: PolyMatrix, j: int, p: int) -> int:
     """The largest rank of B^j = ``power`` at the points of P^1(F_q): at
-    most its generic rank."""
-    points = [(0, 1)] + [(1, t) for t in enumerate_elements(fld)]
-    return max(rank(fld, power.evaluate(pt)) for pt in points)
+    most its generic rank.  The scan stops at the first point that reaches
+    the largest j-rank of any p-nilpotent N x N matrix, a (p - j) +
+    max(0, b - j) for N = a p + b (its Jordan blocks have size <= p, and
+    b -> max(0, b - j) is convex): B^p = 0 on a chart of V(G), so neither
+    a point nor the generic rank can exceed it.  On a caller's chart that
+    leaves V(G) the stop may return less than the largest rank, which
+    Forney's bound catches as it catches any rank below the generic one.
+    Each point is met once, so it is evaluated outside the memo."""
+    a, b = divmod(power.nrows, p)
+    cap = a * max(0, p - j) + max(0, b - j)
+    best = 0
+    for pt in [(0, 1)] + [(1, t) for t in enumerate_elements(fld)]:
+        best = max(best, rank(fld, power.evaluate_once(pt)))
+        if best >= cap:
+            break
+    return best
 
 
 def _degree_ranks(fld: Field, bases: List[Vector], starts: List[int],
@@ -271,7 +284,7 @@ def _kernel_of_power(b: P1Matrix, j: int, power: PolyMatrix) -> GradedSubmodule:
     """``kernel_graded`` with B^j = ``power`` already formed."""
     fld, n, D = b.ring.fld, b.size, j * b.entry_degree
     h = _hilbert_function(fld, _toeplitz_columns(power, n, D), [0] * n, n)
-    for r in (_point_rank(fld, power), None):
+    for r in (_point_rank(fld, power, j, b.p), None):
         if r is None:
             r = generic_rank(power)
         target, bound = n - r, r * D

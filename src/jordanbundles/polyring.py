@@ -1,14 +1,23 @@
-"""Sparse multivariate polynomials over GF(p^e) with weighted gradings.
+"""Sparse multivariate polynomials over GF(p^e) with weighted gradings, and
+matrices of them.
 
 Monomials are exponent tuples; a polynomial is a dict from exponent tuple to
 a nonzero field element.  Lexicographic order on exponent tuples (first
 variable most significant) is used everywhere a monomial order is needed,
 in particular in the fraction-free rank computation.
+
+A polynomial matrix is held as its coefficient form sum_m A_m x^m: each
+monomial that occurs, with the sparse entries (i, j, c), c nonzero, of its
+coefficient matrix A_m.  Products, powers, substitutions and evaluations
+work on the form, so their cost is counted in nonzeros: a product costs,
+for each pair of monomials, the pairs of nonzero entries of the two
+coefficient matrices that meet.  A matrix is never written after
+construction; its dense grid of ``Poly`` entries (``rows``) is derived from
+the form on first read and kept.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -257,90 +266,145 @@ def monomial_basis(ring: WeightedRing, degree: int) -> List[Expo]:
 # polynomial matrices
 # ---------------------------------------------------------------------------
 
+# the coefficient form of a matrix: each monomial's exponent tuple to the
+# sparse entries (i, j, c), c nonzero, of its coefficient matrix
+Form = Dict[Expo, List[Tuple[int, int, int]]]
+
 
 class PolyMatrix:
-    """Dense matrix with Poly entries over a common ring.  A matrix is not
-    written to after construction: its coefficient form sum_m A_m x^m
-    (``coefficients``) is built from the entries on first use and kept."""
+    """An nrows x ncols matrix over a common ring, held as its coefficient
+    form sum_m A_m x^m: each monomial x^m that occurs, with the sparse
+    entries (i, j, c) of A_m, c nonzero (``terms``).  No monomial is stored
+    without an entry, so the zero matrix has no terms.  A product costs
+    the pairs of nonzero entries that meet, per pair of monomials, so on
+    the sparse operators of the paper it costs their nonzeros, not
+    nrows x ncols ``Poly`` entries.
 
-    __slots__ = ("ring", "rows", "_form", "_memo", "_reads")
+    A matrix is never written after construction.  Its dense ``rows``, one
+    ``Poly`` per entry, are derived from the form on first read and kept;
+    ``PolyMatrix(ring, rows)`` builds a matrix from them, and the form is
+    then derived from the rows on first use and kept.  So is the view that
+    ``evaluate`` reads (``coefficients``)."""
+
+    __slots__ = ("ring", "nrows", "ncols", "_terms", "_rows", "_form", "_memo", "_reads")
 
     def __init__(self, ring: WeightedRing, rows: Sequence[Sequence[Poly]]):
         self.ring = ring
-        self.rows = [list(r) for r in rows]
+        self._rows = [list(r) for r in rows]
+        self.nrows = len(self._rows)
+        self.ncols = len(self._rows[0]) if self._rows else 0
+        self._terms: Optional[Form] = None
         self._form = None
         self._memo = None
 
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
+    @classmethod
+    def _of(cls, ring: WeightedRing, nrows: int, ncols: int,
+            sums: Dict[Expo, Dict[int, int]]) -> "PolyMatrix":
+        """The matrix from its nonzero coefficients per monomial, keyed by
+        i ncols + j for entry (i, j); a monomial left without coefficients
+        is dropped."""
+        mat = cls.__new__(cls)
+        mat.ring, mat.nrows, mat.ncols = ring, nrows, ncols
+        mat._terms = {e: [divmod(k, ncols) + (c,) for k, c in d.items()]
+                      for e, d in sums.items() if d}
+        mat._rows = mat._form = mat._memo = None
+        return mat
 
     @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+    def terms(self) -> Form:
+        """The coefficient form: each monomial's exponent tuple to the
+        entries (i, j, c), c nonzero, of its coefficient matrix."""
+        if self._terms is None:
+            terms: Form = {}
+            for i, r in enumerate(self._rows):
+                for j, a in enumerate(r):
+                    for e, c in a.terms.items():
+                        if c:
+                            terms.setdefault(e, []).append((i, j, c))
+            self._terms = terms
+        return self._terms
+
+    @property
+    def rows(self) -> List[List[Poly]]:
+        """The dense grid of entries, derived from the form on first read."""
+        if self._rows is None:
+            acc: List[List[Dict[Expo, int]]] = [[{} for _ in range(self.ncols)]
+                                                for _ in range(self.nrows)]
+            for e, entries in self._terms.items():
+                for i, j, c in entries:
+                    acc[i][j][e] = c
+            self._rows = [[Poly(self.ring, d) for d in r] for r in acc]
+        return self._rows
 
     @classmethod
     def zero(cls, ring: WeightedRing, n: int, m: int) -> "PolyMatrix":
-        return cls(ring, [[ring.zero() for _ in range(m)] for _ in range(n)])
+        return cls._of(ring, n, m, {})
 
     @classmethod
     def identity(cls, ring: WeightedRing, n: int) -> "PolyMatrix":
-        rows = [[ring.const(1) if i == j else ring.zero() for j in range(n)] for i in range(n)]
-        return cls(ring, rows)
+        return cls._of(ring, n, n, {(0,) * ring.nvars: {i * n + i: 1 for i in range(n)}})
 
     @classmethod
     def from_terms(cls, ring: WeightedRing, nrows: int, ncols: int,
-                   terms: Iterable[Tuple[Iterable[Tuple[int, int, int]], Poly]]) -> "PolyMatrix":
+                   terms: Iterable[Tuple[Sequence[Tuple[int, int, int]], Poly]]) -> "PolyMatrix":
         """The sum of f A over pairs (entries, f) of the sparse entries
-        (i, j, c), c nonzero, of a constant matrix A and a Poly f, with one
-        term dict per output entry.  A term that cancels is deleted, as in
+        (i, j, c), c nonzero, of a constant matrix A and a Poly f, summed
+        per monomial of f.  A sum that cancels is deleted, as in
         ``__mul__``."""
         fld = ring.fld
-        acc: List[List[Dict[Expo, int]]] = [[{} for _ in range(ncols)] for _ in range(nrows)]
+        add, mul = fld._add_table, fld._mul_table
+        acc: Dict[Expo, Dict[int, int]] = {}
         for entries, f in terms:
-            for i, j, c in entries:
-                dij = acc[i][j]
-                for e, cf in f.terms.items():
-                    v = fld.add(dij.get(e, 0), fld.mul(c, cf))
+            for e, cf in f.terms.items():
+                d = acc.setdefault(e, {})
+                mc = mul[cf]
+                for i, j, c in entries:
+                    k = i * ncols + j
+                    v = add[d.get(k, 0)][mc[c]]
                     if v:
-                        dij[e] = v
+                        d[k] = v
                     else:
-                        del dij[e]
-        return cls(ring, [[Poly(ring, d) for d in row] for row in acc])
+                        del d[k]
+        return cls._of(ring, nrows, ncols, acc)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return PolyMatrix(
-            self.ring,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
+        ring = self.ring
+        return PolyMatrix.from_terms(ring, self.nrows, self.ncols, [
+            (entries, ring.monomial(e)) for mat in (self, other) for e, entries in mat.terms.items()])
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        """The product over nonzero entries only: the nonzero entries of
-        each row of ``other`` are listed once, and each term of an entry
-        a_it is multiplied into them, accumulating one term dict per output
-        entry (i, j).  A term that cancels is deleted: its product is
-        nonzero, so a zero sum means it was already there."""
+        """The product on the forms: A_a B_b x^(a+b) for each pair of
+        monomials a of ``self`` and b of ``other``, summed per monomial.
+        Each A_a B_b multiplies only the entries that meet: the entries of
+        each B_b are listed by row once, and entry (i, t) of A_a meets row
+        t of B_b.  A sum that cancels is deleted: its product is nonzero,
+        so a zero sum means it was already there."""
         fld = self.ring.fld
         add, mul = fld._add_table, fld._mul_table
-        nonzero = [[(j, b.terms.items()) for j, b in enumerate(r) if b.terms]
-                   for r in other.rows]
-        out = []
-        for row in self.rows:
-            acc: List[Dict[Expo, int]] = [{} for _ in range(other.ncols)]
-            for a, entries in zip(row, nonzero):
-                for e1, c1 in a.terms.items():
-                    mc = mul[c1]
-                    for j, terms in entries:
-                        dj = acc[j]
-                        for e2, c2 in terms:
-                            e = tuple(map(operator.add, e1, e2))
-                            c = add[dj.get(e, 0)][mc[c2]]
-                            if c:
-                                dj[e] = c
-                            else:
-                                del dj[e]
-            out.append([Poly(self.ring, dj) for dj in acc])
-        return PolyMatrix(self.ring, out)
+        ncols = other.ncols
+        right = []
+        for eb, entries in other.terms.items():
+            by_row: Dict[int, List[Tuple[int, int]]] = {}
+            for t, j, c in entries:
+                by_row.setdefault(t, []).append((j, c))
+            right.append((eb, by_row))
+        acc: Dict[Expo, Dict[int, int]] = {}
+        for ea, entries in self.terms.items():
+            for eb, by_row in right:
+                d = acc.setdefault(tuple(x + y for x, y in zip(ea, eb)), {})
+                for i, t, c1 in entries:
+                    row = by_row.get(t)
+                    if row is None:
+                        continue
+                    mc, base = mul[c1], i * ncols
+                    for j, c2 in row:
+                        k = base + j
+                        v = add[d.get(k, 0)][mc[c2]]
+                        if v:
+                            d[k] = v
+                        else:
+                            del d[k]
+        return PolyMatrix._of(self.ring, self.nrows, ncols, acc)
 
     def power(self, n: int) -> "PolyMatrix":
         if self.nrows != self.ncols:
@@ -358,38 +422,26 @@ class PolyMatrix:
         return PolyMatrix.identity(self.ring, self.nrows) if result is None else result
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for r in self.rows for a in r)
+        return not self.terms
 
     def entries_homogeneous_of_degree(self) -> Optional[int]:
         """If every nonzero entry is homogeneous of one common weighted
-        degree, return it; else None."""
-        degs = set()
-        for r in self.rows:
-            for a in r:
-                if a.is_zero():
-                    continue
-                d = a.homogeneous_degree()
-                if d is None:
-                    return None
-                degs.add(d)
+        degree, return it; else None.  That holds exactly when all the
+        monomials of the form have that degree; the zero matrix gives 0."""
+        degs = {self.ring.weighted_degree(e) for e in self.terms}
         if len(degs) > 1:
             return None
         return degs.pop() if degs else 0
 
     def coefficients(self) -> tuple:
-        """The matrix as sum_m A_m x^m: a list of (monomial, entries) with
-        the monomial as its (variable, exponent) pairs and the entries
-        (i, j, c) of A_m, one per nonzero coefficient, and the set of the
-        distinct (variable, exponent) pairs of the monomials."""
+        """The form as read by ``evaluate``: a list of (monomial, entries)
+        with the monomial as its (variable, exponent) pairs and the entries
+        (i, j, c) of A_m, and the set of the distinct (variable, exponent)
+        pairs of the monomials."""
         if self._form is None:
-            by_mono: Dict[Expo, List[Tuple[int, int, int]]] = {}
-            for i, r in enumerate(self.rows):
-                for j, a in enumerate(r):
-                    for e, c in a.terms.items():
-                        by_mono.setdefault(e, []).append((i, j, c))
             factors = set()
             form = []
-            for e, entries in by_mono.items():
+            for e, entries in self.terms.items():
                 mono = tuple((v, k) for v, k in enumerate(e) if k)
                 factors.update(mono)
                 form.append((mono, entries))
@@ -399,9 +451,7 @@ class PolyMatrix:
     def evaluate(self, point: Sequence[int], fld: Optional[Field] = None) -> Matrix:
         """The matrix at a point with coordinates in fld (defaults to the
         ring's field; a bigger field evaluates prime-field entries at
-        extension points): one ``Field.pow`` per distinct (variable,
-        exponent) pair, one value per distinct monomial, then one sparse
-        linear combination of the coefficient matrices.
+        extension points), by ``evaluate_once``.
 
         Results are memoised per matrix, keyed by ``(fld, the point's
         coordinates at the variables the matrix reads)``, the variables of
@@ -416,7 +466,8 @@ class PolyMatrix:
         times N x M stays within ``_EVALUATE_MEMO`` field elements, so a
         matrix holds at most about ``_EVALUATE_MEMO`` x 8 bytes of
         references (32 KB), and a matrix with more entries than that stores
-        nothing."""
+        nothing.  A scan that meets each point once calls ``evaluate_once``
+        and stores nothing."""
         if fld is None:
             fld = self.ring.fld
         memo = self._memo
@@ -427,10 +478,21 @@ class PolyMatrix:
         hit = memo.get(key)
         if hit is not None:
             return list(map(list, hit))
+        out = self.evaluate_once(point, fld)
+        if (len(memo) + 1) * self.nrows * self.ncols <= _EVALUATE_MEMO:
+            memo[key] = tuple(map(tuple, out))
+        return out
+
+    def evaluate_once(self, point: Sequence[int], fld: Optional[Field] = None) -> Matrix:
+        """The matrix at a point, as ``evaluate`` but with no memo: one
+        ``Field.pow`` per distinct (variable, exponent) pair, one value per
+        distinct monomial, then one sparse linear combination of the
+        coefficient matrices."""
+        if fld is None:
+            fld = self.ring.fld
         form, factors = self.coefficients()
         powers = {(v, k): fld.pow(point[v], k) for v, k in factors}
-        ncols = self.ncols
-        out = [[0] * ncols for _ in self.rows]
+        out = [[0] * self.ncols for _ in range(self.nrows)]
         mul = fld._mul_table
         for mono, entries in form:
             val = 1
@@ -438,8 +500,6 @@ class PolyMatrix:
                 val = mul[val][powers[vk]]
             if val:
                 add_scaled_entries(fld, out, val, entries)
-        if (len(memo) + 1) * len(out) * ncols <= _EVALUATE_MEMO:
-            memo[key] = tuple(map(tuple, out))
         return out
 
     def substitute(self, sub: Substitution) -> "PolyMatrix":

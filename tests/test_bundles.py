@@ -30,12 +30,14 @@ from jordanbundles.bundles import (
 from jordanbundles.field import (ext_field_build, kernel_basis, mat_mul, prime_field, rank,
                                  reduce_vector, row_reduce, solve, span_basis, transpose)
 from jordanbundles.modules import (
+    ModuleRep,
     construct_duals_example,
     construct_steinberg,
     construct_syzygy_E2,
     construct_weyl_sl2,
     construct_zigzag,
     dual_module,
+    external_product,
     free_module_E,
     gln_natural,
     principal_indecomposable_sl2,
@@ -587,7 +589,7 @@ def test_kernel_search_raises_past_forney_bound(monkeypatch):
     # generators than the kernel has; both counts must stop at the degree
     # bound, and the second stop raises
     b = restrict_p1(theta_global(construct_weyl_sl2(4, 3)))
-    monkeypatch.setattr(bundles, "_point_rank", lambda fld, power: 1)
+    monkeypatch.setattr(bundles, "_point_rank", lambda fld, power, j, p: 1)
     monkeypatch.setattr(bundles, "generic_rank", lambda mat: 1)
     with pytest.raises(EngineInvariantError, match="Forney"):
         kernel_graded(b, 1)
@@ -681,11 +683,10 @@ def test_degree_ranks_match_direct_elimination(data):
                                   for j in range(cols)] for i in range(rows)])
 
     if kind == "random":
-        mat = random_matrix(n, n, D)
+        rows = random_matrix(n, n, D).rows
         dead = [j for j in range(n) if rng.random() < 0.3]
-        for row in mat.rows:
-            for j in dead:
-                row[j] = ring.zero()
+        mat = PolyMatrix(ring, [[ring.zero() if j in dead else f for j, f in enumerate(r)]
+                                for r in rows])
     elif kind == "zero":
         mat = PolyMatrix.zero(ring, n, n)
     elif kind == "low rank":
@@ -1089,3 +1090,63 @@ def test_nonzero_p_th_power_is_an_engine_fault(monkeypatch):
     monkeypatch.setattr(PolyMatrix, "is_zero", lambda self: False)
     with pytest.raises(EngineInvariantError, match="not contained"):
         subquotient_mj(b, 1)
+
+
+def _graded_families():
+    """The inputs of the benchmark's ``graded`` workload, as (label, module):
+    Weyl modules, zig-zags and their duals, syzygies of k over (G_a)^2, and
+    pullbacks of external products along their first factor."""
+    out = [("weyl V%d p%d" % (m, p), construct_weyl_sl2(m, p))
+           for p in (3, 5) for m in range(2 * p - 1)]
+    for p in (3, 5):
+        for n in range(1, 5):
+            out.append(("zigzag X%d p%d" % (n, p), construct_zigzag(n, p)))
+            out.append(("zigzag dual X%d p%d" % (n, p), dual_module(construct_zigzag(n, p))))
+    out += [("Omega%d p%d" % (n, p), construct_syzygy_E2(n, p))
+            for p, ns in ((2, range(1, 5)), (3, range(1, 5)), (5, (3,))) for n in ns]
+    rng = random.Random(2026)
+    for p in (3, 5):
+        desc = multi_additive(p, 2)
+        zig = construct_zigzag(1, p)
+        pairs = [(zig, random_module(desc, 2, rng)),
+                 (random_module(desc, 3, rng), random_module(desc, 2, rng)),
+                 (random_module(desc, 2, rng), zig)]
+        for idx, (m1, m2) in enumerate(pairs):
+            prod = external_product(m1, m2)
+            pulled = ModuleRep(m1.desc, prod.fld, prod.dim, {"X_0": prod.action["X_0"],
+                                                              "X_1": prod.action["X_1"]})
+            out.append(("ext-prod pair%d p%d" % (idx, p), pulled))
+    return out
+
+
+def _frozen_toeplitz_columns(power, n, D):
+    """``_toeplitz_columns`` as it read the dense entries: the coefficient of
+    s^(D-m) t^m in entry (r, i) at m n + r of column i."""
+    cols = [[0] * (n * (D + 1)) for _ in range(n)]
+    for r, row in enumerate(power.rows):
+        for i, f in enumerate(row):
+            for e, c in f.terms.items():
+                cols[i][e[1] * n + r] = c
+    return cols
+
+
+def test_point_rank_stops_at_the_largest_rank_of_the_full_scan():
+    # the scan that stops at a(p - j) + max(0, b - j) returns the largest
+    # rank over all of P^1(F_p), for every power of every graded input;
+    # the Toeplitz columns read off the form equal those read off the
+    # dense entries
+    stopped = 0
+    for label, rep in _graded_families():
+        b = restrict_p1(theta_global(rep))
+        fld, n, p = b.ring.fld, b.size, b.p
+        points = [(0, 1)] + [(1, t) for t in range(p)]
+        for j in range(1, p + 1):
+            power = b.mat.power(j)
+            full = [rank(fld, power.evaluate_once(pt)) for pt in points]
+            assert bundles._point_rank(fld, power, j, p) == max(full), (label, j)
+            a, rest = divmod(n, p)
+            stopped += max(full) == a * (p - j) + max(0, rest - j)
+            D = j * b.entry_degree
+            assert bundles._toeplitz_columns(power, n, D) == _frozen_toeplitz_columns(power, n, D)
+    # the bound is reached often enough to matter
+    assert stopped > 100

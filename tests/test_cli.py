@@ -330,7 +330,7 @@ def test_engine_invariant_failure_exits_3(capsys, monkeypatch):
     # errors
     import jordanbundles.bundles as bundles
 
-    monkeypatch.setattr(bundles, "_point_rank", lambda fld, power: 0)
+    monkeypatch.setattr(bundles, "_point_rank", lambda fld, power, j, p: 0)
     monkeypatch.setattr(bundles, "generic_rank", lambda mat: 0)
     code, out, err = run_cli(
         ["analyze", "--group", "u_sl2", "--p", "3", "--builtin", "weyl:4",

@@ -340,3 +340,158 @@ def test_from_terms_cancels_and_skips_zero_polynomials():
     mat = PolyMatrix.from_terms(ring, 2, 3, [(a, x + y), (a, x.scale(2)), (a, ring.zero())])
     assert mat.rows == [[ring.zero(), y, ring.zero()], [y, ring.zero(), ring.zero()]]
     assert mat.coefficients()[0] == [(((1, 1),), [(0, 1, 1), (1, 0, 1)])]
+
+
+def _frozen_dense_product(x, y):
+    """The product as PolyMatrix computed it when it held a dense grid of
+    Poly entries: the nonzero entries of each row of ``y`` listed once,
+    each term of an entry x_it multiplied into them, one term dict per
+    output entry.  The reference for the product on coefficient forms."""
+    fld = x.ring.fld
+    nonzero = [[(j, b.terms.items()) for j, b in enumerate(r) if b.terms] for r in y.rows]
+    out = []
+    for row in x.rows:
+        acc = [{} for _ in range(y.ncols)]
+        for a, entries in zip(row, nonzero):
+            for e1, c1 in a.terms.items():
+                for j, terms in entries:
+                    dj = acc[j]
+                    for e2, c2 in terms:
+                        e = tuple(u + v for u, v in zip(e1, e2))
+                        c = fld.add(dj.get(e, 0), fld.mul(c1, c2))
+                        if c:
+                            dj[e] = c
+                        else:
+                            del dj[e]
+        out.append([Poly(x.ring, dj) for dj in acc])
+    return PolyMatrix(x.ring, out)
+
+
+def _gln_ring(fld, n=3):
+    """k[a0_ij, a1_ij] with weights 1 and p, as the gl_n height-2 rings:
+    18 variables at n = 3."""
+    names = tuple("a%d_%d%d" % (lvl, i, j) for lvl in (0, 1) for i in range(n) for j in range(n))
+    return WeightedRing(fld, names, (1,) * (n * n) + (fld.p,) * (n * n))
+
+
+def _assert_rows_are_the_form(mat):
+    """``rows`` holds exactly the entries of the form, and no zero
+    coefficient is stored in either."""
+    expected = [[{} for _ in range(mat.ncols)] for _ in range(mat.nrows)]
+    for e, entries in mat.terms.items():
+        assert entries
+        for i, j, c in entries:
+            assert c and e not in expected[i][j]
+            expected[i][j][e] = c
+    assert [[a.terms for a in r] for r in mat.rows] == expected
+    assert len(mat.rows) == mat.nrows and all(len(r) == mat.ncols for r in mat.rows)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_form_product_and_powers_match_the_dense_product(data):
+    # sparse matrices over GF(p), GF(p^2) and an 18-variable gl_3-style
+    # ring; entries are drawn from a small pool of polynomials and their
+    # negatives, so that sums of products cancel often
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    fld = data.draw(st.sampled_from([prime_field(p), ext_field_build(p, 2)]), label="field")
+    kind = data.draw(st.sampled_from(["s,t", "gl3"]), label="ring")
+    ring = WeightedRing(fld, ("s", "t"), (1, 1)) if kind == "s,t" else _gln_ring(fld)
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    pool = [_random_poly(ring, rng, nterms=2, maxexp=2) for _ in range(3)]
+    pool += [-f for f in pool] + [ring.var(rng.randrange(ring.nvars))]
+    density = data.draw(st.sampled_from([0.1, 0.3, 0.6]), label="density")
+
+    def random_matrix(n, m):
+        return PolyMatrix(ring, [[rng.choice(pool) if rng.random() < density else ring.zero()
+                                  for _ in range(m)] for _ in range(n)])
+
+    n, m, k = (data.draw(st.integers(1, 5)) for _ in range(3))
+    x, y = random_matrix(n, m), random_matrix(m, k)
+    prod = x * y
+    assert prod.rows == _frozen_dense_product(x, y).rows
+    _assert_rows_are_the_form(prod)
+    sq = random_matrix(n, n)
+    acc = PolyMatrix.identity(ring, n)
+    for e in range(p + 1):
+        got = sq.power(e)
+        assert got.rows == acc.rows
+        _assert_rows_are_the_form(got)
+        acc = _frozen_dense_product(acc, sq)
+
+
+def test_cancelled_products_store_no_terms():
+    # (g g) (f, -f)^T = 0 and the square of a nilpotent Jordan block of size
+    # 2 vanish: no entry and no monomial is kept
+    ring = WeightedRing(F3, ("x", "y"), (1, 1))
+    x, y = ring.var(0), ring.var(1)
+    f, g = x * y + y, x + ring.const(2)
+    prod = PolyMatrix(ring, [[g, g]]) * PolyMatrix(ring, [[f], [-f]])
+    assert prod.terms == {} and prod.is_zero() and prod.rows == [[ring.zero()]]
+    sq = PolyMatrix(ring, [[ring.zero(), f], [ring.zero(), ring.zero()]]).power(2)
+    assert sq.terms == {} and sq.is_zero()
+    half = PolyMatrix(ring, [[x, x]]) * PolyMatrix(ring, [[y + x], [y - x]])
+    assert half.terms == {(1, 1): [(0, 0, 2)]}
+    _assert_rows_are_the_form(half)
+
+
+def test_empty_and_zero_shapes():
+    ring = WeightedRing(F5, ("x", "y"), (1, 1))
+    zero = PolyMatrix.zero(ring, 2, 3)
+    assert (zero.nrows, zero.ncols) == (2, 3) and zero.is_zero() and zero.terms == {}
+    assert zero.rows == [[ring.zero()] * 3] * 2
+    assert zero.entries_homogeneous_of_degree() == 0
+    flat = PolyMatrix.zero(ring, 0, 4)
+    assert (flat.nrows, flat.ncols) == (0, 4) and flat.rows == [] and flat.is_zero()
+    none = PolyMatrix(ring, [])
+    assert (none.nrows, none.ncols) == (0, 0) and none.is_zero()
+    prod = PolyMatrix.zero(ring, 0, 1) * PolyMatrix(ring, [[ring.var(0), ring.zero()]])
+    assert (prod.nrows, prod.ncols) == (0, 2) and prod.is_zero()
+    empty = PolyMatrix.identity(ring, 0)
+    assert (empty.nrows, empty.ncols) == (0, 0) and empty.terms == {} and empty.rows == []
+    assert empty.power(0).terms == {} and empty.power(3).terms == {}
+    one = PolyMatrix.identity(ring, 3)
+    assert one.terms == {(0, 0): [(0, 0, 1), (1, 1, 1), (2, 2, 1)]}
+    assert one.rows == [[ring.one() if i == j else ring.zero() for j in range(3)] for i in range(3)]
+    assert PolyMatrix.identity(ring, 3).entries_homogeneous_of_degree() == 0
+
+
+def test_is_zero_and_homogeneous_degree_read_the_form():
+    ring = WeightedRing(F3, ("x0", "x1"), (1, 3))
+    x0, x1 = ring.var(0), ring.var(1)
+    z = ring.zero()
+    cases = [
+        ([[z, z], [z, z]], True, 0),
+        ([[x0 ** 3, z], [x1, x0 ** 3 + x1]], False, 3),   # weighted-homogeneous of degree 3
+        ([[x0, z], [z, x1]], False, None),                 # homogeneous entries, two degrees
+        ([[x0 + x1, z], [z, z]], False, None),             # one inhomogeneous entry
+        ([[ring.one(), z], [z, ring.const(2)]], False, 0),
+    ]
+    for rows, zero, degree in cases:
+        for mat in (PolyMatrix(ring, rows), PolyMatrix.from_terms(ring, 2, 2, [
+                ([(i, j, 1)], f) for i, r in enumerate(rows) for j, f in enumerate(r)])):
+            assert mat.is_zero() is zero
+            assert mat.entries_homogeneous_of_degree() == degree
+    # a sum that cancels leaves the zero matrix
+    mat = PolyMatrix(ring, [[x0, z]])
+    assert (mat + PolyMatrix(ring, [[-x0, z]])).is_zero()
+
+
+def test_from_terms_and_sum_keep_no_zero_coefficient():
+    ring = _gln_ring(F5)
+    rng = random.Random(3)
+    pool = [_random_poly(ring, rng, nterms=3, maxexp=2) for _ in range(4)]
+    terms = [([(rng.randrange(3), rng.randrange(3), rng.randrange(1, 5)) for _ in range(3)],
+              rng.choice(pool)) for _ in range(12)]
+    mat = PolyMatrix.from_terms(ring, 3, 3, terms)
+    _assert_rows_are_the_form(mat)
+    expected = [[ring.zero() for _ in range(3)] for _ in range(3)]
+    for entries, f in terms:
+        for i, j, c in entries:
+            expected[i][j] = expected[i][j] + f.scale(c)
+    assert mat.rows == expected
+    total = mat + PolyMatrix(ring, [[-a for a in r] for r in expected])
+    assert total.is_zero() and total.terms == {}
+    twice = mat + mat
+    _assert_rows_are_the_form(twice)
+    assert twice.rows == [[a + a for a in r] for r in expected]
