@@ -56,7 +56,6 @@ A failure of these facts in a computation is an engine fault and raises
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -65,6 +64,7 @@ from .field import (
     Echelon,
     Field,
     Vector,
+    _packs,
     enumerate_elements,
     kernel_basis,
     rank,
@@ -217,16 +217,17 @@ def _degree_ranks(fld: Field, bases: List[Vector], starts: List[int],
     cols = [[0] * (block * (top - a)) + v for a, v in zip(starts, bases)]
     width = max(map(len, cols))
     cols = [c + [0] * (width - len(c)) for c in cols]
+    if _packs(fld, width):
+        # every column enters every degree from top on: as bytes, a packed
+        # echelon reads it with no conversion
+        cols = [bytes(c) for c in cols]
     ech = Echelon(fld)
     finished = 0
     for d in count(min(starts)):
         for c in cols if d >= top else [c for a, c in zip(starts, cols) if a <= d]:
             ech.insert(c)
-        yield finished + len(ech.rows)
-        k = bisect_left(ech.pivots, block)
-        finished += k
-        ech.rows = [row[block:] + [0] * block for row in ech.rows[k:]]
-        ech.pivots = [pc - block for pc in ech.pivots[k:]]
+        yield finished + len(ech.pivots)
+        finished += ech.slide(block)
 
 
 def _hilbert_function(fld: Field, bases: List[Vector], starts: List[int],

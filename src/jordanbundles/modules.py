@@ -461,12 +461,20 @@ def regular_module_E(p: int, fld: Optional[Field] = None) -> ModuleRep:
 
 
 def free_module_E(p: int, ncopies: int, fld: Optional[Field] = None) -> ModuleRep:
+    """The free module kE^ncopies, ncopies >= 1: its action is block
+    diagonal, with the regular module's matrices down the diagonal."""
+    if ncopies < 1:
+        raise ValueError("ncopies must be >= 1")
     rep = regular_module_E(p, fld)
-    out = rep
-    for _ in range(ncopies - 1):
-        out = direct_sum(out, rep)
-    out.label = "kE^%d" % ncopies
-    return out
+    size, dim = rep.dim, rep.dim * ncopies
+    action = {}
+    for nm, m in rep.action.items():
+        out = zeros(dim, dim)
+        for k in range(0, dim, size):
+            for i, row in enumerate(m):
+                out[k + i][k:k + size] = row
+        action[nm] = out
+    return ModuleRep(rep.desc, rep.fld, dim, action, label="kE^%d" % ncopies)
 
 
 def construct_syzygy_E2(n: int, p: int, fld: Optional[Field] = None) -> ModuleRep:

@@ -651,11 +651,14 @@ def test_degree_ranks_match_direct_elimination(data):
     # Toeplitz columns of random P^1 matrices with zero columns, the zero
     # matrix, products through fewer columns and powers of strictly upper
     # triangular matrices, and on random maps whose sources start in
-    # different degrees, as the duals of subquotients do
+    # different degrees, as the duals of subquotients do; with n >= 8 the
+    # echelon is at least 16 columns wide, and packed over a prime field
     fld = data.draw(st.sampled_from([prime_field(3), prime_field(5), ext_field_build(3, 2)]),
                     label="field")
     D = data.draw(st.sampled_from([1, 2, 3]), label="D")
     n = data.draw(st.integers(1, 5), label="n")
+    if data.draw(st.booleans(), label="wide"):
+        n = data.draw(st.integers(8, 12), label="wide n")
     kind = data.draw(st.sampled_from(["random", "zero", "low rank", "power", "unequal starts"]),
                      label="kind")
     rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))

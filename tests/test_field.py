@@ -1,6 +1,7 @@
 """Exact finite-field arithmetic and dense linear algebra."""
 
 import random
+from bisect import bisect_left
 from itertools import compress
 
 import pytest
@@ -385,6 +386,95 @@ def test_echelon_insert_matches_in_span(data):
         assert all(row[pc] == 1 and not any(row[:pc]) for row, pc in zip(ech.rows, ech.pivots))
         assert len(ech.rows) == rank(fld, vectors[:k + 1])
     assert span_basis(fld, ech.rows) == span_basis(fld, vectors)
+
+
+class _FrozenEchelon:
+    """Frozen reference: the echelon on lists, with the slide that the
+    graded kernel count made on its rows and pivots, before rows were
+    packed."""
+
+    def __init__(self, fld):
+        self.fld, self.rows, self.pivots = fld, [], []
+
+    def insert(self, v):
+        fld = self.fld
+        w = reduce_vector(fld, self.rows, self.pivots, v)
+        pc = next(compress(range(len(w)), w), None)
+        if pc is None:
+            return None
+        if w[pc] != 1:
+            mc = fld._mul_table[fld.inv(w[pc])]
+            w = [mc[x] for x in w]
+        k = bisect_left(self.pivots, pc)
+        self.rows.insert(k, w)
+        self.pivots.insert(k, pc)
+        return pc
+
+    def slide(self, shift):
+        k = bisect_left(self.pivots, shift)
+        self.rows = [row[shift:] + [0] * shift for row in self.rows[k:]]
+        self.pivots = [pc - shift for pc in self.pivots[k:]]
+        return k
+
+
+PACKED_PRIMES = [prime_field(p) for p in (2, 3, 5, 7, 11, 13)]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_echelon_matches_frozen_list_echelon(data):
+    """Insert, rows, pivots and slide against the frozen list echelon over
+    GF(2) .. GF(13), at widths on both sides of the packing break-even
+    (16 columns), with zero vectors, combinations of earlier vectors,
+    vectors given as bytes, and inserts that clear more pivots than the
+    h(p) adds a byte has room for."""
+    fld = data.draw(st.sampled_from(PACKED_PRIMES), label="field")
+    p = fld.p
+    headroom = (255 - (p - 1)) // (p - 1) ** 2
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    kind = data.draw(st.sampled_from(["random", "past headroom"]), label="kind")
+
+    def sparse(width, density):
+        return [rng.randrange(1, p) if rng.random() < density else 0 for _ in range(width)]
+
+    if kind == "random":
+        width = data.draw(st.integers(1, 48), label="width")
+        vectors = []
+        for _ in range(data.draw(st.integers(1, 40), label="count")):
+            roll = rng.random()
+            if roll < 0.1:
+                vectors.append([0] * width)
+            elif roll < 0.35 and vectors:
+                # a combination of earlier vectors
+                coeffs = [rng.randrange(p) for _ in vectors]
+                vectors.append(mat_vec(fld, transpose(vectors), coeffs))
+            else:
+                vectors.append(sparse(width, rng.choice([0.1, 0.5, 1.0])))
+    else:
+        # rows e_i + tail, i < k, in shuffled order, then a vector nonzero
+        # at every e_i: its insert clears k > h(p) pivots in a row, and the
+        # tail bytes would pass 255 without a reduction between adds
+        k = headroom + 1 + rng.randrange(3)
+        width = k + rng.randrange(1, 9)
+        units = [[int(j == i) for j in range(k)] + sparse(width - k, 0.8) for i in range(k)]
+        rng.shuffle(units)
+        vectors = units + [sparse(k, 1.0) + sparse(width - k, 0.8), [0] * width]
+    ech, frozen = Echelon(fld), _FrozenEchelon(fld)
+
+    def insert_all(vs):
+        for v in vs:
+            given_v = bytes(v) if rng.random() < 0.5 else v
+            assert ech.insert(given_v) == frozen.insert(v)
+            assert ech.pivots == frozen.pivots
+        assert ech.rows == frozen.rows
+
+    insert_all(vectors)
+    for _ in range(2):
+        shift = rng.randrange(width + 3)
+        assert ech.slide(shift) == frozen.slide(shift)
+        assert ech.pivots == frozen.pivots
+        assert ech.rows == frozen.rows
+        insert_all([sparse(width, 0.5) for _ in range(rng.randrange(4))])
 
 
 # ---------------------------------------------------------------------------

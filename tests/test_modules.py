@@ -209,6 +209,22 @@ def test_free_module_dimensions():
     assert free_module_E(2, 3).dim == 12
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_free_module_matches_chained_direct_sums(p):
+    # frozen reference: the free module as n - 1 chained direct sums of
+    # the regular module, relabelled
+    for n in range(1, 5):
+        rep = regular_module_E(p)
+        chained = rep
+        for _ in range(n - 1):
+            chained = direct_sum(chained, rep)
+        free = free_module_E(p, n)
+        assert (free.desc, free.fld, free.dim, free.action, free.label) == (
+            chained.desc, chained.fld, chained.dim, chained.action, "kE^%d" % n)
+    with pytest.raises(ValueError):
+        free_module_E(p, 0)
+
+
 def test_dual_is_involution_and_reverses_action():
     rep = construct_zigzag(2, 3)
     d = dual_module(rep)
