@@ -36,7 +36,14 @@ from .modules import (
     principal_indecomposable_sl2,
     random_module,
 )
-from .operators import JordanType, ThetaMatrix, homogeneous_degree, local_jtype, theta_global
+from .operators import (
+    JordanType,
+    ThetaMatrix,
+    _on_variety,
+    homogeneous_degree,
+    jordan_type,
+    theta_global,
+)
 from .polyring import Substitution
 from .schemes import (
     Point,
@@ -159,7 +166,9 @@ def twist(p: int, n_max: int, seed: int) -> Rows:
     are constant on G_m-orbits, so each orbit is checked once, at its
     representative, and counts for its q - 1 points.  Frobenius sends many
     representatives to one moved point, whose type is computed once per
-    twist; each side still comes from its own Theta."""
+    twist; each side still comes from its own Theta.  The representatives
+    and their Frobenius images lie on V(G) by construction, so Theta is
+    evaluated there directly, with no check of the point."""
     fld2 = ext_field_build(p, 2)
     orbit_size = fld2.q - 1
     rng = random.Random(seed)
@@ -176,11 +185,12 @@ def twist(p: int, n_max: int, seed: int) -> Rows:
             homogeneous_degree(theta_s)
             moved_types: Dict[Point, JordanType] = {}
             for point in orbit_representatives(desc, fld2):
-                jt1 = local_jtype(theta_s, point, fld2)
+                jt1 = _on_variety(jordan_type, fld2, theta_s.mat.evaluate(point, fld2), p)
                 moved = frobenius_point_map(desc, point, s, fld2)
                 jt2 = moved_types.get(moved)
                 if jt2 is None:
-                    jt2 = moved_types[moved] = local_jtype(theta, moved, fld2)
+                    jt2 = moved_types[moved] = _on_variety(
+                        jordan_type, fld2, theta.mat.evaluate(moved, fld2), p)
                 checked += orbit_size
                 if jt1 != jt2:
                     failures += orbit_size

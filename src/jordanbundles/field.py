@@ -207,6 +207,7 @@ class Field:
     _neg_table: Optional[Tuple[int, ...]] = dc_field(default=None, repr=False, compare=False)
     q: int = dc_field(init=False, repr=False, compare=False)
     _hash: int = dc_field(init=False, repr=False, compare=False)
+    _frobenius: dict = dc_field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", self.p ** self.e)
@@ -248,7 +249,22 @@ class Field:
 
     def frobenius(self, a: int, s: int = 1) -> int:
         """a^(p^s)."""
-        return self.pow(a, self.p ** s) if a else 0
+        return self.frobenius_table(s)[a]
+
+    def frobenius_table(self, s: int):
+        """The table a -> a^(p^s), built at its first use and kept: a tuple
+        of q entries when the field's tables are built, computed entries
+        when they are computed, so nothing of size q is built past the
+        table limit."""
+        table = self._frobenius.get(s)
+        if table is None:
+            n = self.p ** s
+            if isinstance(self._mul_table, _Computed):
+                table = _Computed(lambda a: self.pow(a, n) if a else 0)
+            else:
+                table = tuple(self.pow(a, n) if a else 0 for a in range(self.q))
+            self._frobenius[s] = table
+        return table
 
     def __str__(self) -> str:
         if self.e == 1:

@@ -60,11 +60,16 @@ def _multinomial_mod(total: int, parts: Sequence[int], p: int) -> int:
     return num % p
 
 
-def _poly_kron(ring: WeightedRing, a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    zero = ring.zero()
-    rows = [[f * g if f.terms and g.terms else zero for f in ra for g in rb]
-            for ra in a.rows for rb in b.rows]
-    return PolyMatrix(ring, rows)
+def _kron_terms(ring: WeightedRing, a: PolyMatrix, b: PolyMatrix):
+    """The Kronecker product of a and b as ``PolyMatrix.from_terms`` reads
+    it: A_m (x) B_n at x^(m + n) for each pair of monomials m of a and n of
+    b, entry ((i, k), (j, l)) at row i b.nrows + k, column j b.ncols + l."""
+    mul = ring.fld._mul_table
+    bn, bm = b.nrows, b.ncols
+    for ea, left in a.terms.items():
+        for eb, right in b.terms.items():
+            yield ([(i * bn + k, j * bm + l, mul[c][d]) for i, j, c in left for k, l, d in right],
+                   ring.monomial(tuple(x + y for x, y in zip(ea, eb))))
 
 
 def theta_global(rep: ModuleRep) -> ThetaMatrix:
@@ -125,17 +130,14 @@ def theta_global(rep: ModuleRep) -> ThetaMatrix:
     for f in range(2, p):
         betas.append(betas[-1] * level(0, pow(f, p - 2, p)))
     betas.append(level(1))
-    # convolve tensor factors, tracking coefficients of T^0..T^p
+    # convolve tensor factors, tracking coefficients of T^0..T^p: the
+    # coefficient of T^m is the sum of conv[a] (x) beta_(m-a), on the forms
     conv: List[PolyMatrix] = [betas[m] for m in range(p + 1)]
     for _ in range(1, d):
-        new: List[PolyMatrix] = []
-        for m in range(p + 1):
-            acc = None
-            for a in range(m + 1):
-                term = _poly_kron(ring, conv[a], betas[m - a])
-                acc = term if acc is None else acc + term
-            new.append(acc)
-        conv = new
+        size = conv[0].nrows * nsize
+        conv = [PolyMatrix.from_terms(ring, size, size, [
+            t for a in range(m + 1) for t in _kron_terms(ring, conv[a], betas[m - a])])
+            for m in range(p + 1)]
     return ThetaMatrix(rep, ring, conv[p], p)
 
 

@@ -3,8 +3,12 @@ matrices of them.
 
 Monomials are exponent tuples; a polynomial is a dict from exponent tuple to
 a nonzero field element.  Lexicographic order on exponent tuples (first
-variable most significant) is used everywhere a monomial order is needed,
-in particular in the fraction-free rank computation.
+variable most significant) is used everywhere a monomial order is needed.
+
+``generic_rank`` is Bareiss's fraction-free elimination (Math. Comp. 22,
+1968) on a grid of such dicts: each update (pivot w_ij - w_ir w_rj) / prev
+is summed into one dict and divided in place by the one exact division
+(``_exact_divider``, behind ``exact_poly_div`` too); no ``Poly`` is built.
 
 A polynomial matrix is held as its coefficient form sum_m A_m x^m: each
 monomial that occurs, with the sparse entries (i, j, c), c nonzero, of its
@@ -19,6 +23,7 @@ the form on first read and kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add as plus, sub as minus
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .field import Field, Matrix, add_scaled_entries
@@ -68,9 +73,7 @@ class WeightedRing:
 
     def const(self, c: int) -> "Poly":
         c = self._coerce(c)
-        if c == 0:
-            return Poly(self, {})
-        return Poly(self, {(0,) * self.nvars: c})
+        return Poly(self, {(0,) * self.nvars: c} if c else {})
 
     def var(self, i) -> "Poly":
         if isinstance(i, str):
@@ -81,9 +84,7 @@ class WeightedRing:
 
     def monomial(self, expo: Sequence[int], coeff: int = 1) -> "Poly":
         c = self._coerce(coeff)
-        if c == 0:
-            return self.zero()
-        return Poly(self, {tuple(expo): c})
+        return Poly(self, {tuple(expo): c} if c else {})
 
     def weighted_degree(self, expo: Expo) -> int:
         return sum(w * e for w, e in zip(self.weights, expo))
@@ -140,9 +141,7 @@ class Poly:
 
     def scale(self, c: int) -> "Poly":
         fld = self.ring.fld
-        if c == 0:
-            return self.ring.zero()
-        return Poly(self.ring, {e: fld.mul(c, v) for e, v in self.terms.items()})
+        return Poly(self.ring, {e: fld.mul(c, v) for e, v in self.terms.items()} if c else {})
 
     def __pow__(self, n: int) -> "Poly":
         result = self.ring.one()
@@ -156,29 +155,14 @@ class Poly:
 
     # -- structure ------------------------------------------------------
 
-    def degree(self) -> int:
-        """Weighted degree (max over terms); -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(self.ring.weighted_degree(e) for e in self.terms)
-
     def homogeneous_degree(self) -> Optional[int]:
         """The common weighted degree of all terms, or None if inhomogeneous.
         The zero polynomial counts as homogeneous of every degree (-1)."""
-        degs = {self.ring.weighted_degree(e) for e in self.terms}
-        if not degs:
-            return -1
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        degs = {self.ring.weighted_degree(e) for e in self.terms} or {-1}
+        return degs.pop() if len(degs) == 1 else None
 
     def is_homogeneous(self) -> bool:
         return self.homogeneous_degree() is not None or self.is_zero()
-
-    def leading_term(self) -> Tuple[Expo, int]:
-        """Lex-leading term (largest exponent tuple)."""
-        e = max(self.terms)
-        return e, self.terms[e]
 
     def __str__(self) -> str:
         if not self.terms:
@@ -186,11 +170,8 @@ class Poly:
         bits = []
         for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
-            mono = "*".join(
-                "%s^%d" % (n, k) if k > 1 else n
-                for n, k in zip(self.ring.names, e)
-                if k
-            )
+            mono = "*".join("%s^%d" % (n, k) if k > 1 else n
+                            for n, k in zip(self.ring.names, e) if k)
             if not mono:
                 bits.append(str(c))
             elif c == 1:
@@ -293,9 +274,7 @@ class PolyMatrix:
         self._rows = [list(r) for r in rows]
         self.nrows = len(self._rows)
         self.ncols = len(self._rows[0]) if self._rows else 0
-        self._terms: Optional[Form] = None
-        self._form = None
-        self._memo = None
+        self._terms = self._form = self._memo = None
 
     @classmethod
     def _of(cls, ring: WeightedRing, nrows: int, ncols: int,
@@ -328,13 +307,17 @@ class PolyMatrix:
     def rows(self) -> List[List[Poly]]:
         """The dense grid of entries, derived from the form on first read."""
         if self._rows is None:
-            acc: List[List[Dict[Expo, int]]] = [[{} for _ in range(self.ncols)]
-                                                for _ in range(self.nrows)]
-            for e, entries in self._terms.items():
-                for i, j, c in entries:
-                    acc[i][j][e] = c
-            self._rows = [[Poly(self.ring, d) for d in r] for r in acc]
+            self._rows = [[Poly(self.ring, d) for d in r] for r in self._grid()]
         return self._rows
+
+    def _grid(self) -> List[List[Dict[Expo, int]]]:
+        """The entries as a new grid of dicts {exponent tuple: coefficient}."""
+        grid: List[List[Dict[Expo, int]]] = [[{} for _ in range(self.ncols)]
+                                             for _ in range(self.nrows)]
+        for e, entries in self.terms.items():
+            for i, j, c in entries:
+                grid[i][j][e] = c
+        return grid
 
     @classmethod
     def zero(cls, ring: WeightedRing, n: int, m: int) -> "PolyMatrix":
@@ -519,61 +502,78 @@ class PolyMatrix:
         return "\n".join("[" + ", ".join(str(a) for a in r) + "]" for r in self.rows)
 
 
+def _exact_divider(fld: Field, g: Dict[Expo, int]):
+    """Division by g, as a function that empties a term dict f and returns
+    f / g: g's lex-leading term is read once, and each step clears f's
+    leading term in place; a remainder raises ``ArithmeticError``."""
+    if not g:
+        raise ZeroDivisionError("division by the zero polynomial")
+    add, neg, mul = fld._add_table, fld._neg_table, fld._mul_table
+    lead = max(g)
+    inv_lead = fld.inv(g[lead])
+    rest = [(e, c) for e, c in g.items() if e != lead]
+
+    def divide(f: Dict[Expo, int]) -> Dict[Expo, int]:
+        quot: Dict[Expo, int] = {}
+        while f:
+            top = max(f)
+            d = tuple(map(minus, top, lead))
+            if min(d, default=0) < 0:
+                raise ArithmeticError("inexact polynomial division")
+            c = quot[d] = mul[f.pop(top)][inv_lead]
+            mc = mul[neg[c]]
+            for e, v in rest:
+                k = tuple(map(plus, d, e))
+                s = add[f.get(k, 0)][mc[v]]
+                if s:
+                    f[k] = s
+                else:
+                    del f[k]
+        return quot
+    return divide
+
+
 def exact_poly_div(f: Poly, g: Poly) -> Poly:
     """Quotient f/g assuming the division is exact; raises if it is not."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    ring = f.ring
-    fld = ring.fld
-    quot = ring.zero()
-    rem = f
-    ge, gc = g.leading_term()
-    gc_inv = fld.inv(gc)
-    while not rem.is_zero():
-        re, rc = rem.leading_term()
-        diff = tuple(a - b for a, b in zip(re, ge))
-        if any(d < 0 for d in diff):
-            raise ArithmeticError("inexact polynomial division")
-        t = ring.monomial(diff, fld.mul(rc, gc_inv))
-        quot = quot + t
-        rem = rem - t * g
-    return quot
+    return Poly(f.ring, _exact_divider(f.ring.fld, g.terms)(dict(f.terms)))
 
 
 def generic_rank(mat: PolyMatrix) -> int:
     """Rank of a polynomial matrix over the fraction field, by fraction-free
-    (Bareiss) elimination with exact polynomial division and full pivoting.
-    Pivots are chosen as the lex-least position with a nonzero entry."""
-    work = [[a for a in r] for r in mat.rows]
-    n = len(work)
-    m = len(work[0]) if work else 0
-    ring = mat.ring
-    prev = ring.one()
+    (Bareiss) elimination on its coefficient form (see the module notes)
+    with full pivoting: the pivot is the lex-least nonzero position."""
+    fld = mat.ring.fld
+    add, neg, mul = fld._add_table, fld._neg_table, fld._mul_table
+    n, m = mat.nrows, mat.ncols
+    work = mat._grid()
+    divide = None  # by the previous pivot; none before the first
     r = 0
     while r < min(n, m):
-        piv = None
-        for i in range(r, n):
-            for j in range(r, m):
-                if not work[i][j].is_zero():
-                    piv = (i, j)
-                    break
-            if piv:
-                break
+        piv = next(((i, j) for i in range(r, n) for j in range(r, m) if work[i][j]), None)
         if piv is None:
             break
         pi, pj = piv
-        if pi != r:
-            work[r], work[pi] = work[pi], work[r]
-        if pj != r:
-            for row in work:
-                row[r], row[pj] = row[pj], row[r]
-        pivot = work[r][r]
-        for i in range(r + 1, n):
+        work[r], work[pi] = work[pi], work[r]
+        for row in work:
+            row[r], row[pj] = row[pj], row[r]
+        top = work[r]
+        pivot = [(e, mul[c]) for e, c in top[r].items()]
+        for row in work[r + 1:]:
+            minus_ir = [(e, mul[neg[c]]) for e, c in row[r].items()]
             for j in range(r + 1, m):
-                num = pivot * work[i][j] - work[i][r] * work[r][j]
-                work[i][j] = exact_poly_div(num, prev)
-            work[i][r] = ring.zero()
-        prev = pivot
+                num: Dict[Expo, int] = {}
+                for left, right in ((pivot, row[j]), (minus_ir, top[j])):
+                    for e1, mc in left:
+                        for e2, c2 in right.items():
+                            k = tuple(map(plus, e1, e2))
+                            s = add[num.get(k, 0)][mc[c2]]
+                            if s:
+                                num[k] = s
+                            else:
+                                del num[k]
+                row[j] = divide(num) if divide else num
+            row[r] = {}
+        divide = _exact_divider(fld, top[r])
         r += 1
     return r
 

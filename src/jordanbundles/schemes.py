@@ -543,22 +543,19 @@ def frobenius_point_map(desc: GroupSchemeDesc, point: Sequence[int], s: int, fld
         raise ValueError("s must be >= 0")
     if s == 0:
         return point
+    frob = fld.frobenius_table(s)
     if desc.family in ("multi_additive", "additive_kernel"):
-        r = desc.r
-        out = [0] * r
-        for i in range(s, r):
-            out[i] = fld.frobenius(point[i - s], s)
-        return tuple(out)
+        return (0,) * min(s, desc.r) + tuple(map(frob.__getitem__, point[:max(desc.r - s, 0)]))
     if desc.family == "restricted_lie":
         return (0,) * len(point)
     if desc.family == "sl2_height2":
         if s >= 2:
             return (0,) * 6
-        return (0, 0, 0) + tuple(fld.frobenius(c, 1) for c in point[:3])
+        return (0, 0, 0) + tuple(map(frob.__getitem__, point[:3]))
     n2 = desc.n * desc.n
     if s >= 2:
         return (0,) * (2 * n2)
-    return (0,) * n2 + tuple(fld.frobenius(c, 1) for c in point[:n2])
+    return (0,) * n2 + tuple(map(frob.__getitem__, point[:n2]))
 
 
 # ---------------------------------------------------------------------------

@@ -723,14 +723,24 @@ def _frozen_matrix_times_poly(ring, m, f):
     return PolyMatrix(ring, [[f.scale(c) if c else ring.zero() for c in r] for r in m])
 
 
+def _frozen_poly_kron(ring, a, b):
+    """The Kronecker product as the gl_n convolution formed it, on the dense
+    grids: one ``Poly`` product per pair of entries."""
+    zero = ring.zero()
+    rows = [[f * g if f.terms and g.terms else zero for f in ra for g in rb]
+            for ra in a.rows for rb in b.rows]
+    return PolyMatrix(ring, rows)
+
+
 def _frozen_theta_global(rep):
     """The former builder: one dense n x n matrix per generator, added up
     with ``PolyMatrix.__add__``; its exponent tuples for G_a(r) come from a
-    recursion of its own.  The oracle for ``theta_global``."""
+    recursion of its own, and gl_n tensor powers convolve dense Kronecker
+    products.  The oracle for ``theta_global``."""
     import math
 
     from jordanbundles.modules import _divided_power_op
-    from jordanbundles.operators import _multinomial_mod, _poly_kron
+    from jordanbundles.operators import _multinomial_mod
     from jordanbundles.schemes import coord_ring
 
     desc, fld = rep.desc, rep.fld
@@ -790,9 +800,9 @@ def _frozen_theta_global(rep):
     for _ in range(1, rep.construction[1]):
         new = []
         for k in range(p + 1):
-            acc = _poly_kron(ring, conv[0], betas[k])
+            acc = _frozen_poly_kron(ring, conv[0], betas[k])
             for a in range(1, k + 1):
-                acc = acc + _poly_kron(ring, conv[a], betas[k - a])
+                acc = acc + _frozen_poly_kron(ring, conv[a], betas[k - a])
             new.append(acc)
         conv = new
     return conv[p]
@@ -820,6 +830,10 @@ THETA_FAMILIES = [
     ("GL3(2)-natural", lambda: gln_natural(2, 3)),
     ("GL2(2)-tensor", lambda: gln_tensor_power(3, 2, 2)),
     ("GL2(2)-tensor3", lambda: gln_tensor_power(5, 2, 3)),
+    ("GL2(2)-tensor3-p2", lambda: gln_tensor_power(2, 2, 3)),
+    ("GL3(2)-tensor-p2", lambda: gln_tensor_power(2, 3, 2)),
+    ("GL3(2)-tensor-p3", lambda: gln_tensor_power(3, 3, 2)),
+    ("GL2(2)-tensor-p5", lambda: gln_tensor_power(5, 2, 2)),
 ]
 
 

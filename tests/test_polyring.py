@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,6 +134,174 @@ def test_exact_poly_div_roundtrip():
         if g.is_zero():
             continue
         assert exact_poly_div(f * g, g) == f
+
+
+# ---------------------------------------------------------------------------
+# generic rank: Bareiss on the coefficient form against a frozen copy
+
+RANK_FIELDS = [prime_field(2), F3, F5, prime_field(13), F9, ext_field_build(5, 2)]
+
+
+def _frozen_exact_poly_div(f, g):
+    """Exact division as it was on ``Poly``: a new quotient, product and
+    remainder per leading-term step."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    ring, fld = f.ring, f.ring.fld
+    quot, rem = ring.zero(), f
+    ge = max(g.terms)
+    gc_inv = fld.inv(g.terms[ge])
+    while not rem.is_zero():
+        re = max(rem.terms)
+        diff = tuple(a - b for a, b in zip(re, ge))
+        if any(d < 0 for d in diff):
+            raise ArithmeticError("inexact polynomial division")
+        t = ring.monomial(diff, fld.mul(rem.terms[re], gc_inv))
+        quot = quot + t
+        rem = rem - t * g
+    return quot
+
+
+def _frozen_bareiss(mat):
+    """``generic_rank`` as it was on the dense grid of ``Poly`` entries, with
+    the same pivot rule; returns the rank and the pivots in order."""
+    work = [list(r) for r in mat.rows]
+    n, m = mat.nrows, mat.ncols
+    prev = mat.ring.one()
+    pivots = []
+    r = 0
+    while r < min(n, m):
+        piv = next(((i, j) for i in range(r, n) for j in range(r, m)
+                    if not work[i][j].is_zero()), None)
+        if piv is None:
+            break
+        pi, pj = piv
+        work[r], work[pi] = work[pi], work[r]
+        for row in work:
+            row[r], row[pj] = row[pj], row[r]
+        pivot = work[r][r]
+        for i in range(r + 1, n):
+            for j in range(r + 1, m):
+                num = pivot * work[i][j] - work[i][r] * work[r][j]
+                work[i][j] = _frozen_exact_poly_div(num, prev)
+            work[i][r] = mat.ring.zero()
+        pivots.append(pivot)
+        prev = pivot
+        r += 1
+    return r, pivots
+
+
+def _rank_ring(data):
+    fld = data.draw(st.sampled_from(RANK_FIELDS), label="field")
+    nvars = data.draw(st.sampled_from([1, 2, 3, 6]), label="nvars")
+    weights = tuple(data.draw(st.integers(1, 3), label="weight") for _ in range(nvars))
+    return WeightedRing(fld, tuple("x%d" % i for i in range(nvars)), weights)
+
+
+def _determinant(ring, rows):
+    det = ring.zero()
+    for perm in itertools.permutations(range(len(rows))):
+        term = ring.one()
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        det = det + (-term if inversions % 2 else term)
+    return det
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_generic_rank_matches_frozen_bareiss(data):
+    # random matrices up to 6 x 7, some rows combinations of the others;
+    # the rank, and every pivot the elimination divides by, are the frozen
+    # copy's, and the last pivot of a square matrix of full rank is its
+    # determinant up to the sign of the swaps
+    ring = _rank_ring(data)
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    # largest first: a draw leans to the first choice
+    n = data.draw(st.sampled_from(range(6, -1, -1)), label="n")
+    m = data.draw(st.sampled_from(range(7, -1, -1)), label="m")
+    density = data.draw(st.sampled_from([0.5, 0.8, 1.0]), label="density")
+    nterms = 2 if ring.nvars < 6 else 1
+
+    def term():
+        return ring.monomial([rng.randrange(2) for _ in range(ring.nvars)],
+                             rng.randrange(1, ring.fld.q))
+
+    def entry():
+        if rng.random() >= density:
+            return ring.zero()
+        return sum((term() for _ in range(nterms)), ring.zero())
+
+    extra = min(data.draw(st.sampled_from([0, 0, 1, 2]), label="combinations"), max(n - 1, 0))
+    rows = [[entry() for _ in range(m)] for _ in range(n - extra)]
+    for _ in range(extra):
+        combo = [ring.zero()] * m
+        for row in rows:
+            f = term()
+            combo = [a + f * b for a, b in zip(combo, row)]
+        rows.insert(rng.randint(0, len(rows)), combo)
+    if data.draw(st.booleans(), label="from the form"):
+        mat = PolyMatrix.from_terms(ring, n, m, [([(i, j, 1)], f) for i, r in enumerate(rows)
+                                                 for j, f in enumerate(r)])
+    else:
+        mat = PolyMatrix(ring, rows) if n else PolyMatrix.zero(ring, 0, m)
+    want, pivots = _frozen_bareiss(mat)
+    seen = []
+    real = polyring._exact_divider
+
+    def spy(fld, g):
+        seen.append(dict(g))
+        return real(fld, g)
+
+    with mock.patch.object(polyring, "_exact_divider", spy):
+        got = generic_rank(mat)
+    assert got == want
+    assert seen == [pv.terms for pv in pivots]
+    assert got <= min(n, m) and (extra == 0 or got < n)
+    if 0 < n == m == got <= 4:
+        det = _determinant(ring, rows)
+        assert Poly(ring, seen[-1]) in (det, -det)
+
+
+@pytest.mark.parametrize("n,m", [(0, 0), (0, 3), (3, 0), (1, 1)])
+def test_generic_rank_of_empty_and_zero_shapes(n, m):
+    ring = WeightedRing(F5, ("x", "y"), (1, 1))
+    assert generic_rank(PolyMatrix.zero(ring, n, m)) == 0
+    assert generic_rank(PolyMatrix(ring, [[ring.zero()] * m for _ in range(n)])) == 0
+    if n and m:
+        assert generic_rank(PolyMatrix(ring, [[ring.var(0)] * m for _ in range(n)])) == 1
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_exact_poly_div_inverts_multiplication(data):
+    ring = _rank_ring(data)
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    f = _random_poly(ring, rng, nterms=4, maxexp=3)
+    g = _random_poly(ring, rng, nterms=3, maxexp=3)
+    with pytest.raises(ZeroDivisionError):
+        exact_poly_div(f, ring.zero())
+    if g.is_zero():
+        return
+    assert exact_poly_div(f * g, g) == f == _frozen_exact_poly_div(f * g, g)
+    if g.homogeneous_degree() != 0:
+        # g divides f g + c only if it divides the constant c
+        c = ring.const(rng.randrange(1, ring.fld.q))
+        with pytest.raises(ArithmeticError, match="inexact"):
+            exact_poly_div(f * g + c, g)
+
+
+def test_exact_poly_div_raises_on_a_remainder():
+    ring = WeightedRing(F3, ("x", "y"), (1, 1))
+    x, y = ring.var(0), ring.var(1)
+    with pytest.raises(ArithmeticError, match="inexact"):
+        exact_poly_div(x * y + ring.one(), x)
+    with pytest.raises(ArithmeticError, match="inexact"):
+        exact_poly_div(y, x)
+    with pytest.raises(ZeroDivisionError):
+        exact_poly_div(x, ring.zero())
+    assert exact_poly_div(x * x - y * y, x + y) == x - y
 
 
 @given(seed=st.integers(0, 10**6))

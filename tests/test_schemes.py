@@ -161,6 +161,65 @@ def test_frobenius_point_map_shift_and_power():
     assert frobenius_point_map(desc, pt, 0, fld) == pt
 
 
+def _frozen_frobenius(fld, a, s):
+    """a^(p^s) by square-and-multiply on ``Field.mul``."""
+    result, n = 1, fld.p ** s
+    while n:
+        if n & 1:
+            result = fld.mul(result, a)
+        a = fld.mul(a, a)
+        n >>= 1
+    return result
+
+
+def _frozen_frobenius_point_map(desc, point, s, fld):
+    """``frobenius_point_map`` as it raised each coordinate by
+    square-and-multiply."""
+    point = tuple(point)
+    if s == 0:
+        return point
+    if desc.family in ("multi_additive", "additive_kernel"):
+        out = [0] * desc.r
+        for i in range(s, desc.r):
+            out[i] = _frozen_frobenius(fld, point[i - s], s)
+        return tuple(out)
+    if desc.family == "restricted_lie":
+        return (0,) * len(point)
+    if desc.family == "sl2_height2":
+        if s >= 2:
+            return (0,) * 6
+        return (0, 0, 0) + tuple(_frozen_frobenius(fld, c, 1) for c in point[:3])
+    n2 = desc.n * desc.n
+    if s >= 2:
+        return (0,) * (2 * n2)
+    return (0,) * n2 + tuple(_frozen_frobenius(fld, c, 1) for c in point[:n2])
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (3, 2), (5, 2), (7, 4)])
+def test_frobenius_point_map_matches_square_and_multiply(p, e):
+    # every family, s = 0..3, at random coordinates (the map is
+    # coordinatewise) and at 0, 1 and the largest element
+    fld = ext_field_build(p, e)
+    descs = [multi_additive(p, 1), multi_additive(p, 3), additive_kernel(p, 2),
+             additive_kernel(p, 3), restricted_lie_sl2(p), gln_height2(p, 2), gln_height2(p, 3)]
+    descs += [sl2_height2(p)] if p % 2 else []
+    rng = random.Random(p * 10 + e)
+    for desc in descs:
+        nvars = coord_ring(desc, fld)[0].nvars
+        points = [tuple(rng.randrange(fld.q) for _ in range(nvars)) for _ in range(20)]
+        points += [(c,) * nvars for c in (0, 1, fld.q - 1)]
+        for point in points:
+            for s in range(4):
+                assert frobenius_point_map(desc, point, s, fld) == \
+                    _frozen_frobenius_point_map(desc, point, s, fld), (desc, point, s)
+    for s in range(4):
+        table = fld.frobenius_table(s)
+        assert isinstance(table, tuple) == (fld.q <= 512)
+        assert fld.frobenius_table(s) is table
+        assert all(fld.frobenius(a, s) == table[a] == _frozen_frobenius(fld, a, s)
+                   for a in rng.sample(range(fld.q), min(fld.q, 200)))
+
+
 def test_conic_chart_kills_the_relation():
     for p in (3, 5):
         desc = restricted_lie_sl2(p)
