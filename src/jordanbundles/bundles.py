@@ -576,11 +576,12 @@ def _fiber_scan(theta: ThetaMatrix, max_ext: int) -> Dict[int, Tuple[Tuple[int, 
     """Fiber dimensions of ker/im at j = 1, the numbers of Jordan blocks of
     size < p, over the scanned points, each with the first point where it
     occurs."""
-    p = theta.desc.p
+    p, evaluate, points = theta.desc.p, theta.mat.evaluate, orbit_scan(theta, max_ext)
     fiber: Dict[int, Tuple[Tuple[int, ...], int]] = {}
-    for fld, point, _, _ in orbit_scan(theta, max_ext):
-        dim1 = _on_variety(mj_fiber_dim, fld, theta.mat.evaluate(point, fld), p, 1)
-        fiber.setdefault(dim1, (point, dim1))
+    with _on_variety():
+        for fld, point, _, _ in points:
+            dim1 = mj_fiber_dim(fld, evaluate(point, fld), p, 1)
+            fiber.setdefault(dim1, (point, dim1))
     return fiber
 
 

@@ -170,10 +170,8 @@ def twist(p: int, n_max: int, seed: int) -> Rows:
     and their Frobenius images lie on V(G) by construction, so Theta is
     evaluated there directly, with no check of the point."""
     fld2 = ext_field_build(p, 2)
-    orbit_size = fld2.q - 1
     rng = random.Random(seed)
-    checked = 0
-    failures = 0
+    checked = failures = 0  # in orbits
     for idx in range(50):
         r = 2 if idx % 2 == 0 else 3
         desc = additive_kernel(p, r)
@@ -183,18 +181,20 @@ def twist(p: int, n_max: int, seed: int) -> Rows:
         for s in range(1, r):
             theta_s = theta_global(frobenius_twist_gar(rep, s))
             homogeneous_degree(theta_s)
+            at_point, at_moved = theta_s.mat.evaluate, theta.mat.evaluate
             moved_types: Dict[Point, JordanType] = {}
-            for point in orbit_representatives(desc, fld2):
-                jt1 = _on_variety(jordan_type, fld2, theta_s.mat.evaluate(point, fld2), p)
-                moved = frobenius_point_map(desc, point, s, fld2)
-                jt2 = moved_types.get(moved)
-                if jt2 is None:
-                    jt2 = moved_types[moved] = _on_variety(
-                        jordan_type, fld2, theta.mat.evaluate(moved, fld2), p)
-                checked += orbit_size
-                if jt1 != jt2:
-                    failures += orbit_size
-    return [_row("twist identity failures (of %d checks)" % checked, 0, failures)]
+            with _on_variety():
+                for point in orbit_representatives(desc, fld2):
+                    jt1 = jordan_type(fld2, at_point(point, fld2), p)
+                    moved = frobenius_point_map(desc, point, s, fld2)
+                    jt2 = moved_types.get(moved)
+                    if jt2 is None:
+                        jt2 = moved_types[moved] = jordan_type(fld2, at_moved(moved, fld2), p)
+                    checked += 1
+                    failures += jt1 != jt2
+    orbit_size = fld2.q - 1
+    return [_row("twist identity failures (of %d checks)" % (checked * orbit_size), 0,
+                 failures * orbit_size)]
 
 
 def ext_prod(p: int, n_max: int, seed: int) -> Rows:

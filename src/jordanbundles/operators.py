@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .field import (
     EngineInvariantError,
@@ -154,36 +155,31 @@ def theta_local(theta: ThetaMatrix, point: Sequence[int], fld: Optional[Field] =
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JordanType:
+class JordanType(NamedTuple):
+    """``counts[i - 1]`` Jordan blocks of size i, i = 1..p.  It is the tuple
+    (p, counts), so it compares equal to the plain tuple ``(p, counts)``,
+    and equality, hashing and ``.counts`` run in C."""
+
     p: int
-    counts: Tuple[int, ...]  # counts[i-1] = number of blocks of size i, i = 1..p
+    counts: Tuple[int, ...]
 
     @property
     def dim(self) -> int:
         return sum(i * a for i, a in enumerate(self.counts, start=1))
 
     def partition(self) -> Tuple[int, ...]:
-        out: List[int] = []
-        for size in range(self.p, 0, -1):
-            out.extend([size] * self.counts[size - 1])
-        return tuple(out)
+        return tuple(size for size in range(self.p, 0, -1) for _ in range(self.counts[size - 1]))
 
     def block_count(self, size: int) -> int:
         return self.counts[size - 1]
 
     def __str__(self) -> str:
-        bits = []
-        for size in range(self.p, 0, -1):
-            a = self.counts[size - 1]
-            if a == 1:
-                bits.append("[%d]" % size)
-            elif a > 1:
-                bits.append("%d[%d]" % (a, size))
-        return " + ".join(bits) if bits else "0"
+        bits = ["%s[%d]" % (a if a > 1 else "", size)
+                for size, a in reversed(list(enumerate(self.counts, start=1))) if a]
+        return " + ".join(bits) or "0"
 
 
-_JORDAN_TYPE_MEMO = 256
+_JORDAN_TYPE_MEMO = 1024
 
 
 def jordan_type(fld: Field, n: Matrix, p: int) -> JordanType:
@@ -191,17 +187,18 @@ def jordan_type(fld: Field, n: Matrix, p: int) -> JordanType:
     powers (``power_ranks``): a_i = r_{i-1} - 2 r_i + r_{i+1}.
 
     Results are memoised by value, least recently used first out, keyed
-    by ``(fld, n as a tuple of row tuples, p)`` and bounded by
-    ``_JORDAN_TYPE_MEMO`` entries: a scan meets the same Theta(x) at many
-    points (the twist identity at p = 13 asks about 400 times per distinct
-    matrix).  Sharing is safe: a ``Field`` compares by (p, e, modulus), so
-    two fields never share an entry; the key is a copy, so a caller may
-    change ``n`` afterwards; ``JordanType`` is frozen; and a matrix that is
-    not p-nilpotent raises on every call, as exceptions are not stored.
-    The memo holds at most bound x N^2 matrix entries.  At N = 122, the
-    largest operator a scan of the checks or tests ranks (the fiber scan of
-    Omega^2 at p = 11), that is 256 x 14,884: about 3.8 million references,
-    or 30 MB."""
+    by ``(fld, n as a tuple of row tuples, p)``: a scan meets the same
+    Theta(x) at many points (twist at p = 13 asks about 400 times per
+    matrix).  A hit is the copy of ``n`` and one C ``lru_cache`` lookup.  A
+    caller cycling through more matrices than the bound misses every time,
+    so ``_JORDAN_TYPE_MEMO`` = 1024 lets callers that revisit a few hundred
+    small operators in turn keep hitting.  Sharing is safe: a
+    ``Field`` compares by (p, e, modulus), so two fields never share an
+    entry; the key is a copy; ``JordanType`` is a tuple; a matrix that is
+    not p-nilpotent raises on every call, as exceptions are not stored.  The
+    memo holds at most bound x N^2 entries: at N = 122 (the largest
+    operator the checks or tests scan, at most 134 times in the fiber scan
+    of Omega^2 at p = 11) that is 16 MB, and 120 MB at the bound."""
     return _jordan_type_of(fld, tuple(map(tuple, n)), p)
 
 
@@ -222,17 +219,16 @@ def jordan_type_chain_oracle(fld: Field, n: Matrix, p: int) -> JordanType:
     _, _, sizes = jordan_basis(fld, n)
     if sizes and sizes[0] > p:
         raise ValueError("matrix is not p-nilpotent (p = %d)" % p)
-    counts = [0] * p
-    for h in sizes:
-        counts[h - 1] += 1
-    return JordanType(p, tuple(counts))
+    return JordanType(p, tuple(map(sizes.count, range(1, p + 1))))
 
 
-def _on_variety(fn, fld: Field, local: Matrix, p: int, *args):
-    """``fn(fld, local, p, *args)`` on Theta(x) at a point x of V(G), where it
-    is p-nilpotent: a ``ValueError`` saying otherwise is an engine fault."""
+@contextmanager
+def _on_variety():
+    """Around a loop over Theta(x) at points x of V(G), where it is
+    p-nilpotent: a ``ValueError`` saying otherwise is an engine fault.  The
+    loop's points must come from an iterator that has checked its input."""
     try:
-        return fn(fld, local, p, *args)
+        yield
     except ValueError as exc:
         raise EngineInvariantError("local operator on V(G): %s" % exc) from exc
 
@@ -240,7 +236,9 @@ def _on_variety(fn, fld: Field, local: Matrix, p: int, *args):
 def local_jtype(theta: ThetaMatrix, point: Sequence[int], fld: Optional[Field] = None) -> JordanType:
     if fld is None:
         fld = theta.rep.fld
-    return _on_variety(jordan_type, fld, theta_local(theta, point, fld), theta.desc.p)
+    local = theta_local(theta, point, fld)
+    with _on_variety():
+        return jordan_type(fld, local, theta.desc.p)
 
 
 def mj_fiber_dim(fld: Field, n: Matrix, p: int, j: int) -> int:
@@ -298,10 +296,15 @@ def iter_scan_points(desc: GroupSchemeDesc, base: Field, max_ext: int,
     max_ext.  A field is scanned on P(G): one representative per G_m-orbit
     (``orbit_representatives``), weighing the q - 1 points of its orbit.
     When more than ``_SCAN_LIMIT`` representatives would be walked, a
-    seeded sample of ``_SAMPLE_COUNT`` points stands in, each weighing 1."""
+    seeded sample of ``_SAMPLE_COUNT`` points stands in, each weighing 1.
+    A bad ``max_ext`` raises here, before the first point is asked for."""
     if rng is None:
         rng = random.Random(0)
-    for fld in _scan_fields(base, max_ext):
+    return _scan(desc, _scan_fields(base, max_ext), rng)
+
+
+def _scan(desc: GroupSchemeDesc, fields: List[Field], rng: random.Random):
+    for fld in fields:
         if representative_count(desc, fld) <= _SCAN_LIMIT:
             for point in orbit_representatives(desc, fld):
                 yield fld, point, fld.q - 1, False
@@ -382,10 +385,10 @@ def jtype_scan(theta: ThetaMatrix, max_ext: int = 1,
                rng: Optional[random.Random] = None) -> Dict[JordanType, Point]:
     """Distinct local Jordan types with one witness point each."""
     seen: Dict[JordanType, Point] = {}
-    for fld, point, _, _ in orbit_scan(theta, max_ext, rng):
-        jt = _on_variety(jordan_type, fld, theta.mat.evaluate(point, fld), theta.desc.p)
-        if jt not in seen:
-            seen[jt] = point
+    p, evaluate, points = theta.desc.p, theta.mat.evaluate, orbit_scan(theta, max_ext, rng)
+    with _on_variety():
+        for fld, point, _, _ in points:
+            seen.setdefault(jordan_type(fld, evaluate(point, fld), p), point)
     return seen
 
 

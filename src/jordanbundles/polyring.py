@@ -23,7 +23,7 @@ the form on first read and kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add as plus, sub as minus
+from operator import add as plus, itemgetter, sub as minus
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .field import Field, Matrix, add_scaled_entries
@@ -438,26 +438,25 @@ class PolyMatrix:
 
         Results are memoised per matrix, keyed by ``(fld, the point's
         coordinates at the variables the matrix reads)``, the variables of
-        the pairs ``coefficients`` lists: Theta of a Frobenius twist reads
-        few coordinates, and Frobenius-moved points repeat, so a scan meets
-        the same projection many times.  Sharing is safe: the matrix is not
-        written to after construction, so the value depends on nothing
-        else; a ``Field`` compares by (p, e, modulus), so a prime field and
-        its extension, or two moduli of one order, never share an entry;
-        values are stored as tuples of rows and a hit returns a fresh list
-        of lists.  An entry is stored while the count of stored entries
-        times N x M stays within ``_EVALUATE_MEMO`` field elements, so a
-        matrix holds at most about ``_EVALUATE_MEMO`` x 8 bytes of
-        references (32 KB), and a matrix with more entries than that stores
-        nothing.  A scan that meets each point once calls ``evaluate_once``
-        and stores nothing."""
+        the pairs ``coefficients`` lists, taken by one ``itemgetter`` (a
+        scalar for one variable, () for none): Theta of a Frobenius twist
+        reads few coordinates, and moved points repeat.  Sharing is safe:
+        the matrix is not written to after construction; a ``Field``
+        compares by (p, e, modulus), so a prime field and its extension, or
+        two moduli of one order, never share an entry; values are stored as
+        tuples of rows and a hit returns a fresh list of lists.  An entry is
+        stored while the count of stored entries times N x M stays within
+        ``_EVALUATE_MEMO`` field elements (32 KB of references), so a matrix
+        with more entries than that stores nothing.  A scan that meets each
+        point once calls ``evaluate_once`` and stores nothing."""
         if fld is None:
             fld = self.ring.fld
         memo = self._memo
         if memo is None:
             memo = self._memo = {}
-            self._reads = tuple(sorted({v for v, _ in self.coefficients()[1]}))
-        key = (fld, tuple(map(point.__getitem__, self._reads)))
+            reads = sorted({v for v, _ in self.coefficients()[1]})
+            self._reads = itemgetter(*reads) if reads else lambda point: ()
+        key = (fld, self._reads(point))
         hit = memo.get(key)
         if hit is not None:
             return list(map(list, hit))

@@ -214,23 +214,12 @@ def coord_ring(desc: GroupSchemeDesc, fld: Optional[Field] = None) -> Tuple[Weig
     names = tuple("a%d_%d%d" % (lvl, i, j) for lvl in (0, 1) for i in range(n) for j in range(n))
     weights = (1,) * (n * n) + (p,) * (n * n)
     ring = WeightedRing(fld, names, weights)
-    rels: List[Poly] = []
     a0 = PolyMatrix(ring, [[ring.var(i * n + j) for j in range(n)] for i in range(n)])
     a1 = PolyMatrix(ring, [[ring.var(n * n + i * n + j) for j in range(n)] for i in range(n)])
-    comm = a0 * a1
-    anti = a1 * a0
-    for i in range(n):
-        for j in range(n):
-            f = comm.rows[i][j] - anti.rows[i][j]
-            if not f.is_zero():
-                rels.append(f)
-    for mat in (a0, a1):
-        powed = mat.power(p)
-        for i in range(n):
-            for j in range(n):
-                if not powed.rows[i][j].is_zero():
-                    rels.append(powed.rows[i][j])
-    return ring, rels
+    # the entries of [a0, a1], then of a0^p and of a1^p, row by row
+    comm = [x - y for cr, ar in zip((a0 * a1).rows, (a1 * a0).rows) for x, y in zip(cr, ar)]
+    powers = [f for mat in (a0, a1) for row in mat.power(p).rows for f in row]
+    return ring, [f for f in comm + powers if not f.is_zero()]
 
 
 def generic_p_power(lie: LieData, p: int, ring: WeightedRing) -> List[Poly]:
@@ -466,13 +455,23 @@ def _gln_draws(desc: GroupSchemeDesc, fld: Field, rng) -> Iterator[Optional[Poin
     among the combinations of a commutant basis of A_0 with A_1^p = 0.
     One random matrix per draw; None when a draw is rejected."""
     n, p = desc.n, desc.p
+    add, neg, mul = fld._add_table, fld._neg_table, fld._mul_table
+
+    def det2(a: int, b: int, c: int, d: int) -> int:
+        return add[mul[a][d]][neg[mul[b][c]]]
 
     def nilpotent(m: Matrix) -> bool:
-        # a nilpotent matrix has trace 0: most draws fail this first
-        trace = 0
-        for i in range(n):
-            trace = fld.add(trace, m[i][i])
-        return not trace and not power_ranks(fld, m, p)[p]
+        # A is nilpotent when its characteristic polynomial is x^n: its trace,
+        # sum of principal 2 x 2 minors and determinant vanish, tested in that
+        # order (most draws fail early).  Then A^p = 0 unless n > p
+        if n == 2:
+            (a, b), (c, d) = m
+            return not add[a][d] and not det2(a, b, c, d)
+        (a, b, c), (d, e, f), (g, h, i) = m
+        if add[add[a][e]][i] or add[add[det2(a, b, d, e)][det2(a, c, g, i)]][minor := det2(e, f, h, i)]:
+            return False
+        det = add[add[mul[a][minor]][mul[b][det2(f, d, i, g)]]][mul[c][det2(d, e, g, h)]]
+        return not det and (p > 2 or not power_ranks(fld, m, p)[p])
 
     while True:
         a0 = [[rng.randrange(fld.q) for _ in range(n)] for _ in range(n)]
@@ -535,27 +534,28 @@ def sample_points(desc: GroupSchemeDesc, fld: Field, count: int, rng) -> List[Po
 
 def frobenius_point_map(desc: GroupSchemeDesc, point: Sequence[int], s: int, fld: Optional[Field] = None) -> Point:
     """Image of a point of V(G) under the s-th power of Frobenius: shift the
-    coordinate blocks up by s heights and raise entries to the p^s."""
+    coordinate blocks up by s heights and raise entries to the p^s.  A block
+    is one coordinate in the additive families (tested first), half the
+    point at height 2 and the whole point for a restricted Lie algebra.  The
+    table a -> a^(p^s) is read with one dict ``get`` once built.  A point
+    whose length is not ``point_dim(desc)``, or s < 0, raises ValueError."""
+    if desc.family in ("multi_additive", "additive_kernel"):
+        dim, shift = desc.r, s
+    else:
+        dim = point_dim(desc)
+        shift = s * (dim if desc.family == "restricted_lie" else dim // 2)
+    if len(point) != dim:
+        raise ValueError("point has wrong length for %s" % desc.label())
+    if s <= 0:
+        if s:
+            raise ValueError("s must be >= 0")
+        return tuple(point)
+    if shift >= dim:
+        return (0,) * dim
     if fld is None:
         fld = prime_field(desc.p)
-    point = tuple(point)
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    if s == 0:
-        return point
-    frob = fld.frobenius_table(s)
-    if desc.family in ("multi_additive", "additive_kernel"):
-        return (0,) * min(s, desc.r) + tuple(map(frob.__getitem__, point[:max(desc.r - s, 0)]))
-    if desc.family == "restricted_lie":
-        return (0,) * len(point)
-    if desc.family == "sl2_height2":
-        if s >= 2:
-            return (0,) * 6
-        return (0, 0, 0) + tuple(map(frob.__getitem__, point[:3]))
-    n2 = desc.n * desc.n
-    if s >= 2:
-        return (0,) * (2 * n2)
-    return (0,) * n2 + tuple(map(frob.__getitem__, point[:n2]))
+    frob = fld._frobenius.get(s) or fld.frobenius_table(s)
+    return (0,) * shift + tuple(map(frob.__getitem__, point[:dim - shift]))
 
 
 # ---------------------------------------------------------------------------

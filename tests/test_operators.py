@@ -200,7 +200,8 @@ def test_jordan_type_str_and_partition():
     jt = JordanType(p=3, counts=(1, 2, 0))  # one [1], two [2]
     assert jt.partition() == (2, 2, 1)
     assert jt.dim == 5
-    assert "[2]" in str(jt)
+    assert str(jt) == "2[2] + [1]"
+    assert str(JordanType(3, (0, 0, 0))) == "0"
 
 
 @given(seed=st.integers(0, 10**6), p=st.sampled_from([2, 3, 5, 7]))
@@ -211,8 +212,14 @@ def test_jordan_oracle_agreement(seed, p):
     n = random_nilpotent(fld, rng.randint(1, 7), p, rng)
     a = jordan_type(fld, n, p)
     b = jordan_type_chain_oracle(fld, n, p)
-    assert a == b
-    assert a.dim == len(n)
+    assert a == b and hash(a) == hash(b)
+    assert (str(a), repr(a), a.partition()) == (str(b), repr(b), b.partition())
+    assert a.dim == b.dim == len(n) == sum(a.partition())
+    # a JordanType is the tuple (p, counts), and prints as the frozen
+    # dataclass it replaced did, so reports and digests built from its repr
+    # are unchanged
+    assert a == (p, a.counts) and hash(a) == hash((p, a.counts))
+    assert repr(a) == "JordanType(p=%d, counts=%r)" % (p, a.counts)
 
 
 @given(seed=st.integers(0, 10**6))
@@ -501,10 +508,14 @@ def test_syzygy_constant_jordan_type():
 def test_scans_reject_max_ext_below_1(max_ext):
     # a scan of no field would give a verdict on no points
     th = theta_global(construct_zigzag(1, 3))
-    with pytest.raises(ValueError, match="max_ext"):
-        constant_jrank_report(th, 1, max_ext=max_ext)
-    with pytest.raises(ValueError, match="max_ext"):
-        jtype_scan(th, max_ext=max_ext)
+    # (a ValueError, not an engine fault, from the scans that convert one)
+    from jordanbundles.bundles import endotrivial_test, projectivity_test
+
+    for scan in (lambda: constant_jrank_report(th, 1, max_ext=max_ext),
+                 lambda: jtype_scan(th, max_ext=max_ext),
+                 lambda: projectivity_test(th, max_ext), lambda: endotrivial_test(th, max_ext)):
+        with pytest.raises(ValueError, match="max_ext must be at least 1"):
+            scan()
 
 
 def test_scans_reject_max_ext_above_1_over_an_extension_field():
@@ -653,7 +664,7 @@ def test_orbit_scan_matches_affine_scan(label, max_ext, build):
     p = th.desc.p
     # the plain affine scan: every nonzero point of every field, in order
     affine = {}
-    first_jt, first_rank = {}, {}
+    first_jt, first_in, first_rank = {}, {}, {}
     flds = []
     for e in range(1, max_ext + 1):
         fld = ext_field_build(p, e)
@@ -663,6 +674,7 @@ def test_orbit_scan_matches_affine_scan(label, max_ext, build):
             jt = jordan_type(fld, m, p)
             affine[(e, pt)] = jt
             first_jt.setdefault(jt, pt)
+            first_in.setdefault(jt, fld)
             first_rank.setdefault(rank(fld, m), pt)
     # the orbit scan: one representative per orbit with its orbit size
     weight = 0
@@ -673,7 +685,13 @@ def test_orbit_scan_matches_affine_scan(label, max_ext, build):
             assert affine[(fld.e, q_pt)] == jt
         weight += size
     assert weight == len(affine)
-    assert jtype_scan(th, max_ext=max_ext) == first_jt
+    types = jtype_scan(th, max_ext=max_ext)
+    assert types == first_jt
+    # the scan's keys answer for the oracle's types and for plain tuples
+    for jt, pt in first_jt.items():
+        fld = first_in[jt]
+        oracle = jordan_type_chain_oracle(fld, th.mat.evaluate(pt, fld), p)
+        assert types[oracle] == types[(p, jt.counts)] == pt
     rpt = constant_jrank_report(th, 1, max_ext=max_ext)
     assert rpt.points_scanned == len(affine)
     assert rpt.ranks_seen == first_rank
@@ -902,17 +920,22 @@ def test_local_operator_faults_are_engine_faults(monkeypatch):
     # Theta(x) of a module is p-nilpotent at every point of V(G), so the
     # scans turn "not p-nilpotent" into EngineInvariantError; jordan_type
     # and mj_fiber_dim on a caller's matrix keep their ValueError
+    # (the twist check included); each scan enters the conversion once, and
+    # the message is the same from every route
+    import re
+
     from jordanbundles.bundles import projectivity_test
+    from jordanbundles.checks import twist
 
     theta = theta_global(construct_zigzag(1, 3))
     monkeypatch.setattr(PolyMatrix, "evaluate",
                         lambda self, point, fld=None: [[1 if i == j else 0 for j in range(self.ncols)]
                                                        for i in range(self.nrows)])
-    with pytest.raises(EngineInvariantError, match="not p-nilpotent"):
-        local_jtype(theta, (1, 0))
-    with pytest.raises(EngineInvariantError, match="not p-nilpotent"):
-        jtype_scan(theta)
-    with pytest.raises(EngineInvariantError, match="not p-nilpotent"):
-        projectivity_test(theta)
+    fault = re.escape("local operator on V(G): matrix is not p-nilpotent (p = 3)")
+    for scan in (lambda: local_jtype(theta, (1, 0)), lambda: jtype_scan(theta),
+                 lambda: projectivity_test(theta), lambda: twist(3, 1, 0)):
+        with pytest.raises(EngineInvariantError, match=fault) as info:
+            scan()
+        assert isinstance(info.value.__cause__, ValueError)
     with pytest.raises(ValueError, match="not p-nilpotent"):
         jordan_type(prime_field(3), [[1]], 3)

@@ -361,6 +361,82 @@ def test_evaluate_matches_entrywise_poly_eval(data):
             assert mat.evaluate(point) == expected
 
 
+def _frozen_evaluate(mat, point, fld, memo):
+    """``PolyMatrix.evaluate`` as it keyed its memo by the tuple of the
+    coordinates the matrix reads, taken by ``map(point.__getitem__, ...)``;
+    ``memo`` stands in for the matrix's own."""
+    reads = tuple(sorted({v for v, _ in mat.coefficients()[1]}))
+    key = (fld, tuple(map(point.__getitem__, reads)))
+    hit = memo.get(key)
+    if hit is not None:
+        return list(map(list, hit))
+    out = mat.evaluate_once(point, fld)
+    if (len(memo) + 1) * mat.nrows * mat.ncols <= polyring._EVALUATE_MEMO:
+        memo[key] = tuple(map(tuple, out))
+    return out
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_evaluate_matches_frozen_memo(data):
+    # matrices reading no coordinate (the memo key's projection is ()), one
+    # (itemgetter gives a scalar) or several, prime-field matrices at
+    # extension points, tuple and list points that repeat, budgets that
+    # fill, and callers that change the matrices they are handed: values,
+    # stored entries and their projections agree with the frozen memo
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    ring_e = data.draw(st.sampled_from([1, 2]), label="ring degree")
+    fld = ext_field_build(p, data.draw(st.sampled_from([ring_e, 2, 4]), label="point degree"))
+    nvars = data.draw(st.integers(1, 4), label="nvars")
+    ring = WeightedRing(ext_field_build(p, ring_e), tuple("x%d" % i for i in range(nvars)),
+                        (1,) * nvars)
+    used = data.draw(st.sets(st.integers(0, nvars - 1), max_size=min(nvars, 2)), label="reads")
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+
+    def entry():
+        # a random polynomial in the variables of ``used`` alone
+        f = _random_poly(ring, rng, nterms=3, maxexp=4)
+        return Poly(ring, {}) + Poly(ring, {e: c for e, c in f.terms.items()
+                                             if all(k == 0 or v in used for v, k in enumerate(e))})
+
+    nrows, ncols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    mat = PolyMatrix(ring, [[entry() for _ in range(ncols)] for _ in range(nrows)])
+    budget = data.draw(st.sampled_from([polyring._EVALUATE_MEMO, 20, 40]), label="budget")
+    coord = st.one_of(st.just(0), st.just(1), st.integers(0, fld.q - 1))
+    points = data.draw(st.lists(st.tuples(*[coord] * nvars), min_size=1, max_size=8), label="points")
+    reads = sorted({v for v, _ in mat.coefficients()[1]})
+    frozen = {}
+    with mock.patch.object(polyring, "_EVALUATE_MEMO", budget):
+        for point in points + [list(pt) for pt in points[::-1]]:
+            want = _frozen_evaluate(mat, point, fld, frozen)
+            got = mat.evaluate(point, fld)
+            assert got == want == [[poly_eval(a, point, fld) for a in r] for r in mat.rows]
+            got[0][0] = (got[0][0] + 1) % fld.q
+            got[-1].append(0)
+            stored = {(f, k if len(reads) != 1 else (k,)): v for (f, k), v in mat._memo.items()}
+            assert stored == frozen
+
+
+def test_evaluate_memo_on_matrices_reading_no_or_one_coordinate():
+    # a constant matrix has one entry per field, keyed by (); a matrix
+    # reading y alone is keyed by the scalar y; changing what evaluate
+    # returned changes neither
+    ring = WeightedRing(F5, ("x", "y"), (1, 1))
+    const = PolyMatrix(ring, [[ring.const(2), ring.zero()]])
+    one = PolyMatrix(ring, [[ring.var(1) ** 2, ring.const(1)]])
+    for _ in range(2):
+        for point in [(0, 3), [4, 3], (1, 2)]:
+            out = const.evaluate(point)
+            assert out == [[2, 0]]
+            out[0][0] = 1
+            out = one.evaluate(point)
+            assert out == [[point[1] ** 2 % 5, 1]]
+            out[0].append(9)
+    assert const.evaluate((0, 0), F9) == [[2, 0]]
+    assert list(const._memo) == [(F5, ()), (F9, ())]
+    assert sorted(one._memo) == [(F5, 2), (F5, 3)]
+
+
 def test_evaluate_memo_keys_the_field():
     # a prime-field matrix at one integer point over GF(3) and GF(9) stores
     # two entries; over two GF(9)s with different moduli g = 3 squares to

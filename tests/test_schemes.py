@@ -1,6 +1,7 @@
 """Group-scheme descriptors, coordinate rings, point sets, and charts."""
 
 import random
+import re
 
 import pytest
 
@@ -30,6 +31,7 @@ from jordanbundles.schemes import (
     orbit,
     orbit_representatives,
     p1_chart,
+    point_dim,
     representative_count,
     restricted_lie,
     restricted_lie_sl2,
@@ -218,6 +220,70 @@ def test_frobenius_point_map_matches_square_and_multiply(p, e):
         assert fld.frobenius_table(s) is table
         assert all(fld.frobenius(a, s) == table[a] == _frozen_frobenius(fld, a, s)
                    for a in rng.sample(range(fld.q), min(fld.q, 200)))
+
+
+def _frozen_table_frobenius_point_map(desc, point, s, fld):
+    """``frobenius_point_map`` as it read ``Field.frobenius_table`` on a
+    tuple copy of the point, cut to its block with ``min``/``max``."""
+    point = tuple(point)
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    if s == 0:
+        return point
+    frob = fld.frobenius_table(s)
+    if desc.family in ("multi_additive", "additive_kernel"):
+        return (0,) * min(s, desc.r) + tuple(map(frob.__getitem__, point[:max(desc.r - s, 0)]))
+    if desc.family == "restricted_lie":
+        return (0,) * len(point)
+    if desc.family == "sl2_height2":
+        if s >= 2:
+            return (0,) * 6
+        return (0, 0, 0) + tuple(map(frob.__getitem__, point[:3]))
+    n2 = desc.n * desc.n
+    if s >= 2:
+        return (0,) * (2 * n2)
+    return (0,) * n2 + tuple(map(frob.__getitem__, point[:n2]))
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 2), (5, 1), (5, 4)])
+def test_frobenius_point_map_matches_frozen_table_route(p, e):
+    # every family, s = 0 .. r + 1 (past the height, where the image is 0),
+    # tuple and list points, prime and extension fields (GF(5^4) on
+    # computed tables), and the prime field when no field is given
+    fld = ext_field_build(p, e)
+    descs = [multi_additive(p, 1), multi_additive(p, 3), additive_kernel(p, 1),
+             additive_kernel(p, 2), additive_kernel(p, 4), restricted_lie_sl2(p),
+             restricted_lie(p, sl2_lie_data()), gln_height2(p, 2), gln_height2(p, 3)]
+    descs += [sl2_height2(p)] if p % 2 else []
+    rng = random.Random(p * 10 + e)
+    for desc in descs:
+        dim = point_dim(desc)
+        points = [tuple(rng.randrange(fld.q) for _ in range(dim)) for _ in range(8)]
+        points += [(c,) * dim for c in (0, 1, fld.q - 1)]
+        for point in points:
+            for s in range(max(desc.r, 2) + 2):
+                want = _frozen_table_frobenius_point_map(desc, point, s, fld)
+                for pt in (point, list(point)):
+                    got = frobenius_point_map(desc, pt, s, fld)
+                    assert type(got) is tuple and got == want, (desc, point, s)
+                base = tuple(c % p for c in point)
+                assert frobenius_point_map(desc, base, s) == \
+                    _frozen_table_frobenius_point_map(desc, base, s, prime_field(p))
+            with pytest.raises(ValueError, match="s must be >= 0"):
+                frobenius_point_map(desc, point, -1, fld)
+
+
+def test_frobenius_point_map_rejects_a_point_of_the_wrong_length():
+    # a point one coordinate too long was cut to its block, and one too
+    # short gave a point of the wrong length
+    fld = ext_field_build(3, 2)
+    for desc in (multi_additive(3, 2), additive_kernel(3, 3), restricted_lie_sl2(3),
+                 sl2_height2(3), gln_height2(3, 2)):
+        dim = point_dim(desc)
+        for length in (0, dim - 1, dim + 1, 2 * dim):
+            for s in (0, 1, 2):
+                with pytest.raises(ValueError, match=re.escape("wrong length for " + desc.label())):
+                    frobenius_point_map(desc, (1,) * length, s, fld)
 
 
 def test_conic_chart_kills_the_relation():
