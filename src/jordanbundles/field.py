@@ -44,10 +44,12 @@ summand splitter's Fitting scans all read it.
 ``commutant_basis`` solves AX = XA in a basis P where X' = P^-1 X P has
 few unknowns: the eigenblocks of an action matrix diagonalisable over
 F_q, else the Toeplitz diagonals of the block upper-triangular commutant
-of a nilpotent in its Jordan basis (``jordan_basis``, from the top-down
-chains of ``jordan_chains``, which the Jordan-chain oracle also reads),
-else all n^2 entries.  The images P E_u P^-1 of the unknowns, one
-product and one row reduction give the canonical basis of the commutant.
+of a nilpotent in its Jordan basis (``jordan_basis``, from the chains of
+``jordan_chains``: one pass of iterated images, with a preimage under n^i
+of each basis vector of im n^i, and no power of n; the Jordan-chain
+oracle reads them too), else all n^2 entries.  The images P E_u P^-1 of the
+unknowns, one product and one row reduction give the canonical basis of
+the commutant.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from functools import partial
-from itertools import compress
+from itertools import chain, compress
 from math import isqrt
 from operator import getitem, itemgetter, mul as times
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -446,12 +448,15 @@ def mat_sub_scalar(fld: Field, a: Matrix, lam: int) -> Matrix:
 
 def mat_combination(fld: Field, n: int, coeffs: Sequence[int], mats: Sequence[Matrix]) -> Matrix:
     """The n x n matrix sum of c * m over the pairs of coefficients and
-    matrices."""
-    out = zeros(n, n)
+    matrices, summed row-major in one flat list: one pass, and one new
+    list, per nonzero c."""
+    add, mul = fld._add_table, fld._mul_table
+    flat = [0] * (n * n)
     for c, m in zip(coeffs, mats):
         if c:
-            out = mat_add(fld, out, mat_scale(fld, c, m))
-    return out
+            mc = mul[c]
+            flat = [add[x][mc[y]] for x, y in zip(flat, chain.from_iterable(m))]
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
 
 
 def _eigenbasis(fld: Field, a: Matrix) -> Optional[Tuple[Matrix, List[int]]]:
@@ -497,38 +502,52 @@ def jordan_chains(fld: Field, n: Matrix) -> List[List[Vector]]:
     """Jordan chains of a nilpotent square matrix, longest first, each from
     its bottom, a vector of ker n, up to its top t: [n^(h-1) t, ..., n t, t].
 
-    Built top-down: for h from the height of n down to 1, a vector t of a
-    basis of ker n^h starts a chain of length h when it is independent
-    modulo ker n^(h-1) and the vectors at height h of the chains begun
-    before it.  As n^(h-1) maps ker n^h onto a subspace of ker n with kernel
-    ker n^(h-1), and those vectors onto the bottoms of their chains, that
-    holds exactly when n^(h-1) t is independent of the bottoms so far.
-    Raises ``ValueError`` when n is not nilpotent."""
+    The graded-basis proof of the Jordan form (Gantmacher, The Theory of
+    Matrices I, ch. VII), in one pass of iterated images with preimages.
+    Level i holds the pairs (n^i e_j, e_j) whose n^i e_j, taken greedily in
+    column order, are a basis of im n^i.  Its rows (n w | w | u) are each
+    reduced by an ``Echelon`` of the earlier rows that kept a nonzero first
+    block.  Such a row sends (n w, u) to level i + 1; each other row is
+    (0 | x | y), y the canonical vector of ker n^(i+1) with a 1 at its own
+    j and x = n^i y.  These rank n^i - rank n^(i+1) rows are independent,
+    so the x are a basis of K_i = ker n & im n^i.  A rank that stops
+    falling above 0 raises ``ValueError``: n is not nilpotent.
+
+    From the top level down, an x independent of those picked so far
+    (which span K_(i+1)) is the bottom of the chain y, ..., n^i y = x.  In a
+    relation among the chains' vectors, n^d, d the largest distance of a
+    term from its chain's bottom, leaves one among bottoms.  So the chains'
+    sum_i dim K_i = dim vectors are a basis, the very one that tops taken
+    from the canonical kernel bases of the powers of n give."""
     dim = len(n)
-    powers = [identity(fld, dim), n]
-    while not is_zero_matrix(powers[-1]):
-        if len(powers) > dim:
+    n_nz = _row_nonzeros(transpose(n))  # v -> n v as a row times n^T
+    pairs = [(row, row) for row in identity(fld, dim)]
+    kernels: List[List[Tuple[Vector, Vector]]] = []  # (x, y) of each level
+    while pairs:
+        images = _mat_mul_nz(fld, [w for w, _ in pairs], n_nz, dim)
+        ech = Echelon(fld)
+        level, pairs, kernel = pairs, [], []
+        for nw, (w, u) in zip(images, level):
+            v = ech.reduce(nw + w + u)
+            if any(v[:dim]):
+                ech.insert(v)
+                pairs.append((nw, u))
+            else:
+                kernel.append((v[dim:2 * dim], v[2 * dim:]))
+        if not kernel:
             raise ValueError("matrix is not nilpotent")
-        powers.append(mat_mul(fld, powers[-1], n))
-    height = len(powers) - 1
+        kernels.append(kernel)
     bottoms = Echelon(fld)
-    tops: List[Tuple[int, Vector]] = []
-    for h in range(height, 0, -1):
-        # n^(h-1) t for each t: a row times (n^(h-1))^T, or for the unit
-        # vectors that span ker n^height a column of n^(h-1)
-        if h == height:
-            ker, images = powers[0], transpose(powers[h - 1])
-        else:
-            ker = kernel_basis(fld, powers[h], dim)
-            images = ker if h == 1 else mat_mul(fld, ker, transpose(powers[h - 1]))
-        tops += [(h, t) for t, b in zip(ker, images) if bottoms.insert(b) is not None]
-    chains = [[t] for _, t in tops]  # each from its top down while built
-    n_t = transpose(n)
-    for i in range(1, height):
-        live = [chain for chain, (h, _) in zip(chains, tops) if h > i]
-        for chain, v in zip(live, mat_mul(fld, [chain[-1] for chain in live], n_t)):
+    tops = [(i + 1, x, y) for i in range(len(kernels) - 1, -1, -1)
+            for x, y in kernels[i] if bottoms.insert(x) is not None]
+    # each chain's n^s y for s < h - 1, from the top down while built; its
+    # bottom n^(h-1) y is x
+    chains = [[y] if h > 1 else [] for h, _, y in tops]
+    for s in range(1, len(kernels) - 1):
+        live = [chain for chain, (h, _, _) in zip(chains, tops) if h > s + 1]
+        for chain, v in zip(live, _mat_mul_nz(fld, [chain[-1] for chain in live], n_nz, dim)):
             chain.append(v)
-    return [chain[::-1] for chain in chains]
+    return [[x] + chain[::-1] for chain, (_, x, _) in zip(chains, tops)]
 
 
 def jordan_basis(fld: Field, n: Matrix) -> Tuple[Matrix, Matrix, List[int]]:
@@ -964,11 +983,11 @@ class Echelon:
     Over GF(p) with p <= 13, an echelon whose first vector has at least
     ``_PACKED_WIDTH`` = 16 entries (a measured break-even, see there)
     holds each row packed, as one integer with one entry per byte (see the
-    module docstring).  ``insert`` then finds the pivot columns where the
-    vector being reduced is nonzero from one mask of its integer, reads
-    each coefficient c from its byte, and clears it by one add of (p - c)
-    times the row; a ``bytes.translate`` reduces every byte mod p only
-    after h(p) adds, and the new pivot is read from the bit length.  The
+    module docstring).  ``insert`` and ``reduce`` then find the pivot
+    columns where the vector being reduced is nonzero from one mask of its
+    integer, read each coefficient c from its byte, and clear it by one add
+    of (p - c) times the row; a ``bytes.translate`` reduces every byte mod
+    p only after h(p) adds, and a new pivot is read from the bit length.  The
     rows are the same combinations, normalised the same way, as on lists,
     and ``rows`` returns them as lists.  ``slide`` drops the rows left of
     a column and moves the others left: one shift per packed row."""
@@ -1014,9 +1033,17 @@ class Echelon:
         self.pivots.insert(k, pc)
         return pc
 
-    def _insert_packed(self, v: Sequence[int]) -> Optional[int]:
+    def reduce(self, v: Sequence[int]) -> Vector:
+        """v minus its combination of the rows that clears every pivot
+        column, as ``reduce_vector`` gives it: zero exactly when v lies in
+        the span, which is left unchanged."""
+        if self._width:
+            return list(self._reduce_packed(v).to_bytes(self._width, "big"))
+        return reduce_vector(self.fld, self._rows, self.pivots, v)
+
+    def _reduce_packed(self, v: Sequence[int]) -> int:
         p, n = self.fld.p, self._width
-        mod, divide, _, headroom = _packed_tables(p)
+        mod, _, _, headroom = _packed_tables(p)
         w = int.from_bytes(bytes(v), "big")
         # the bytes of w at pivot columns not yet cleared; column c is byte
         # n - 1 - c from the low end.  While adds are pending a byte may be
@@ -1035,11 +1062,17 @@ class Echelon:
             rest = w & self._mask & ((1 << at) - 1)
         if adds:
             w = int.from_bytes(w.to_bytes(n, "big").translate(mod), "big")
+        return w
+
+    def _insert_packed(self, v: Sequence[int]) -> Optional[int]:
+        n = self._width
+        w = self._reduce_packed(v)
         if not w:
             return None
         at = (w.bit_length() - 1) & ~7
         lead, pc = w >> at, n - 1 - (at >> 3)
         if lead != 1:
+            divide = _packed_tables(self.fld.p)[1]
             w = int.from_bytes(w.to_bytes(n, "big").translate(divide[lead]), "big")
         k = bisect_left(self.pivots, pc)
         self._rows.insert(k, w)

@@ -214,8 +214,10 @@ def _jordan_type_of(fld: Field, n: Tuple[Tuple[int, ...], ...], p: int) -> Jorda
 
 def jordan_type_chain_oracle(fld: Field, n: Matrix, p: int) -> JordanType:
     """Independent route to the Jordan type: the lengths of explicit Jordan
-    chains, built top-down (``jordan_basis``); chains that do not form a
-    Jordan basis raise ``EngineInvariantError``."""
+    chains, from one pass of iterated images that carries preimages
+    (``jordan_basis``).  It reads no rank sequence: the sizes count only
+    once the chains are certified as a Jordan basis of n, and chains that
+    are not one raise ``EngineInvariantError``."""
     _, _, sizes = jordan_basis(fld, n)
     if sizes and sizes[0] > p:
         raise ValueError("matrix is not p-nilpotent (p = %d)" % p)

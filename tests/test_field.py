@@ -20,6 +20,7 @@ from jordanbundles.field import (
     is_zero_matrix,
     kernel_basis,
     mat_add,
+    mat_combination,
     mat_mul,
     mat_pow,
     mat_scale,
@@ -222,6 +223,31 @@ def test_transpose_involution_and_zero():
     assert not is_zero_matrix(a)
 
 
+def _frozen_mat_combination(fld, n, coeffs, mats):
+    # frozen reference: one mat_scale and one mat_add per nonzero coefficient
+    out = zeros(n, n)
+    for c, m in zip(coeffs, mats):
+        if c:
+            out = mat_add(fld, out, mat_scale(fld, c, m))
+    return out
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_mat_combination_matches_scale_and_add(data):
+    fld = data.draw(st.sampled_from(FIELDS + [ext_field_build(5, 4)]), label="field")
+    n = data.draw(st.integers(0, 5), label="n")
+    k = data.draw(st.integers(0, 4), label="count")
+    elements = st.integers(0, fld.q - 1)
+    # zero coefficients are drawn often, and skipped
+    coeffs = data.draw(st.lists(st.one_of(st.just(0), elements), min_size=k, max_size=k))
+    mats = [[data.draw(st.lists(elements, min_size=n, max_size=n)) for _ in range(n)]
+            for _ in range(k)]
+    got = mat_combination(fld, n, coeffs, mats)
+    assert got == _frozen_mat_combination(fld, n, coeffs, mats)
+    assert all(type(row) is list for row in got) and len({id(row) for row in got}) == n
+
+
 # ---------------------------------------------------------------------------
 # the tables: every field of order <= 512 built by ext_field_build holds
 # add/neg/mul/inv as tuples; a larger or bare field computes them
@@ -380,6 +406,7 @@ def test_echelon_insert_matches_in_span(data):
     for k, v in enumerate(vectors):
         before = vectors[:k]
         expected_new = not in_span(fld, before, v) if before else any(v)
+        assert any(ech.reduce(v)) == expected_new
         pc = ech.insert(v)
         assert (pc is not None) == expected_new
         assert ech.pivots == sorted(ech.pivots)
@@ -423,7 +450,7 @@ PACKED_PRIMES = [prime_field(p) for p in (2, 3, 5, 7, 11, 13)]
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_echelon_matches_frozen_list_echelon(data):
-    """Insert, rows, pivots and slide against the frozen list echelon over
+    """Insert, reduce, rows, pivots and slide against the frozen list echelon over
     GF(2) .. GF(13), at widths on both sides of the packing break-even
     (16 columns), with zero vectors, combinations of earlier vectors,
     vectors given as bytes, and inserts that clear more pivots than the
@@ -464,6 +491,7 @@ def test_echelon_matches_frozen_list_echelon(data):
     def insert_all(vs):
         for v in vs:
             given_v = bytes(v) if rng.random() < 0.5 else v
+            assert ech.reduce(given_v) == reduce_vector(fld, frozen.rows, frozen.pivots, v)
             assert ech.insert(given_v) == frozen.insert(v)
             assert ech.pivots == frozen.pivots
         assert ech.rows == frozen.rows

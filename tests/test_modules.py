@@ -705,6 +705,99 @@ def test_commutant_basis_on_computed_tables_over_gf625():
         _check_jordan_basis(fld, a)
 
 
+def _frozen_jordan_chains(fld, n):
+    # frozen reference: the top-down chains, from ker n^h for each h, that
+    # jordan_chains replaced; raises ValueError when n is not nilpotent
+    dim = len(n)
+    powers = [identity(fld, dim), n]
+    while not is_zero_matrix(powers[-1]):
+        if len(powers) > dim:
+            raise ValueError("matrix is not nilpotent")
+        powers.append(mat_mul(fld, powers[-1], n))
+    height = len(powers) - 1
+    bottoms = field.Echelon(fld)
+    tops = []
+    for h in range(height, 0, -1):
+        if h == height:
+            ker, images = powers[0], transpose(powers[h - 1])
+        else:
+            ker = kernel_basis(fld, powers[h], dim)
+            images = ker if h == 1 else mat_mul(fld, ker, transpose(powers[h - 1]))
+        tops += [(h, t) for t, b in zip(ker, images) if bottoms.insert(b) is not None]
+    chains = [[t] for _, t in tops]
+    n_t = transpose(n)
+    for i in range(1, height):
+        live = [chain for chain, (h, _) in zip(chains, tops) if h > i]
+        for chain, v in zip(live, mat_mul(fld, [chain[-1] for chain in live], n_t)):
+            chain.append(v)
+    return [chain[::-1] for chain in chains]
+
+
+def _one_block(fld, dim, rng):
+    # a single Jordan block of size dim in a random basis
+    s = random_invertible(fld, dim, rng)
+    shift = [[1 if j == i + 1 else 0 for j in range(dim)] for i in range(dim)]
+    return mat_mul(fld, mat_mul(fld, s, shift), inverse(fld, s))
+
+
+def _check_jordan_chains(fld, a):
+    # the very chains of the frozen top-down construction, so the same
+    # Jordan basis, and a certified one
+    assert field.jordan_chains(fld, a) == _frozen_jordan_chains(fld, a)
+    _check_jordan_basis(fld, a)
+
+
+# GF(2), GF(3), GF(5), GF(13) (packed echelons from dimension 6 on, with
+# rows of 3 dim entries), GF(9), GF(25) and GF(5^4), past the table limit
+JORDAN_FIELDS = [prime_field(2), prime_field(3), prime_field(5), prime_field(13),
+                 ext_field_build(3, 2), ext_field_build(5, 2), ext_field_build(5, 4)]
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_jordan_chains_match_frozen_top_down_chains(data):
+    fld = data.draw(st.sampled_from(JORDAN_FIELDS), label="field")
+    dim = data.draw(st.integers(1, 12), label="dim")
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6), label="seed"))
+    kind = data.draw(st.sampled_from(["random", "zero", "one-block"]), label="kind")
+    if kind == "random":
+        a = modules.random_nilpotent(fld, dim, data.draw(st.integers(1, dim)), rng)
+    elif kind == "zero":
+        a = zeros(dim, dim)
+    else:
+        a = _one_block(fld, dim, rng)
+    _check_jordan_chains(fld, a)
+
+
+@pytest.mark.parametrize("q, dim", [(3, 90), (5, 70), (7, 60), (13, 50), (25, 40)])
+def test_jordan_chains_match_frozen_chains_at_large_dims(q, dim):
+    # packed echelons over GF(3) to GF(13), lists over GF(25)
+    fld = ext_field_build(5, 2) if q == 25 else prime_field(q)
+    rng = random.Random(q * 100 + dim)
+    _check_jordan_chains(fld, modules.random_nilpotent(fld, dim, fld.p, rng))
+
+
+def test_jordan_chains_edge_cases():
+    fld = prime_field(3)
+    assert field.jordan_chains(fld, []) == []
+    assert jordan_basis(fld, []) == ([], [], [])
+    assert field.jordan_chains(fld, [[0]]) == [[[1]]]
+
+
+@pytest.mark.parametrize("fld, dim", [(prime_field(3), 4), (prime_field(3), 20),
+                                      (ext_field_build(5, 2), 5)], ids=["F3-lists", "F3-packed", "F25"])
+def test_jordan_chains_reject_a_matrix_that_is_not_nilpotent(fld, dim):
+    # a Jordan block of size dim - 1 beside the invertible 1 x 1 block [1],
+    # in a random basis, and the identity
+    rng = random.Random(dim)
+    a = [[1 if j == i + 1 < dim - 1 else 0 for j in range(dim)] for i in range(dim)]
+    a[-1][-1] = 1
+    s = random_invertible(fld, dim, rng)
+    for m in (mat_mul(fld, mat_mul(fld, s, a), inverse(fld, s)), identity(fld, dim)):
+        with pytest.raises(ValueError, match="not nilpotent"):
+            field.jordan_chains(fld, m)
+
+
 def _corner_rings(fld, comm, u, w):
     # frozen reference: the rings of the summands U and W of a split
     # M = U + W as the corners pi_U End(M) iota_U and pi_W End(M) iota_W of

@@ -265,6 +265,26 @@ def test_chain_oracle_raises_engine_fault_on_broken_chain(monkeypatch):
         jordan_type_chain_oracle(fld, n, 3)
 
 
+def test_chain_oracle_reads_no_rank_sequence(monkeypatch):
+    # with power_ranks giving a wrong sequence, jordan_type follows it but
+    # the oracle, which takes its sizes from a certified Jordan basis,
+    # still gives the true type
+    import jordanbundles.field as field
+
+    fld = prime_field(5)
+    rng = random.Random(11)
+    n = random_nilpotent(fld, 7, 5, rng)
+    true = jordan_type(fld, n, 5)
+    monkeypatch.setattr(field, "power_ranks", lambda fld, a, k: [len(a)] + [0] * k)
+    monkeypatch.setattr(operators, "power_ranks", field.power_ranks)
+    operators._jordan_type_of.cache_clear()
+    try:
+        assert jordan_type(fld, n, 5) == JordanType(5, (7, 0, 0, 0, 0)) != true
+        assert jordan_type_chain_oracle(fld, n, 5) == true
+    finally:
+        operators._jordan_type_of.cache_clear()
+
+
 def test_jordan_type_rejects_non_p_nilpotent():
     # one Jordan block of size 4: 3-nilpotent fails, 5-nilpotent is fine
     fld = prime_field(3)
